@@ -23,6 +23,7 @@ from .gfmat import BudgetExceededError, PrimeField, freeze, is_nilpotent
 from .partitions import (
     a_stat,
     as_bipartition,
+    bipartition_key,
     bipartition_to_json,
     enumerate_bipartitions,
     hasse_relations,
@@ -103,9 +104,7 @@ def cmd_census(args) -> int:
             "a": a_stat(bla),
             "dim": n * n - a_stat(bla),
         }
-        for bla, count in sorted(
-            table.items(), key=lambda item: _canonical_index(item[0], n)
-        )
+        for bla, count in sorted(table.items(), key=lambda item: bipartition_key(item[0]))
     ]
     if args.format == "csv":
         lines = ["lambda1,lambda2,count,a,dim"]
@@ -119,11 +118,6 @@ def cmd_census(args) -> int:
         return 0
     _emit(args, {"n": n, "p": args.prime, "classes": rows}, "census")
     return 0
-
-
-def _canonical_index(bla, n) -> int:
-    order = {b: i for i, b in enumerate(enumerate_bipartitions(n))}
-    return order[bla]
 
 
 def cmd_springer(args) -> int:

@@ -9,6 +9,7 @@ quantities the verification suites check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 from typing import Optional, Sequence
@@ -29,6 +30,8 @@ from .gfmat import (
     induced_maps,
     mat_mul,
     mat_sub,
+    partition_from_ranks,
+    power_images,
     right_kernel,
     scal_mul,
     transpose,
@@ -38,6 +41,8 @@ from .pairs import (
     EnhancedPair,
     MixedClassifier,
     NonSplitError,
+    bipartition_from_types,
+    krylov_basis,
     mixed_invariant,
     orbit_representative,
 )
@@ -87,16 +92,6 @@ def _eigenlines(x: Matrix, a: int, p: int):
     return right_kernel(transpose(shifted), p).lines()
 
 
-def _quotient_pair(x: Matrix, v: Vector, line: Vector, p: int):
-    """Induced operator and vector on the quotient by an x-stable line."""
-    n = len(x)
-    w = Subspace.from_vectors([line], n, p)
-    _, quotient = induced_maps(x, w, p)
-    reduced = w.reduce(v)
-    complement = [c for c in range(n) if c not in w.pivots]
-    return quotient, tuple(reduced[j] for j in complement)
-
-
 def _count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int) -> int:
     """Depth-first enumeration of stable flags with pruning at step m."""
     n = len(x)
@@ -126,47 +121,86 @@ def _count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int) -> int:
     return recurse(Subspace.zero(n, p), 0)
 
 
-def _count_memo(
-    x: Matrix,
-    v: Vector,
-    m: int,
-    p: int,
-    eigenvalues: Sequence[int],
-    memo: dict,
-    work: list,
-    budget: int,
-) -> int:
-    """Stable-flag count keyed on the orbit invariant of the remaining pair.
+class _FiberCounter:
+    """Stable-flag counts over orbit keys, driven by line-transition tables.
 
-    The count from a partial flag onward depends only on the GL-orbit of the
-    induced pair on the quotient and on the remaining step index, so states
-    are merged by that invariant.  Agrees with _count_plain (tested) but
-    handles counts far beyond one-by-one enumeration.
+    A first step V_1 of a stable flag is a line L in ker(x - a) for an
+    eigenvalue a, and the count from there on depends only on the orbit
+    of the pair induced on V/L and on the remaining step index.  That orbit
+    differs from the orbit of (x, v) only in the block of a, whose
+    bipartition beta becomes the class of the quotient of the normal form
+    of beta by a line of ker x.  The table {class: number of lines} is
+    built once per beta, and the recursion runs on (blocks, m) keys alone.
     """
-    n = len(x)
-    if m == 0 and any(v):
-        return 0
-    if n == 0:
-        return 1
-    classifier = MixedClassifier(x, p, eigenvalues=eigenvalues)
-    key = (classifier.invariant(v).blocks, m)
-    if key in memo:
-        return memo[key]
-    found = 0
-    present = [a for a, _, _ in classifier.blocks]
-    for a in present:
-        for line in _eigenlines(x, a, p):
-            work[0] += 1
-            if work[0] > budget:
-                raise BudgetExceededError(
-                    f"flag state exploration exceeded {budget} extensions"
-                )
-            quotient, reduced = _quotient_pair(x, v, line, p)
-            found += _count_memo(
-                quotient, reduced, max(m - 1, 0), p, present, memo, work, budget
+
+    def __init__(self, p: int, budget: int):
+        self.p = p
+        self.budget = budget
+        self.tables: dict[Bipartition, dict[Bipartition, int]] = {}
+        self.memo: dict = {}
+        self.lines = 0
+
+    def table(self, bla: Bipartition) -> dict[Bipartition, int]:
+        """Quotient classes of the lines in ker x for the normal form of bla.
+
+        With I_k the row space of x^k and K the Krylov span of v, the
+        quotient by L = <w> has rank x^k = dim I_k - [w in I_k] on V/L and
+        dim(I_k + K) + [w not in I_k + K] - dim(K + L) on V/(K + L).  So
+        the class depends only on which of these spaces contain w, and each
+        membership pattern is classified once.
+        """
+        if bla in self.tables:
+            return self.tables[bla]
+        p = self.p
+        z = orbit_representative(bla, p)
+        n = z.n
+        kernel = right_kernel(transpose(z.x), p)
+        lines = (p**kernel.dim - 1) // (p - 1)
+        if self.lines + lines > self.budget:
+            raise BudgetExceededError(
+                f"flag fiber tables need {self.lines + lines} lines, budget is "
+                f"{self.budget}; reached {self.lines} lines in {len(self.tables)} "
+                f"(bipartition, p) tables and {len(self.memo)} memo states"
             )
-    memo[key] = found
-    return found
+        self.lines += lines
+        images = power_images(z.x, p)
+        krylov = Subspace.from_vectors(krylov_basis(z.x, z.v, p), n, p)
+        # I_0 = V contains every line and the zero space none; I_k + K ends with K.
+        inner = images[1:-1]
+        joined = [space.sum(krylov) for space in images[1:]]
+        probes = inner + joined
+        patterns = Counter(tuple(space.contains(w) for space in probes) for w in kernel.lines())
+        out: dict[Bipartition, int] = {}
+        for bits, count in patterns.items():
+            in_image, in_joined = bits[: len(inner)], bits[len(inner) :]
+            lam = partition_from_ranks(
+                [n - 1] + [space.dim - b for space, b in zip(inner, in_image)] + [0]
+            )
+            k_and_l = krylov.dim + (not in_joined[-1])
+            rho = partition_from_ranks(
+                [n - k_and_l]
+                + [space.dim + (not b) - k_and_l for space, b in zip(joined, in_joined)]
+            )
+            key = bipartition_from_types(lam, rho)
+            out[key] = out.get(key, 0) + count
+        self.tables[bla] = out
+        return out
+
+    def count(self, blocks: tuple[tuple[int, Bipartition], ...], m: int) -> int:
+        if m == 0 and any(bla[0] for _, bla in blocks):
+            return 0
+        if not blocks:
+            return 1
+        key = (blocks, m)
+        if key in self.memo:
+            return self.memo[key]
+        found = 0
+        for i, (a, bla) in enumerate(blocks):
+            for quotient, lines in self.table(bla).items():
+                kept = ((a, quotient),) if total(quotient) else ()
+                found += lines * self.count(blocks[:i] + kept + blocks[i + 1 :], max(m - 1, 0))
+        self.memo[key] = found
+        return found
 
 
 def count_fiber(
@@ -174,19 +208,23 @@ def count_fiber(
     method: str = "auto",
     budget: int = 2_000_000,
 ) -> int:
-    """Exact number of x-stable complete flags with v in step m."""
+    """Exact number of x-stable complete flags with v in step m.
+
+    The budget bounds the flag nodes visited by method="plain", and the
+    lines enumerated into transition tables otherwise.
+    """
     x, v, m, p = condition.x, condition.v, condition.m, condition.p
     if method not in ("auto", "plain", "memo"):
         raise ValueError(f"unknown method {method!r}")
     if method == "plain":
         return _count_plain(x, v, m, p, budget)
     try:
-        classifier_eigs = [a for a, _, _ in MixedClassifier(x, p).blocks]
+        classifier = MixedClassifier(x, p)
     except NonSplitError:
         if method == "memo":
             raise
         return _count_plain(x, v, m, p, budget)
-    return _count_memo(x, v, m, p, classifier_eigs, {}, [0], budget)
+    return _FiberCounter(p, budget).count(classifier.invariant(v).blocks, m)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .partitions import Partition, as_partition
+from .partitions import Partition, as_partition, conjugate
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -164,11 +164,8 @@ def rank(a: Matrix, p: int) -> int:
     return r
 
 
-def right_kernel(a: Matrix, p: int) -> "Subspace":
-    """Canonical basis of {w : A w^T = 0} as a subspace of GF(p)^cols."""
-    nrows, ncols = shape(a)
-    rows = [list(r) for r in a]
-    r, pivots = _row_reduce(rows, p)
+def _kernel_of_reduced(rows: Sequence[Sequence[int]], pivots: list[int], ncols: int, p: int) -> "Subspace":
+    """Right kernel read off rows already in reduced row echelon form."""
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for c in free:
@@ -180,10 +177,17 @@ def right_kernel(a: Matrix, p: int) -> "Subspace":
     return Subspace.from_vectors(basis, ncols, p)
 
 
+def right_kernel(a: Matrix, p: int) -> "Subspace":
+    """Canonical basis of {w : A w^T = 0} as a subspace of GF(p)^cols."""
+    rows = [list(r) for r in a]
+    _, pivots = _row_reduce(rows, p)
+    return _kernel_of_reduced(rows, pivots, shape(a)[1], p)
+
+
 def rref_rank_kernel(a: Matrix, p: int) -> tuple[Matrix, int, "Subspace"]:
     """RREF of A, its rank, and the right kernel {w : A w = 0}."""
-    r, rk, _ = rref(a, p)
-    return r, rk, right_kernel(a, p)
+    r, rk, pivots = rref(a, p)
+    return r, rk, _kernel_of_reduced(r, pivots, shape(a)[1], p)
 
 
 @dataclass(frozen=True)
@@ -284,30 +288,39 @@ def is_nilpotent(x: Matrix, p: int) -> bool:
     return mat_pow(x, n, p) == zeros(n, n)
 
 
-def jordan_type(x: Matrix, p: int) -> Partition:
-    """Jordan type of a nilpotent matrix from its rank sequence.
+def power_images(x: Matrix, p: int) -> list["Subspace"]:
+    """Row spaces of x^0, x^1, ... of a nilpotent x, ending with the zero space.
 
-    The multiplicity of the part k is rank(x^{k-1}) - 2 rank(x^k) + rank(x^{k+1}).
+    Each space is the image of the previous one under x.  Raises ValueError
+    when the dimensions stop decreasing above 0, i.e. x is not nilpotent.
     """
     n = len(x)
-    if n == 0:
-        return ()
-    if not is_nilpotent(x, p):
-        raise ValueError("matrix is not nilpotent")
-    ranks = [n]
-    power = x
-    while True:
-        r = rank(power, p)
-        ranks.append(r)
-        if r == 0:
-            break
-        power = mat_mul(power, x, p)
-    ranks.append(0)
-    parts = []
-    for k in range(1, len(ranks) - 1):
-        mult = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
-        parts.extend([k] * mult)
-    return as_partition(sorted(parts, reverse=True))
+    if any(len(row) != n for row in x):
+        raise ValueError("matrix must be square")
+    spaces = [Subspace.full(n, p)]
+    while spaces[-1].dim:
+        image = Subspace.from_vectors([apply(b, x, p) for b in spaces[-1].basis], n, p)
+        if image.dim == spaces[-1].dim:
+            raise ValueError("matrix is not nilpotent")
+        spaces.append(image)
+    return spaces
+
+
+def partition_from_ranks(ranks: Sequence[int]) -> Partition:
+    """Jordan type from the ranks of x^0, x^1, ... down to 0.
+
+    rank(x^{k-1}) - rank(x^k) counts the parts of size at least k, so those
+    differences are the columns of the type.
+    """
+    if not ranks or ranks[-1] != 0:
+        raise ValueError(f"rank sequence {list(ranks)} does not end at 0")
+    columns = [a - b for a, b in zip(ranks, ranks[1:]) if a != b]
+    return conjugate(as_partition(columns))
+
+
+def jordan_type(x: Matrix, p: int) -> Partition:
+    """Jordan type of a nilpotent matrix from the ranks of its powers."""
+    return partition_from_ranks([space.dim for space in power_images(x, p)])
 
 
 def stable_under(x: Matrix, w: Subspace, p: int) -> bool:

@@ -1,9 +1,12 @@
 """Orbits of pairs (x, v) with x an endomorphism over GF(p) and v a vector.
 
-For nilpotent x the GL_n-orbit of (x, v) is classified by a bipartition:
-the Jordan types of x on the subspace C(x)v swept out by the commutant
-of x, and on the quotient by it.  For general split x the orbit is
-classified blockwise on generalized eigenspaces, one bipartition per
+For nilpotent x the GL_n-orbit of (x, v) is classified by a bipartition
+(mu, nu): the Jordan types of x on the subspace C(x)v swept out by the
+commutant of x, and on the quotient by it.  The bipartition is read off
+two Jordan types alone, lambda of x and rho of x on V/F[x]v, where
+F[x]v = span(v, vx, vx^2, ...) is the Krylov span: mu_i = sum over j >= i
+of (lambda_j - rho_j), and nu = lambda - mu.  For general split x the orbit
+is classified blockwise on generalized eigenspaces, one bipartition per
 eigenvalue.  Everything here is exact arithmetic mod p.
 """
 
@@ -24,12 +27,12 @@ from .gfmat import (
     apply,
     gl_order,
     identity,
-    is_nilpotent,
     jordan_matrix,
-    jordan_type,
     mat_inv,
     mat_pow,
     mat_sub,
+    partition_from_ranks,
+    power_images,
     rank,
     right_kernel,
     scal_mul,
@@ -37,6 +40,7 @@ from .gfmat import (
 )
 from .partitions import (
     Bipartition,
+    Partition,
     as_bipartition,
     enumerate_bipartitions,
     m_stat,
@@ -102,30 +106,71 @@ def commutant(x: Matrix, p: int) -> list[Matrix]:
     ]
 
 
-def commutant_span(v: Vector, basis: Sequence[Matrix], n: int, p: int) -> Subspace:
-    """The subspace {v.A : A in the commutant}, an x-stable subspace."""
-    return Subspace.from_vectors([apply(v, a, p) for a in basis], n, p)
+def krylov_basis(x: Matrix, v: Vector, p: int) -> list[Vector]:
+    """The nonzero vectors v, vx, vx^2, ... for nilpotent x.
+
+    They are linearly independent, so they are a basis of the Krylov span
+    F[x]v.
+    """
+    out = []
+    for _ in range(len(x)):
+        if not any(v):
+            break
+        out.append(v)
+        v = apply(v, x, p)
+    return out
+
+
+def bipartition_from_types(lam: Partition, rho: Partition) -> Bipartition:
+    """Bipartition of a nilpotent pair from lambda = type(x), rho = type(x on V/F[x]v).
+
+    mu_i = sum over j >= i of (lambda_j - rho_j) and nu = lambda - mu.
+    Raises ValueError when mu or nu is not a partition, that is when no
+    pair has these two types.
+    """
+    if len(rho) > len(lam):
+        raise ValueError(f"quotient type {rho} is longer than the type {lam}")
+    padded = rho + (0,) * (len(lam) - len(rho))
+    mu = []
+    acc = 0
+    for la, rh in zip(reversed(lam), reversed(padded)):
+        acc += la - rh
+        mu.append(acc)
+    mu.reverse()
+    nu = [la - m for la, m in zip(lam, mu)]
+    for parts in (mu, nu):
+        if any(a < b for a, b in zip(parts, parts[1:])) or (parts and parts[-1] < 0):
+            raise ValueError(f"types {lam} and {rho} belong to no nilpotent pair")
+    return (tuple(m for m in mu if m), tuple(a for a in nu if a))
+
+
+def _nilpotent_profile(x: Matrix, p: int) -> tuple[Partition, list[Subspace]]:
+    """Jordan type of x and the row spaces of its powers; raises unless nilpotent."""
+    images = power_images(x, p)
+    return partition_from_ranks([space.dim for space in images]), images
 
 
 def _classify_nilpotent(
-    x: Matrix, v: Vector, p: int, basis: Optional[Sequence[Matrix]] = None
+    x: Matrix, v: Vector, p: int, profile: tuple[Partition, list[Subspace]]
 ) -> Bipartition:
-    if basis is None:
-        basis = commutant(x, p)
-    w = commutant_span(v, basis, len(x), p)
-    restriction, quotient = gfmat.induced_maps(x, w, p)
-    first = jordan_type(restriction, p)
-    second = jordan_type(quotient, p)
-    bla = (first, second)
-    assert partition_sum(first, second) == jordan_type(x, p)
-    return bla
+    """Bipartition of (x, v) given the profile of x from _nilpotent_profile.
+
+    On V/K with K = F[x]v, x^k has rank dim(im x^k + K) - dim K.
+    """
+    lam, images = profile
+    krylov = tuple(krylov_basis(x, v, p))
+    if not krylov:
+        return ((), lam)
+    k = len(krylov)
+    ranks = [len(x) - k]
+    ranks += [rank(space.basis + krylov, p) - k for space in images[1:-1]]
+    ranks.append(0)
+    return bipartition_from_types(lam, partition_from_ranks(ranks))
 
 
 def classify(z: EnhancedPair) -> Bipartition:
     """Bipartition indexing the orbit of a nilpotent pair."""
-    if not is_nilpotent(z.x, z.p):
-        raise ValueError("classify requires a nilpotent matrix")
-    return _classify_nilpotent(z.x, z.v, z.p)
+    return _classify_nilpotent(z.x, z.v, z.p, _nilpotent_profile(z.x, z.p))
 
 
 def stab_dim(z: EnhancedPair) -> int:
@@ -193,8 +238,9 @@ def split_eigenspaces(
 class MixedClassifier:
     """Classifies many vectors against one fixed split matrix.
 
-    Caches the eigenspace decomposition and the per-block commutant bases so
-    that the per-vector work is a coordinate change plus small classifications.
+    Caches the eigenspace decomposition and, per block, the Jordan type of
+    the nilpotent part and the row spaces of its powers, so that the
+    per-vector work is a coordinate change plus one Krylov span per block.
     """
 
     def __init__(self, x: Matrix, p: int, eigenvalues: Optional[Sequence[int]] = None):
@@ -203,16 +249,16 @@ class MixedClassifier:
         self.blocks = split_eigenspaces(x, p, eigenvalues)
         stacked = tuple(b for _, space, _ in self.blocks for b in space.basis)
         self.basis_inv = mat_inv(stacked, p)
-        self.commutants = [commutant(nil, p) for _, _, nil in self.blocks]
+        self.profiles = [_nilpotent_profile(nil, p) for _, _, nil in self.blocks]
 
     def invariant(self, v: Vector) -> MixedInvariant:
         coords = apply(v, self.basis_inv, self.p)
         out = []
         offset = 0
-        for (a, space, nil), basis in zip(self.blocks, self.commutants):
+        for (a, space, nil), profile in zip(self.blocks, self.profiles):
             block_v = coords[offset : offset + space.dim]
             offset += space.dim
-            out.append((a, _classify_nilpotent(nil, block_v, self.p, basis)))
+            out.append((a, _classify_nilpotent(nil, block_v, self.p, profile)))
         return MixedInvariant(tuple(out))
 
 
@@ -266,11 +312,12 @@ def census(n: int, field: PrimeField, budget: int = 5_000_000) -> dict[Bipartiti
         bla: 0 for bla in enumerate_bipartitions(n)
     }
     for x in gfmat.all_matrices(n, p):
-        if not is_nilpotent(x, p):
+        try:
+            profile = _nilpotent_profile(x, p)
+        except ValueError:
             continue
-        basis = commutant(x, p)
         for v in gfmat.all_vectors(n, p):
-            table[_classify_nilpotent(x, v, p, basis)] += 1
+            table[_classify_nilpotent(x, v, p, profile)] += 1
     return table
 
 

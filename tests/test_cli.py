@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from nilorbit.cli import main
+from nilorbit.partitions import enumerate_bipartitions
 
 
 def run_cli(args, tmp_path=None):
@@ -55,6 +56,19 @@ def test_census_json_and_csv(tmp_path):
     assert lines[0] == "lambda1,lambda2,count,a,dim"
     assert len(lines) == 6
     assert lines[1] == "2,,6,0,4"
+
+
+def test_census_csv_rows_in_canonical_order(tmp_path):
+    code, text = run_cli(
+        ["census", "--n", "3", "--prime", "2", "--format", "csv"], tmp_path
+    )
+    assert code == 0
+    cells = [line.split(",")[:2] for line in text.strip().split("\n")[1:]]
+    expected = [
+        [" ".join(map(str, first)), " ".join(map(str, second))]
+        for first, second in enumerate_bipartitions(3)
+    ]
+    assert cells == expected
 
 
 def test_census_budget_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 """Flag fiber counts: oracles, covariance, reports, covering degrees, slices."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -12,6 +13,7 @@ from nilorbit.counting import (
 )
 from nilorbit.flags import (
     FlagCondition,
+    _FiberCounter,
     count_fiber,
     fiber_dimension,
     galois_degree_check,
@@ -20,6 +22,7 @@ from nilorbit.flags import (
     unipotent_elements,
 )
 from nilorbit.gfmat import (
+    BudgetExceededError,
     PrimeField,
     Subspace,
     all_matrices,
@@ -27,11 +30,12 @@ from nilorbit.gfmat import (
     mat_inv,
     mat_mul,
     random_invertible,
+    random_matrix,
     rank,
     zeros,
 )
-from nilorbit.pairs import EnhancedPair, orbit_representative
-from nilorbit.partitions import enumerate_bipartitions, size
+from nilorbit.pairs import EnhancedPair, NonSplitError, orbit_representative
+from nilorbit.partitions import enumerate_bipartitions, partition_sum, size, total
 
 
 def coset_fiber_count(x, v, m, p):
@@ -97,6 +101,63 @@ def test_plain_and_memo_agree():
                     plain = count_fiber(FlagCondition(z.x, z.v, m, p), method="plain")
                     memo = count_fiber(FlagCondition(z.x, z.v, m, p), method="memo")
                     assert plain == memo, (bmu, m, p)
+
+
+def test_memo_matches_plain_on_conjugated_normal_forms():
+    p = 2
+    for n in range(5):
+        for seed, bmu in enumerate(enumerate_bipartitions(n)):
+            z = orbit_representative(bmu, p)
+            g = random_invertible(n, p, seed)
+            x = mat_mul(mat_mul(mat_inv(g, p), z.x, p), g, p)
+            v = apply(z.v, g, p)
+            for m in range(n + 1):
+                plain = count_fiber(FlagCondition(x, v, m, p), method="plain")
+                memo = count_fiber(FlagCondition(x, v, m, p), method="memo")
+                assert plain == memo, (bmu, m)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_memo_matches_plain_on_random_split_pairs(p):
+    rng = random.Random(p)
+    split = nonsplit = 0
+    for trial in range(60):
+        n = 1 + trial % 3
+        x = random_matrix(n, p, rng)
+        v = tuple(rng.randrange(p) for _ in range(n))
+        for m in range(n + 1):
+            condition = FlagCondition(x, v, m, p)
+            plain = count_fiber(condition, method="plain")
+            try:
+                memo = count_fiber(condition, method="memo")
+            except NonSplitError:
+                assert plain == 0
+                nonsplit += 1
+                continue
+            assert plain == memo, (x, v, m)
+            split += 1
+    assert split and nonsplit
+
+
+def test_transition_tables_count_every_line_of_the_kernel():
+    for p in (2, 3):
+        counter = _FiberCounter(p, budget=10**6)
+        for n in range(1, 5):
+            for bla in enumerate_bipartitions(n):
+                table = counter.table(bla)
+                ell = len(partition_sum(*bla))
+                assert sum(table.values()) == (p**ell - 1) // (p - 1), (bla, p)
+                assert all(total(quotient) == n - 1 for quotient in table)
+
+
+def test_fiber_budget_reports_progress():
+    z = orbit_representative(((1, 1, 1), ()), 5)
+    with pytest.raises(BudgetExceededError) as info:
+        count_fiber(FlagCondition(z.x, z.v, 3, 5), budget=40)
+    assert str(info.value) == (
+        "flag fiber tables need 45 lines, budget is 40; reached 39 lines in "
+        "4 (bipartition, p) tables and 3 memo states"
+    )
 
 
 def test_fiber_conjugation_covariant():

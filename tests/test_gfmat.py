@@ -17,6 +17,7 @@ from nilorbit.gfmat import (
     mat_mul,
     matrix_from_json,
     matrix_to_json,
+    partition_from_ranks,
     random_invertible,
     rank,
     rref,
@@ -107,6 +108,14 @@ def test_jordan_type_examples():
     assert jordan_type(jordan_matrix((2, 1), 2), 2) == (2, 1)
     with pytest.raises(ValueError):
         jordan_type(identity(2), 3)
+
+
+def test_partition_from_ranks():
+    assert partition_from_ranks([4, 2, 1, 0]) == (3, 1)
+    assert partition_from_ranks([3, 0, 0]) == (1, 1, 1)
+    assert partition_from_ranks([0]) == ()
+    with pytest.raises(ValueError):
+        partition_from_ranks([3, 1])
 
 
 @pytest.mark.parametrize("n", range(9))

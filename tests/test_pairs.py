@@ -5,9 +5,15 @@ import pytest
 from nilorbit.gfmat import (
     BudgetExceededError,
     PrimeField,
+    Subspace,
+    all_matrices,
+    all_vectors,
     apply,
     identity,
+    induced_maps,
+    is_nilpotent,
     jordan_matrix,
+    jordan_type,
     mat_inv,
     mat_mul,
     random_invertible,
@@ -17,6 +23,7 @@ from nilorbit.pairs import (
     EnhancedPair,
     MixedClassifier,
     NonSplitError,
+    bipartition_from_types,
     census,
     classify,
     commutant,
@@ -42,6 +49,17 @@ def conjugate_pair(z: EnhancedPair, seed: int) -> EnhancedPair:
         apply(z.v, g, z.p),
         z.p,
     )
+
+
+def commutant_classify(x, v, p, basis=None):
+    """Oracle: Jordan types of x on the commutant span C(x)v and on V/C(x)v."""
+    if basis is None:
+        basis = commutant(x, p)
+    span = Subspace.from_vectors([apply(v, a, p) for a in basis], len(x), p)
+    restriction, quotient = induced_maps(x, span, p)
+    first, second = jordan_type(restriction, p), jordan_type(quotient, p)
+    assert partition_sum(first, second) == jordan_type(x, p)
+    return (first, second)
 
 
 def test_commutant_examples():
@@ -75,6 +93,38 @@ def test_classify_examples():
         x = jordan_matrix(nu, 5)
         assert classify(EnhancedPair(x, (0,) * 3, 5)) == ((), nu)
     assert classify(EnhancedPair(jordan_matrix((2,), 5), (1, 0), 5)) == ((1,), (1,))
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)])
+def test_krylov_classifier_matches_commutant_oracle(n, p):
+    """Every nilpotent pair: the closed form from Krylov types against C(x)v."""
+    pairs = 0
+    for x in all_matrices(n, p):
+        if not is_nilpotent(x, p):
+            continue
+        basis = commutant(x, p)
+        for v in all_vectors(n, p):
+            assert classify(EnhancedPair(x, v, p)) == commutant_classify(x, v, p, basis), (x, v)
+            pairs += 1
+    assert pairs == p ** (n * n - n) * p**n
+
+
+def test_bipartition_from_types_examples():
+    assert bipartition_from_types((2,), (1,)) == ((1,), (1,))
+    assert bipartition_from_types((1, 1), (1,)) == ((1, 1), ())
+    assert bipartition_from_types((3, 1), (3, 1)) == ((), (3, 1))
+    assert bipartition_from_types((3, 1), (1,)) == ((3, 1), ())
+    assert bipartition_from_types((3, 1), (2,)) == ((2, 1), (1,))
+    assert bipartition_from_types((), ()) == ((), ())
+
+
+@pytest.mark.parametrize(
+    "lam,rho",
+    [((1,), (2,)), ((1,), (1, 1)), ((3, 1), (2, 2)), ((2, 2), (1,))],
+)
+def test_bipartition_from_types_rejects_impossible_types(lam, rho):
+    with pytest.raises(ValueError):
+        bipartition_from_types(lam, rho)
 
 
 def test_classify_requires_nilpotent():
