@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .gfmat import _is_prime
+
 
 class InterpolationError(ValueError):
     """The recorded counts do not lie on a polynomial of the claimed degree."""
@@ -193,7 +195,7 @@ def first_primes(count: int, minimum: int = 2) -> list[int]:
     out: list[int] = []
     candidate = max(2, minimum)
     while len(out) < count:
-        if all(candidate % d for d in range(2, int(candidate**0.5) + 1)):
+        if _is_prime(candidate):
             out.append(candidate)
         candidate += 1
     return out

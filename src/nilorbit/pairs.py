@@ -12,10 +12,12 @@ eigenvalue.  Everything here is exact arithmetic mod p.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from . import gfmat
 from .gfmat import (
@@ -42,6 +44,8 @@ from .partitions import (
     Bipartition,
     Partition,
     as_bipartition,
+    as_partition,
+    conjugate,
     enumerate_bipartitions,
     m_stat,
     partition_sum,
@@ -321,100 +325,84 @@ def census(n: int, field: PrimeField, budget: int = 5_000_000) -> dict[Bipartiti
     return table
 
 
-def _det_mod(mats: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Vectorized determinant mod p of a (m, n, n) int array, n <= 4."""
-    a = mats % p
-    if n == 0:
-        return np.ones(len(a), dtype=np.int64)
-    if n == 1:
-        return a[:, 0, 0] % p
-    if n == 2:
-        return (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
-    if n == 3:
-        return (
-            a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-            - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-            + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
-        ) % p
-    if n == 4:
-        det = np.zeros(len(a), dtype=np.int64)
-        cols = [0, 1, 2, 3]
-        for j in range(4):
-            rest = [c for c in cols if c != j]
-            minor = a[:, 1:, :][:, :, rest]
-            m = (
-                minor[:, 0, 0] * (minor[:, 1, 1] * minor[:, 2, 2] - minor[:, 1, 2] * minor[:, 2, 1])
-                - minor[:, 0, 1] * (minor[:, 1, 0] * minor[:, 2, 2] - minor[:, 1, 2] * minor[:, 2, 0])
-                + minor[:, 0, 2] * (minor[:, 1, 0] * minor[:, 2, 1] - minor[:, 1, 1] * minor[:, 2, 0])
-            ) % p
-            det = (det + (-1) ** j * a[:, 0, j] * m) % p
-        return det % p
-    raise ValueError("vectorized determinant implemented for n <= 4")
-
-
 def stabilizer_group_order(z: EnhancedPair, budget: int = 50_000_000) -> int:
     """Order of {g invertible : gx = xg, v.g = v} by enumerating I + S0.
 
     S0 is the linear space {A in the commutant : v.A = 0}; the affine space
     I + S0 is exactly the solution set of the stabilizer equations, and its
-    invertible points form the stabilizer group.  Enumeration is blockwise
-    vectorized; the budget bounds p^dim(S0).
+    invertible points form the stabilizer group.  This is the slow oracle
+    behind orbit_size; the budget bounds the p^dim(S0) points enumerated.
     """
     p, n = z.p, z.n
     basis = stabilizer_space(z)
     d = len(basis)
     if p**d > budget:
         raise BudgetExceededError(
-            f"stabilizer enumeration needs {p**d} points, budget is {budget}"
+            f"stabilizer enumeration at n={n}, p={p} needs {p**d} points, "
+            f"budget is {budget}"
         )
-    if n > 4:
-        count = 0
-        for flat_coeffs in gfmat.all_vectors(d, p):
-            rows = [
-                [
-                    (identity(n)[i][j] + sum(c * b[i][j] for c, b in zip(flat_coeffs, basis)))
-                    % p
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            if rank(tuple(tuple(r) for r in rows), p) == n:
-                count += 1
-        return count
-    flat_basis = np.array(
-        [[b[i][j] for i in range(n) for j in range(n)] for b in basis], dtype=np.int64
-    ).reshape(d, n * n)
-    base = np.array(identity(n), dtype=np.int64).reshape(n * n)
-    total_points = p**d
-    block = 1 << 18
+    flat_basis = [[entry for row in b for entry in row] for b in basis]
+    base = [entry for row in identity(n) for entry in row]
     count = 0
-    for start in range(0, total_points, block):
-        stop = min(start + block, total_points)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coeffs = np.empty((stop - start, d), dtype=np.int64)
-        for t in range(d):
-            coeffs[:, t] = idx % p
-            idx //= p
-        if d:
-            mats = (coeffs @ flat_basis + base) % p
-        else:
-            mats = np.broadcast_to(base, (stop - start, n * n)).copy()
-        dets = _det_mod(mats.reshape(-1, n, n), n, p)
-        count += int(np.count_nonzero(dets))
+    for coeffs in gfmat.all_vectors(d, p):
+        flat = base
+        for c, b in zip(coeffs, flat_basis):
+            if c:
+                flat = [(f + c * e) % p for f, e in zip(flat, b)]
+        if rank(tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)), p) == n:
+            count += 1
     return count
 
 
-def orbit_size(bla: Bipartition, field: PrimeField, budget: int = 50_000_000) -> int:
-    """Number of GF(p)-points of the orbit, |GL_n| / |stabilizer|."""
+def centralizer_order(lam: Partition, p: int) -> int:
+    """Order of the centralizer of the Jordan matrix J_lam in GL_n(GF(p)).
+
+    It is p^(sum lam'_i^2 - sum m_i^2) times the product of |GL_{m_i}|, with
+    lam' the conjugate partition and m_i the number of parts of lam equal to
+    i (Macdonald, Symmetric Functions and Hall Polynomials, Ch. II).
+    """
+    lam = as_partition(lam)
+    mults = Counter(lam).values()
+    exponent = sum(c * c for c in conjugate(lam)) - sum(m * m for m in mults)
+    return p**exponent * math.prod(gl_order(m, p) for m in mults)
+
+
+@lru_cache(maxsize=None)
+def _vector_class_counts(lam: Partition, p: int) -> Mapping[Bipartition, int]:
+    """{bipartition: number of v in GF(p)^n with (J_lam, v) in its class}.
+
+    One pass over the p^n vectors against one profile of J_lam.  The mapping
+    is read-only because the cache hands it to every caller.
+    """
+    x = jordan_matrix(lam, p)
+    profile = _nilpotent_profile(x, p)
+    counts = Counter(
+        _classify_nilpotent(x, v, p, profile) for v in gfmat.all_vectors(len(x), p)
+    )
+    return MappingProxyType(dict(counts))
+
+
+def orbit_size(bla: Bipartition, field: PrimeField, budget: int = 2_000_000) -> int:
+    """Number of GF(p)-points of the orbit of the bipartition (mu, nu).
+
+    With lam = mu + nu the orbit maps onto the conjugacy class of J_lam, and
+    its fiber over J_lam is the set of v with (J_lam, v) in the orbit, so the
+    size is |GL_n| / |Z(J_lam)| times that number of vectors.  The vector
+    counts are cached per (lam, p); the budget bounds the p^n vectors one
+    count classifies and is checked before the cache is read.
+    """
     bla = as_bipartition(bla)
-    n = total(bla)
-    z = orbit_representative(bla, field.p)
-    stab = stabilizer_group_order(z, budget)
-    group = gl_order(n, field.p)
-    size, rem = divmod(group, stab)
+    n, p = total(bla), field.p
+    if p**n > budget:
+        raise BudgetExceededError(
+            f"orbit size at n={n}, p={p} needs {p**n} points (vectors to classify), "
+            f"budget is {budget}"
+        )
+    lam = partition_sum(*bla)
+    group, cent = gl_order(n, p), centralizer_order(lam, p)
+    conjugates, rem = divmod(group, cent)
     if rem:
         raise RuntimeError(
-            f"orbit-stabilizer division is not exact: |GL|={group}, |Z|={stab}"
+            f"orbit-stabilizer division is not exact: |GL|={group}, |Z|={cent}"
         )
-    return size
-
+    return conjugates * _vector_class_counts(lam, p)[bla]

@@ -114,3 +114,4 @@ def test_first_primes():
     assert first_primes(3) == [2, 3, 5]
     assert first_primes(2, minimum=4) == [5, 7]
     assert first_primes(1, minimum=8) == [11]
+    assert first_primes(5, 10) == [11, 13, 17, 19, 23]

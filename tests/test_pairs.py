@@ -9,6 +9,7 @@ from nilorbit.gfmat import (
     all_matrices,
     all_vectors,
     apply,
+    gl_order,
     identity,
     induced_maps,
     is_nilpotent,
@@ -25,6 +26,7 @@ from nilorbit.pairs import (
     NonSplitError,
     bipartition_from_types,
     census,
+    centralizer_order,
     classify,
     commutant,
     mixed_invariant,
@@ -263,9 +265,45 @@ def test_orbit_size_matches_census():
                 assert orbit_size(bla, PrimeField(p)) == count, (bla, p)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_orbit_size_of_the_empty_bipartition(p):
+    assert orbit_size(((), ()), PrimeField(p)) == 1
+
+
 def test_orbit_size_budget():
     with pytest.raises(BudgetExceededError):
-        orbit_size(((), (1, 1, 1)), PrimeField(7), budget=1000)
+        orbit_size(((), (1, 1, 1)), PrimeField(7), budget=100)
+
+
+def test_orbit_size_budget_is_checked_before_the_cache():
+    bla = ((1,), (1, 1))
+    orbit_size(bla, PrimeField(7))  # fills the (lambda, p) vector-count cache
+    with pytest.raises(BudgetExceededError, match=r"n=3, p=7 needs 343 points .*, budget is 342"):
+        orbit_size(bla, PrimeField(7), budget=342)
+    assert orbit_size(bla, PrimeField(7), budget=343) > 0
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(4) for p in (2, 3)] + [(4, 2)])
+def test_orbit_size_matches_stabilizer_oracle(n, p):
+    """Closed form against |GL_n| / |Stab| by enumeration of I + S0."""
+    for bla in enumerate_bipartitions(n):
+        stab = stabilizer_group_order(orbit_representative(bla, p))
+        assert orbit_size(bla, PrimeField(p)) * stab == gl_order(n, p), (bla, p)
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(6) for p in (2, 3)])
+def test_orbit_sizes_sum_to_all_pairs(n, p):
+    """Fine-Herstein: p^(n^2 - n) nilpotents times p^n vectors."""
+    total = sum(orbit_size(bla, PrimeField(p)) for bla in enumerate_bipartitions(n))
+    assert total == p ** (n * n)
+
+
+def test_centralizer_order_matches_stabilizer_of_zero_vector():
+    p = 3
+    for n in range(4):
+        for lam in enumerate_partitions(n):
+            z = orbit_representative(((), lam), p)
+            assert centralizer_order(lam, p) == stabilizer_group_order(z), lam
 
 
 def test_stabilizer_group_order_python_fallback():
