@@ -16,9 +16,8 @@ from typing import Optional
 from . import __version__
 from . import flags as flags_mod
 from . import pairs as pairs_mod
-from . import symplectic as symp
 from . import verify as verify_mod
-from .counting import CountSeries, first_primes, slope_estimates
+from .counting import first_primes
 from .gfmat import BudgetExceededError, PrimeField, freeze, is_nilpotent
 from .partitions import (
     a_stat,
@@ -183,49 +182,29 @@ def cmd_exotic(args) -> int:
     n = args.n
     selected = args.checks or list(EXOTIC_CHECKS)
     rows = []
-    ok = True
     if "roots" in selected:
-        roots_ok = True
-        for k in range(1, min(n, 4) + 1):
-            for w in symp.signed_permutations(k):
-                if not symp.root_identity_check(w).ok:
-                    roots_ok = False
-        rows.append({"check": "roots", "n": min(n, 4), "ok": roots_ok})
-        ok = ok and roots_ok
+        cap = min(n, 4)
+        rows.append({"check": "roots", "n": cap, "ok": verify_mod.root_identity_ok(cap)})
     if "twisted-set" in selected and n >= 1:
-        twisted_ok = True
-        for p in args.primes or [3]:
-            space = symp.SymplecticSpace(1, p)
-            report, _ = symp.iotheta_set(space)
-            twisted_ok = twisted_ok and bool(report.coincide)
-        rows.append({"check": "twisted-set", "n": 1, "ok": twisted_ok})
-        ok = ok and twisted_ok
+        rows.append(
+            {"check": "twisted-set", "n": 1, "ok": verify_mod.twisted_set_ok(args.primes or [3])}
+        )
     if "slice-dim" in selected or "fiber-dim" in selected:
-        cache: dict = {}
         for k in range(1, min(n, 2) + 1):
-            for row in verify_mod.exotic_orbit_report(k, flag_cache=cache):
-                rows.append(row)
-                ok = ok and row["ok"]
+            rows.extend(verify_mod.exotic_orbit_report(k))
     if "z-bound" in selected and n >= 2:
-        counts = []
-        for p in args.primes or [3, 5]:
-            space = symp.SymplecticSpace(2, p)
-            s = space.torus_twisted([1, 1])
-            counts.append((p, symp.z_variety_count(space, s)))
-        bound = 2 * symp.SymplecticSpace(2, 3).nu_h
-        ests = slope_estimates(CountSeries.of(counts))
-        good = all(e <= bound for e in ests)
+        counts, ests, bound = verify_mod.z_bound(args.primes or [3, 5])
         rows.append(
             {
                 "check": "z-bound",
                 "n": 2,
-                "counts": [c for _, c in counts],
+                "counts": counts,
                 "dim_estimate": max(ests),
                 "expected": bound,
-                "ok": good,
+                "ok": all(e <= bound for e in ests),
             }
         )
-        ok = ok and good
+    ok = all(row["ok"] for row in rows)
     _emit(args, {"n": n, "rows": rows, "ok": ok}, "exotic")
     return 0 if ok else 1
 

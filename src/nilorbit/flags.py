@@ -210,20 +210,21 @@ def count_fiber(
 ) -> int:
     """Exact number of x-stable complete flags with v in step m.
 
-    The budget bounds the flag nodes visited by method="plain", and the
-    lines enumerated into transition tables otherwise.
+    A stable complete flag triangularizes x, so when the characteristic
+    polynomial of x does not split over GF(p) the count is 0.  The depth
+    first enumeration method="plain" is the oracle.  The budget bounds the
+    flag nodes it visits, and the lines enumerated into transition tables
+    otherwise.
     """
     x, v, m, p = condition.x, condition.v, condition.m, condition.p
-    if method not in ("auto", "plain", "memo"):
+    if method not in ("auto", "plain"):
         raise ValueError(f"unknown method {method!r}")
     if method == "plain":
         return _count_plain(x, v, m, p, budget)
     try:
         classifier = MixedClassifier(x, p)
     except NonSplitError:
-        if method == "memo":
-            raise
-        return _count_plain(x, v, m, p, budget)
+        return 0
     return _FiberCounter(p, budget).count(classifier.invariant(v).blocks, m)
 
 
@@ -268,7 +269,6 @@ def springer_report(
     bmu: Bipartition,
     m: int,
     primes: Optional[Sequence[int]] = None,
-    method: str = "auto",
 ) -> SpringerReport:
     """Fiber count polynomial of the orbit bmu, with degree and leading checks."""
     bmu = as_bipartition(bmu)
@@ -284,7 +284,7 @@ def springer_report(
     counts = []
     for p in primes:
         z = orbit_representative(bmu, p)
-        counts.append(count_fiber(FlagCondition(z.x, z.v, m, p), method=method))
+        counts.append(count_fiber(FlagCondition(z.x, z.v, m, p)))
     poly = interpolate(CountSeries.of(list(zip(primes, counts))), d)
     return SpringerReport(
         mu=bmu,

@@ -77,12 +77,6 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def mat_add(a: Matrix, b: Matrix, p: int) -> Matrix:
-    return tuple(
-        tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def mat_sub(a: Matrix, b: Matrix, p: int) -> Matrix:
     return tuple(
         tuple((x - y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b)

@@ -206,7 +206,3 @@ def irr_dim(bmu: Bipartition) -> int:
 
 def bipartition_to_json(bla: Bipartition) -> list[list[int]]:
     return [list(bla[0]), list(bla[1])]
-
-
-def bipartition_from_json(data: Sequence[Sequence[int]]) -> Bipartition:
-    return as_bipartition(data)

@@ -93,7 +93,16 @@ class SymplecticSpace:
         return mat_mul(mat_mul(g, self.gram, self.p), transpose(g), self.p) == self.gram
 
     def in_twisted_set(self, g: Matrix) -> bool:
-        return mat_mul(self.theta(g), g, self.p) == identity(self.dim)
+        """Whether the invertible g satisfies theta(g) = g^{-1}.
+
+        theta(g) g = I rearranges to J g = g^T J, and since J^T = -J this
+        says that J g is skew-symmetric: one linear condition, no inverse.
+        """
+        p, dim = self.p, self.dim
+        jg = mat_mul(self.gram, g, p)
+        return all(
+            (jg[i][j] + jg[j][i]) % p == 0 for i in range(dim) for j in range(i, dim)
+        )
 
     def flag_step(self, k: int) -> Subspace:
         return Subspace.from_vectors(
@@ -214,10 +223,11 @@ def h_orbit(
     if space.p >= 256:
         raise ValueError("state encoding assumes p < 256")
     gens = [(g, mat_inv(g, p)) for g in sp_generators(space)]
-    start = (x, v)
     seen = {_encode(x, v)}
-    frontier = [start]
+    frontier = [(x, v)]
+    depth = 0
     while frontier:
+        depth += 1
         fresh = []
         for x0, v0 in frontier:
             for g, ginv in gens:
@@ -227,7 +237,8 @@ def h_orbit(
                 if key not in seen:
                     if len(seen) >= budget:
                         raise BudgetExceededError(
-                            f"orbit exceeded budget of {budget} states"
+                            f"orbit exceeded budget of {budget} states; reached "
+                            f"{len(seen)} states while building BFS depth {depth}"
                         )
                     seen.add(key)
                     fresh.append((x1, v1))
@@ -315,7 +326,10 @@ def isotropic_flags(
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(f"flag enumeration exceeded {budget} nodes")
+            raise BudgetExceededError(
+                f"flag enumeration exceeded {budget} nodes; completed {len(out)} "
+                f"flags in {nodes - 1} nodes visited"
+            )
         if len(chain) == n:
             out.append(tuple(chain))
             return
@@ -451,42 +465,6 @@ def exotic_slice_count(
     return count, orbit.size
 
 
-def z_variety_count(
-    space: SymplecticSpace,
-    s: Matrix,
-    flags: Optional[Sequence[tuple[Subspace, ...]]] = None,
-) -> int:
-    """Points of the double-flag variety attached to s, by exhaustive pairing.
-
-    For each ordered pair of isotropic flags the admissible x form the
-    intersection of two conjugates of (sU)^{iota-theta}, and the admissible
-    v fill the intersection of the two Lagrangian steps.
-    """
-    p = space.p
-    if flags is None:
-        flags = isotropic_flags(space)
-    base = twisted_coset_set(space, s)
-    xsets = []
-    lagrangians = []
-    for flag in flags:
-        h = symplectic_transition(space, flag)
-        hinv = mat_inv(h, p)
-        xsets.append(frozenset(mat_mul(mat_mul(hinv, y, p), h, p) for y in base))
-        lagrangians.append(flag[-1])
-    total = 0
-    for i, (xi, li) in enumerate(zip(xsets, lagrangians)):
-        for j, (xj, lj) in enumerate(zip(xsets, lagrangians)):
-            if j < i:
-                continue
-            shared = len(xi & xj)
-            if not shared:
-                continue
-            meet = li.dim + lj.dim - rank(tuple(li.basis + lj.basis), p)
-            term = shared * p**meet
-            total += term if i == j else 2 * term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Hyperoctahedral combinatorics
 
@@ -602,6 +580,30 @@ def lagrangian_meet_dim(space: SymplecticSpace, w: SignedPermutation) -> int:
     )
     joint = rank(tuple(m.basis + moved.basis), space.p)
     return m.dim + moved.dim - joint
+
+
+def z_variety_count(space: SymplecticSpace, s: Matrix) -> int:
+    """Points of the double-flag variety attached to s, summed over W_n.
+
+    A point is an ordered pair of isotropic flags F, F' with an x in both
+    conjugates of X = (sU)^{iota-theta} and a v in both Lagrangian steps.
+    Conjugation by the flag Borel of Sp maps X onto itself: its torus
+    commutes with s, U is normal in the Borel, and Sp commutes with theta.
+    So the count of a pair depends only on its relative position w in W_n.
+    By the Bruhat decomposition the pairs in position w number
+    type_c_poincare(n, p) * p^{l(w)}, and the pair (F_0, F_0 w) counts
+    |X meet w^{-1} X w| * p^{dim(M_n meet M_n w)}.
+    """
+    p = space.p
+    base = twisted_coset_set(space, s)
+    members = frozenset(base)
+    total = 0
+    for w in signed_permutations(space.n):
+        h = w.matrix(space)
+        hinv = mat_inv(h, p)
+        shared = sum(1 for y in base if mat_mul(mat_mul(h, y, p), hinv, p) in members)
+        total += p ** length(w) * shared * p ** lagrangian_meet_dim(space, w)
+    return type_c_poincare(space.n, p) * total
 
 
 @dataclass(frozen=True)

@@ -472,30 +472,27 @@ def _exotic_case_data(case: dict, space: symp.SymplecticSpace):
     return s, u, v
 
 
-def exotic_orbit_report(
-    n: int,
-    primes: Sequence[int] = (3, 5),
-    fiber_primes: Sequence[int] = None,
-    orbit_budget: int = 500_000,
-    flag_cache: dict = None,
-    skip_slow: bool = False,
-) -> list[dict]:
+EXOTIC_SLICE_PRIMES = (3, 5)
+# fiber counts need primes past 3 at n = 2 for the estimates to agree
+EXOTIC_FIBER_PRIMES = {1: (3, 5, 7), 2: (5, 7, 11)}
+
+
+def exotic_orbit_report(n: int, skip_slow: bool = False) -> list[dict]:
     """Slice equality, slice bound and fiber bound/value for the test orbits."""
-    if fiber_primes is None:
-        fiber_primes = (3, 5, 7) if n == 1 else (5, 7, 11)
-    if flag_cache is None:
-        flag_cache = {}
+    cases = exotic_orbit_cases(n)
+    fiber_primes = EXOTIC_FIBER_PRIMES[n]
+    flag_cache: dict = {}
     rows = []
-    for case in exotic_orbit_cases(n):
+    for case in cases:
         if skip_slow and case.get("slow"):
             continue
-        slice_primes = case.get("slice_primes", primes)
+        slice_primes = case.get("slice_primes", EXOTIC_SLICE_PRIMES)
         orbit_counts = []
         slice_counts = []
         for p in slice_primes:
             space = symp.SymplecticSpace(n, p)
             s, u, v = _exotic_case_data(case, space)
-            slc, orb = symp.exotic_slice_count(space, s, u, v, orbit_budget=orbit_budget)
+            slc, orb = symp.exotic_slice_count(space, s, u, v)
             orbit_counts.append((p, orb))
             slice_counts.append((p, slc))
         c = slope_dim(CountSeries.of(orbit_counts))
@@ -512,14 +509,13 @@ def exotic_orbit_report(
         for p in fiber_primes:
             space = symp.SymplecticSpace(n, p)
             s, u, v = _exotic_case_data(case, space)
-            key = (n, p)
-            if key not in flag_cache:
+            if p not in flag_cache:
                 flags = symp.isotropic_flags(space)
-                flag_cache[key] = (
+                flag_cache[p] = (
                     flags,
                     [symp.symplectic_transition(space, f) for f in flags],
                 )
-            flags, trans = flag_cache[key]
+            flags, trans = flag_cache[p]
             x = mat_mul(s, u, p)
             fiber_counts.append(
                 (p, symp.exotic_fiber_count(space, s, x, v, flags, trans))
@@ -559,16 +555,43 @@ def exotic_orbit_report(
     return rows
 
 
+def root_identity_ok(n_cap: int) -> bool:
+    """The long-root identity for every signed permutation of rank 1..n_cap."""
+    return all(
+        symp.root_identity_check(w).ok
+        for n in range(1, n_cap + 1)
+        for w in symp.signed_permutations(n)
+    )
+
+
+def twisted_set_ok(primes: Sequence[int]) -> bool:
+    """At n = 1 the fixed points of g -> theta(g)^{-1} equal the image of
+    g -> g theta(g)^{-1}, and both are the nonzero scalars."""
+    for p in primes:
+        space = symp.SymplecticSpace(1, p)
+        report, sets = symp.iotheta_set(space)
+        scalars = {symp.identity_scaled(space, c) for c in range(1, p)}
+        if not (report.coincide and sets[0] == scalars):
+            return False
+    return True
+
+
+def z_bound(primes: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Double-flag counts of the central torus element at n = 2, their
+    growth estimates, and the bound 2 nu_h the estimates must not exceed."""
+    counts = []
+    for p in primes:
+        space = symp.SymplecticSpace(2, p)
+        counts.append((p, symp.z_variety_count(space, space.torus_twisted([1, 1]))))
+    bound = 2 * symp.SymplecticSpace(2, 3).nu_h
+    return [c for _, c in counts], slope_estimates(CountSeries.of(counts)), bound
+
+
 def exotic_suite(n_max: int, seed: int = 0) -> list[dict]:
     checks = []
 
     cap = min(n_max, 4)
-    roots_ok = True
-    for n in range(1, cap + 1):
-        for w in symp.signed_permutations(n):
-            if not symp.root_identity_check(w).ok:
-                roots_ok = False
-    checks.append(_check("root-identity", roots_ok, n_max=cap))
+    checks.append(_check("root-identity", root_identity_ok(cap), n_max=cap))
 
     involution_ok = True
     for n in (1, 2):
@@ -591,16 +614,9 @@ def exotic_suite(n_max: int, seed: int = 0) -> list[dict]:
     checks.append(_check("involution-and-twisting", involution_ok))
 
     if n_max >= 1:
-        twisted_ok = True
-        for p in (3, 5):
-            space = symp.SymplecticSpace(1, p)
-            report, sets = symp.iotheta_set(space)
-            scalars = {
-                symp.identity_scaled(space, c) for c in range(1, p)
-            }
-            if not (report.coincide and sets[0] == scalars):
-                twisted_ok = False
-        checks.append(_check("twisted-set-coincidence", twisted_ok, n=1, primes=[3, 5]))
+        checks.append(
+            _check("twisted-set-coincidence", twisted_set_ok((3, 5)), n=1, primes=[3, 5])
+        )
 
     flag_ok = True
     for n in (1, 2):
@@ -616,30 +632,23 @@ def exotic_suite(n_max: int, seed: int = 0) -> list[dict]:
                 flag_ok = False
     checks.append(_check("isotropic-flag-count", flag_ok))
 
-    flag_cache: dict = {}
     orbit_rows = []
     orbit_ok = True
     for n in (1, 2):
         if n > n_max:
             continue
-        for row in exotic_orbit_report(n, flag_cache=flag_cache, skip_slow=True):
+        for row in exotic_orbit_report(n, skip_slow=True):
             orbit_rows.append(row)
             orbit_ok = orbit_ok and row["ok"]
     checks.append(_check("slice-fiber-dimensions", orbit_ok, rows=orbit_rows))
 
     if n_max >= 2:
-        zcounts = []
-        for p in (3, 5):
-            space = symp.SymplecticSpace(2, p)
-            s = space.torus_twisted([1, 1])
-            zcounts.append((p, symp.z_variety_count(space, s)))
-        ests = slope_estimates(CountSeries.of(zcounts))
-        bound = 2 * symp.SymplecticSpace(2, 3).nu_h
+        counts, ests, bound = z_bound((3, 5))
         checks.append(
             _check(
                 "double-flag-bound",
                 all(e <= bound for e in ests),
-                counts=[c for _, c in zcounts],
+                counts=counts,
                 bound=bound,
             )
         )

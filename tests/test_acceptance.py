@@ -158,9 +158,8 @@ def test_criterion_7_exotic_checks():
             if not root_identity_check(w).ok:
                 roots_ok = False
     orbit_ok = True
-    cache = {}
     for n in (1, 2):
-        for row in exotic_orbit_report(n, flag_cache=cache):
+        for row in exotic_orbit_report(n):
             orbit_ok = orbit_ok and row["ok"]
     elapsed = time.time() - started
     ok = roots_ok and orbit_ok and elapsed < 900

@@ -135,6 +135,24 @@ def test_exotic_roots_command(tmp_path):
     assert doc["rows"][0]["check"] == "roots" and doc["rows"][0]["ok"]
 
 
+def test_exotic_twisted_set_and_z_bound_rows(tmp_path):
+    code, text = run_cli(["exotic", "--n", "2", "--checks", "twisted-set", "z-bound"], tmp_path)
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["ok"] is True
+    assert doc["rows"] == [
+        {"check": "twisted-set", "n": 1, "ok": True},
+        {
+            "check": "z-bound",
+            "n": 2,
+            "counts": [103680, 4680000],
+            "dim_estimate": 7,
+            "expected": 8,
+            "ok": True,
+        },
+    ]
+
+
 def test_verify_partitions_deterministic(tmp_path):
     code1, text1 = run_cli(["verify", "--suite", "partitions", "--n-max", "4"], tmp_path)
     code2, text2 = run_cli(["verify", "--suite", "partitions", "--n-max", "4"], tmp_path)

@@ -34,7 +34,7 @@ from nilorbit.gfmat import (
     rank,
     zeros,
 )
-from nilorbit.pairs import EnhancedPair, NonSplitError, orbit_representative
+from nilorbit.pairs import EnhancedPair, MixedClassifier, NonSplitError, orbit_representative
 from nilorbit.partitions import enumerate_bipartitions, partition_sum, size, total
 
 
@@ -99,7 +99,7 @@ def test_plain_and_memo_agree():
                 z = orbit_representative(bmu, p)
                 for m in range(n + 1):
                     plain = count_fiber(FlagCondition(z.x, z.v, m, p), method="plain")
-                    memo = count_fiber(FlagCondition(z.x, z.v, m, p), method="memo")
+                    memo = count_fiber(FlagCondition(z.x, z.v, m, p))
                     assert plain == memo, (bmu, m, p)
 
 
@@ -113,7 +113,7 @@ def test_memo_matches_plain_on_conjugated_normal_forms():
             v = apply(z.v, g, p)
             for m in range(n + 1):
                 plain = count_fiber(FlagCondition(x, v, m, p), method="plain")
-                memo = count_fiber(FlagCondition(x, v, m, p), method="memo")
+                memo = count_fiber(FlagCondition(x, v, m, p))
                 assert plain == memo, (bmu, m)
 
 
@@ -125,17 +125,15 @@ def test_memo_matches_plain_on_random_split_pairs(p):
         n = 1 + trial % 3
         x = random_matrix(n, p, rng)
         v = tuple(rng.randrange(p) for _ in range(n))
+        try:
+            MixedClassifier(x, p)
+        except NonSplitError:
+            nonsplit += 1
+        else:
+            split += 1
         for m in range(n + 1):
             condition = FlagCondition(x, v, m, p)
-            plain = count_fiber(condition, method="plain")
-            try:
-                memo = count_fiber(condition, method="memo")
-            except NonSplitError:
-                assert plain == 0
-                nonsplit += 1
-                continue
-            assert plain == memo, (x, v, m)
-            split += 1
+            assert count_fiber(condition, method="plain") == count_fiber(condition), (x, v, m)
     assert split and nonsplit
 
 
@@ -181,9 +179,10 @@ def test_fiber_conjugation_covariant():
 def test_fiber_nonsplit_falls_back_to_plain():
     # irreducible quadratic action: no stable lines, so no stable flags
     x = ((0, 1), (1, 1))
-    assert count_fiber(FlagCondition(x, (0, 0), 0, 3)) == 0
-    with pytest.raises(Exception):
-        count_fiber(FlagCondition(x, (0, 0), 0, 3), method="memo")
+    for m in (0, 1, 2):
+        condition = FlagCondition(x, (0, 0), m, 3)
+        assert count_fiber(condition) == 0
+        assert count_fiber(condition, method="plain") == 0
 
 
 def test_fiber_dimension_formula():

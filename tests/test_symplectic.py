@@ -4,7 +4,9 @@ import pytest
 
 from nilorbit.counting import CountSeries, slope_dim
 from nilorbit.gfmat import (
+    BudgetExceededError,
     all_matrices,
+    all_vectors,
     apply,
     identity,
     mat_inv,
@@ -88,6 +90,26 @@ def test_theta_fixes_exactly_sp():
     assert len(fixed) == sp_order(1, 3)
 
 
+def in_twisted_set_by_theta(space, g):
+    return mat_mul(space.theta(g), g, space.p) == identity(space.dim)
+
+
+def test_linear_twisted_membership_matches_theta():
+    for p in (2, 3, 5):
+        space = SymplecticSpace(1, p)
+        for g in all_matrices(2, p):
+            if rank(g, p) == 2:
+                assert space.in_twisted_set(g) == in_twisted_set_by_theta(space, g), g
+    for n in (2, 3):
+        for p in (3, 5):
+            space = SymplecticSpace(n, p)
+            for seed in range(20):
+                g = random_invertible(2 * n, p, seed)
+                point = mat_mul(g, space.theta_inv_of(g), p)
+                assert space.in_twisted_set(point) and in_twisted_set_by_theta(space, point)
+                assert space.in_twisted_set(g) == in_twisted_set_by_theta(space, g), g
+
+
 def test_theta_on_scalars():
     space = SymplecticSpace(1, 5)
     g = identity_scaled(space, 2)
@@ -159,6 +181,14 @@ def test_isotropic_flag_counts():
             )
 
 
+def test_isotropic_flags_budget_reports_progress():
+    with pytest.raises(BudgetExceededError) as info:
+        isotropic_flags(SymplecticSpace(1, 3), budget=3)
+    assert str(info.value) == (
+        "flag enumeration exceeded 3 nodes; completed 2 flags in 3 nodes visited"
+    )
+
+
 def test_isotropic_flags_n1_p3_count_is_4():
     assert len(isotropic_flags(SymplecticSpace(1, 3))) == 4
 
@@ -217,6 +247,15 @@ def test_h_orbit_closure_and_divisibility():
                     assert orbit.contains(moved_x, moved_v)
 
 
+def test_h_orbit_budget_reports_progress():
+    space = SymplecticSpace(1, 3)
+    with pytest.raises(BudgetExceededError) as info:
+        h_orbit(space, identity(2), (1, 0), budget=3)
+    assert str(info.value) == (
+        "orbit exceeded budget of 3 states; reached 3 states while building BFS depth 2"
+    )
+
+
 def test_exotic_slice_examples_n1():
     # the central zero pair is its own slice
     for p in (3, 5):
@@ -272,9 +311,8 @@ def test_twisted_coset_set_n1():
 
 
 def test_exotic_orbit_report_all_ok():
-    cache = {}
     for n in (1, 2):
-        for row in exotic_orbit_report(n, flag_cache=cache, skip_slow=True):
+        for row in exotic_orbit_report(n, skip_slow=True):
             assert row["ok"], row
 
 
@@ -333,34 +371,35 @@ def test_root_identity_example_sign_flip():
     assert report.b_w == 1 and report.ok
 
 
-def test_z_variety_count_against_pointwise_oracle():
-    """Recount the double-flag variety point by point in (x, v)."""
-    p = 3
-    space = SymplecticSpace(2, p)
-    s = space.torus_twisted([1, 1])
-    fast = z_variety_count(space, s)
-    flags = isotropic_flags(space)
+def pointwise_z_count(space, s):
+    """The double-flag variety point by point in (x, v): a point with k
+    admissible flags contributes k^2 ordered flag pairs."""
+    p = space.p
     base = twisted_coset_set(space, s)
     xsets = []
     lagrangians = []
-    for flag in flags:
+    for flag in isotropic_flags(space):
         h = symplectic_transition(space, flag)
         hinv = mat_inv(h, p)
         xsets.append(frozenset(mat_mul(mat_mul(hinv, y, p), h, p) for y in base))
         lagrangians.append(flag[-1])
-    candidates = set().union(*xsets)
-    slow = 0
-    from nilorbit.gfmat import all_vectors
-
-    for x in candidates:
-        for v in all_vectors(4, p):
+    count = 0
+    for x in set().union(*xsets):
+        for v in all_vectors(space.dim, p):
             hits = sum(
                 1
                 for xs, lag in zip(xsets, lagrangians)
                 if x in xs and lag.contains(v)
             )
-            slow += hits * hits
-    assert fast == slow
+            count += hits * hits
+    return count
+
+
+def test_z_variety_count_against_pointwise_oracle():
+    for n, p, torus in ((2, 3, [1, 1]), (2, 3, [1, 2]), (1, 3, [1]), (1, 5, [1])):
+        space = SymplecticSpace(n, p)
+        s = space.torus_twisted(torus)
+        assert z_variety_count(space, s) == pointwise_z_count(space, s), (n, p, torus)
 
 
 def test_z_variety_bound():
