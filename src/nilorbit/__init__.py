@@ -38,6 +38,7 @@ from .pairs import (  # noqa: F401
     classify,
     commutant,
     mixed_invariant,
+    mixed_orbit_size,
     orbit_representative,
     orbit_size,
     same_orbit,

@@ -257,7 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("slice", parents=[common], help="slice dimension checks for mixed pairs")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--primes", type=int, nargs="+")
-    c.add_argument("--budget", type=int, default=2_000_000)
+    c.add_argument(
+        "--budget",
+        type=int,
+        default=2_000_000,
+        help="bound on the fiber-table lines per count and on the p^k vectors "
+        "each k-dimensional eigenvalue block's orbit size classifies",
+    )
     c.set_defaults(func=cmd_slice)
 
     c = sub.add_parser("exotic", parents=[common], help="symplectic-side dimension checks")

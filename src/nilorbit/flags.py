@@ -18,6 +18,7 @@ from .counting import (
     CountPolynomial,
     CountSeries,
     first_primes,
+    gaussian_factorial,
     interpolate,
 )
 from .gfmat import (
@@ -43,7 +44,7 @@ from .pairs import (
     NonSplitError,
     bipartition_from_types,
     krylov_basis,
-    mixed_invariant,
+    mixed_orbit_size,
     orbit_representative,
 )
 from .partitions import (
@@ -96,15 +97,20 @@ def _count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int) -> int:
     """Depth-first enumeration of stable flags with pruning at step m."""
     n = len(x)
     nodes = 0
+    flags = 0
 
     def recurse(space: Subspace, depth: int) -> int:
-        nonlocal nodes
+        nonlocal nodes, flags
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(f"flag enumeration exceeded {budget} nodes")
+            raise BudgetExceededError(
+                f"flag enumeration exceeded {budget} nodes; visited {nodes - 1} nodes "
+                f"and found {flags} complete flags, stopped at depth {depth} of {n}"
+            )
         if depth == m and not space.contains(v):
             return 0
         if depth == n:
+            flags += 1
             return 1
         _, quotient = induced_maps(x, space, p)
         complement = [c for c in range(n) if c not in space.pivots]
@@ -131,11 +137,17 @@ class _FiberCounter:
     bipartition beta becomes the class of the quotient of the normal form
     of beta by a line of ker x.  The table {class: number of lines} is
     built once per beta, and the recursion runs on (blocks, m) keys alone.
+
+    With an eigenvalue order (s_1, ..., s_n), only flags on whose k-th
+    quotient x acts by s_k are counted: a state with r dimensions left
+    extends only blocks of eigenvalue s_(n - r + 1).  The step is fixed by
+    the blocks, so the memo key stays (blocks, m).
     """
 
-    def __init__(self, p: int, budget: int):
+    def __init__(self, p: int, budget: int, order: Optional[Sequence[int]] = None):
         self.p = p
         self.budget = budget
+        self.order = None if order is None else tuple(order)
         self.tables: dict[Bipartition, dict[Bipartition, int]] = {}
         self.memo: dict = {}
         self.lines = 0
@@ -195,7 +207,12 @@ class _FiberCounter:
         if key in self.memo:
             return self.memo[key]
         found = 0
+        wanted = None
+        if self.order is not None:
+            wanted = self.order[len(self.order) - sum(total(bla) for _, bla in blocks)]
         for i, (a, bla) in enumerate(blocks):
+            if wanted is not None and a != wanted:
+                continue
             for quotient, lines in self.table(bla).items():
                 kept = ((a, quotient),) if total(quotient) else ()
                 found += lines * self.count(blocks[:i] + kept + blocks[i + 1 :], max(m - 1, 0))
@@ -318,26 +335,6 @@ def galois_degree_check(n: int, m: int, field: PrimeField) -> tuple[int, int, bo
     return count, expected, count == expected
 
 
-def flag_unipotent_entries(n: int) -> list[tuple[int, int]]:
-    """Free coordinates of the standard flag-stabilizing unipotent group.
-
-    With the row-vector action the stabilizer of <e_1> < <e_1,e_2> < ... is
-    lower triangular, so the free entries sit strictly below the diagonal.
-    """
-    return [(i, j) for i in range(n) for j in range(i)]
-
-
-def unipotent_elements(n: int, p: int):
-    """All lower unitriangular n x n matrices over GF(p)."""
-    entries = flag_unipotent_entries(n)
-    base = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for values in gfmat.all_vectors(len(entries), p):
-        rows = [row[:] for row in base]
-        for (i, j), val in zip(entries, values):
-            rows[i][j] = val
-        yield tuple(tuple(r) for r in rows)
-
-
 def in_standard_flag_step(v: Vector, m: int) -> bool:
     """Whether v lies in the span of the first m coordinates."""
     return all(c == 0 for c in v[m:])
@@ -350,10 +347,21 @@ def slice_count(
     field: PrimeField,
     budget: int = 2_000_000,
 ) -> int:
-    """Points of the orbit of z0 inside sU x M_m, by exhaustive enumeration.
+    """Points of the orbit O of z0 inside sU x M_m, by double counting.
 
     s must be diagonal, z0 = (s u, v0) with u flag-unipotent and v0 in M_m.
-    Membership in the orbit is decided by equality of mixed invariants.
+    Call z = (x, v) adapted to a complete flag F when x stabilizes F, v lies
+    in F_m and x acts on F_k / F_(k-1) by s_kk.  With the row-vector action
+    the pairs adapted to the standard flag are exactly sU x M_m, and GL_n
+    acts transitively on complete flags, so counting the pairs (z in O, F)
+    with z adapted to F in two ways gives
+
+        |O cap (sU x M_m)| * [n]_p! = |O| * fiber_s(z0, m),
+
+    where fiber_s counts the flags adapted to z0.  |O| is mixed_orbit_size
+    and fiber_s the fiber recursion restricted to the eigenvalue order
+    s_11, ..., s_nn; a nonzero remainder raises RuntimeError.  The budget
+    bounds the fiber-table lines and the vectors of each orbit size.
     """
     p = field.p
     n = z0.n
@@ -368,17 +376,21 @@ def slice_count(
         raise ValueError("z0 is not of the form (s u, v0) with flag-unipotent u")
     if not in_standard_flag_step(z0.v, m):
         raise ValueError(f"v0 must lie in the span of the first {m} coordinates")
-    work = p ** (n * (n - 1) // 2 + m)
-    if work > budget:
-        raise BudgetExceededError(f"slice enumeration needs {work} pairs, budget {budget}")
-    target = mixed_invariant(z0)
-    eigs = sorted({s[i][i] for i in range(n)})
-    count = 0
-    for u1 in unipotent_elements(n, p):
-        x1 = mat_mul(s, u1, p)
-        classifier = MixedClassifier(x1, p, eigenvalues=eigs)
-        for tail in gfmat.all_vectors(m, p):
-            v1 = tail + (0,) * (n - m)
-            if classifier.invariant(v1) == target:
-                count += 1
+    diagonal = [s[i][i] for i in range(n)]
+    target = MixedClassifier(z0.x, p, eigenvalues=diagonal).invariant(z0.v)
+    counter = _FiberCounter(p, budget, order=diagonal)
+    fiber = counter.count(target.blocks, m)
+    try:
+        pairs = mixed_orbit_size(target, field, budget) * fiber
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"{exc}; the fiber count had finished with {counter.lines} lines in "
+            f"{len(counter.tables)} (bipartition, p) tables"
+        ) from None
+    count, rem = divmod(pairs, gaussian_factorial(n, p))
+    if rem:
+        raise RuntimeError(
+            f"double count is not exact: |O| * fiber_s = {pairs} is not divisible "
+            f"by [{n}]_{p}!"
+        )
     return count

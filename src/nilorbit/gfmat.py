@@ -377,6 +377,24 @@ def all_matrices(n: int, p: int) -> Iterator[Matrix]:
         yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
+def unitriangular_elements(order: Sequence[int], p: int) -> Iterator[Matrix]:
+    """All unipotent matrices stabilizing the coordinate flag taken in `order`.
+
+    With the row-vector action the stabilizer of <e_order[0]> <
+    <e_order[0], e_order[1]> < ... has ones on the diagonal and free
+    entries at (order[i], order[j]) for j < i: lower unitriangular once
+    the coordinates are listed in that order.
+    """
+    dim = len(order)
+    free = [(order[i], order[j]) for i in range(dim) for j in range(i)]
+    base = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    for values in all_vectors(len(free), p):
+        rows = [row[:] for row in base]
+        for (i, j), val in zip(free, values):
+            rows[i][j] = val
+        yield tuple(tuple(r) for r in rows)
+
+
 def matrix_to_json(a: Matrix, p: int) -> dict:
     return {"p": p, "rows": [list(row) for row in a]}
 

@@ -371,14 +371,18 @@ def centralizer_order(lam: Partition, p: int) -> int:
 def _vector_class_counts(lam: Partition, p: int) -> Mapping[Bipartition, int]:
     """{bipartition: number of v in GF(p)^n with (J_lam, v) in its class}.
 
-    One pass over the p^n vectors against one profile of J_lam.  The mapping
-    is read-only because the cache hands it to every caller.
+    v and cv (c != 0) span the same Krylov space, so they share a class:
+    the zero vector and one monic vector per line of GF(p)^n are classified
+    against one profile of J_lam, each line weighted by its p - 1 nonzero
+    vectors.  The mapping is read-only because the cache hands it to every
+    caller.
     """
     x = jordan_matrix(lam, p)
+    n = len(x)
     profile = _nilpotent_profile(x, p)
-    counts = Counter(
-        _classify_nilpotent(x, v, p, profile) for v in gfmat.all_vectors(len(x), p)
-    )
+    counts = Counter({_classify_nilpotent(x, (0,) * n, p, profile): 1})
+    for line in Subspace.full(n, p).lines():
+        counts[_classify_nilpotent(x, line, p, profile)] += p - 1
     return MappingProxyType(dict(counts))
 
 
@@ -406,3 +410,25 @@ def orbit_size(bla: Bipartition, field: PrimeField, budget: int = 2_000_000) -> 
             f"orbit-stabilizer division is not exact: |GL|={group}, |Z|={cent}"
         )
     return conjugates * _vector_class_counts(lam, p)[bla]
+
+
+def mixed_orbit_size(inv: MixedInvariant, field: PrimeField, budget: int = 2_000_000) -> int:
+    """Number of GF(p)-points of the orbit of a split pair with invariant inv.
+
+    The stabilizer of a split pair is the product of the stabilizers of its
+    blocks on the generalized eigenspaces, so the size is |GL_n| times the
+    product over the blocks of orbit_size(beta_a) / |GL_{n_a}|.  The budget
+    is passed to every orbit_size call.
+    """
+    p = field.p
+    numerator = gl_order(inv.total, p)
+    denominator = 1
+    for _, bla in inv.blocks:
+        numerator *= orbit_size(bla, field, budget)
+        denominator *= gl_order(total(bla), p)
+    size, rem = divmod(numerator, denominator)
+    if rem:
+        raise RuntimeError(
+            f"blockwise orbit-size division is not exact: {numerator} / {denominator}"
+        )
+    return size

@@ -139,15 +139,7 @@ def identity_scaled(space: SymplecticSpace, c: int) -> Matrix:
 
 def flag_unipotent_elements(space: SymplecticSpace) -> Iterator[Matrix]:
     """All elements of the unipotent radical of the flag-stabilizing Borel."""
-    order = space.flag_order
-    dim, p = space.dim, space.p
-    free = [(order[i], order[j]) for i in range(dim) for j in range(i)]
-    base = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    for values in gfmat.all_vectors(len(free), p):
-        rows = [row[:] for row in base]
-        for (i, j), val in zip(free, values):
-            rows[i][j] = val
-        yield tuple(tuple(r) for r in rows)
+    return gfmat.unitriangular_elements(space.flag_order, space.p)
 
 
 def in_flag_borel_coset(space: SymplecticSpace, y: Matrix, s: Matrix) -> bool:

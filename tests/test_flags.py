@@ -1,5 +1,6 @@
 """Flag fiber counts: oracles, covariance, reports, covering degrees, slices."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -19,23 +20,31 @@ from nilorbit.flags import (
     galois_degree_check,
     slice_count,
     springer_report,
-    unipotent_elements,
 )
 from nilorbit.gfmat import (
     BudgetExceededError,
     PrimeField,
     Subspace,
     all_matrices,
+    all_vectors,
     apply,
     mat_inv,
     mat_mul,
     random_invertible,
     random_matrix,
     rank,
+    unitriangular_elements,
     zeros,
 )
-from nilorbit.pairs import EnhancedPair, MixedClassifier, NonSplitError, orbit_representative
+from nilorbit.pairs import (
+    EnhancedPair,
+    MixedClassifier,
+    NonSplitError,
+    mixed_invariant,
+    orbit_representative,
+)
 from nilorbit.partitions import enumerate_bipartitions, partition_sum, size, total
+from nilorbit.verify import slice_cases
 
 
 def coset_fiber_count(x, v, m, p):
@@ -158,6 +167,59 @@ def test_fiber_budget_reports_progress():
     )
 
 
+def test_plain_budget_reports_progress():
+    with pytest.raises(BudgetExceededError) as info:
+        count_fiber(FlagCondition(zeros(2, 2), (0, 0), 2, 2), method="plain", budget=3)
+    assert str(info.value) == (
+        "flag enumeration exceeded 3 nodes; visited 3 nodes and found 1 complete "
+        "flags, stopped at depth 1 of 2"
+    )
+
+
+def split_block_keys(n, p):
+    """Every eigenvalue-indexed bipartition key on GF(p)^n, eigenvalues 0, 1, ..."""
+    keys = []
+    for k in range(1, min(n, p) + 1):
+        for sizes in itertools.product(range(1, n + 1), repeat=k):
+            if sum(sizes) != n:
+                continue
+            for bips in itertools.product(*(enumerate_bipartitions(d) for d in sizes)):
+                keys.append(tuple(zip(range(k), bips)))
+    return keys
+
+
+def direct_sum_pair(blocks, p):
+    """Block diagonal pair with block a equal to (a + x_beta, v_beta) in normal form."""
+    n = sum(total(bla) for _, bla in blocks)
+    rows = [[0] * n for _ in range(n)]
+    v = []
+    offset = 0
+    for a, bla in blocks:
+        z = orbit_representative(bla, p)
+        for i in range(z.n):
+            for j in range(z.n):
+                rows[offset + i][offset + j] = (z.x[i][j] + (a if i == j else 0)) % p
+        v.extend(z.v)
+        offset += z.n
+    return tuple(tuple(r) for r in rows), tuple(v)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ordered_fibers_add_up_to_the_fiber(p):
+    """Summing fiber_s over the orderings of the eigenvalues gives count_fiber."""
+    for n in range(1, 4):
+        for blocks in split_block_keys(n, p):
+            x, v = direct_sum_pair(blocks, p)
+            orders = set(
+                itertools.permutations([a for a, bla in blocks for _ in range(total(bla))])
+            )
+            for m in range(n + 1):
+                ordered = sum(
+                    _FiberCounter(p, 10**6, order=order).count(blocks, m) for order in orders
+                )
+                assert ordered == count_fiber(FlagCondition(x, v, m, p)), (blocks, m)
+
+
 def test_fiber_conjugation_covariant():
     p = 3
     for n in (2, 3):
@@ -261,9 +323,9 @@ def test_galois_all_small():
 
 
 def test_unipotent_elements_count():
-    assert len(list(unipotent_elements(3, 2))) == 8
-    assert len(list(unipotent_elements(2, 5))) == 5
-    for u in unipotent_elements(3, 2):
+    assert len(list(unitriangular_elements(range(3), 2))) == 8
+    assert len(list(unitriangular_elements(range(2), 5))) == 5
+    for u in unitriangular_elements(range(3), 2):
         assert u[0][0] == u[1][1] == u[2][2] == 1
         assert u[0][1] == u[0][2] == u[1][2] == 0
 
@@ -278,6 +340,46 @@ def build_slice_data(diag, unip, vtail, n, p):
     x = mat_mul(s, tuple(tuple(r) for r in u), p)
     v = tuple(vtail[i] if i < len(vtail) else 0 for i in range(n))
     return s, EnhancedPair(x, v, p)
+
+
+def enumerated_slice_count(s, z0, m, p):
+    """Independent oracle: classify every pair of sU x M_m against z0."""
+    n = z0.n
+    eigenvalues = [s[i][i] for i in range(n)]
+    target = mixed_invariant(z0)
+    count = 0
+    for u in unitriangular_elements(range(n), p):
+        classifier = MixedClassifier(mat_mul(s, u, p), p, eigenvalues=eigenvalues)
+        for tail in all_vectors(m, p):
+            if classifier.invariant(tail + (0,) * (n - m)) == target:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for p in (3, 5) for n in (1, 2, 3)] + [(1, 7), (2, 7)])
+def test_slice_count_matches_enumeration(n, p):
+    for case in slice_cases(n):
+        s, z = build_slice_data(case["diag"], case["unip"], case["vtail"], n, p)
+        for m in range(len(case["vtail"]), n + 1):
+            expected = enumerated_slice_count(s, z, m, p)
+            assert slice_count(s, z, m, PrimeField(p)) == expected, (case["name"], m)
+
+
+def test_slice_budget_reports_progress():
+    s, z = build_slice_data([1, 1, 1], [], [1], 3, 5)
+    with pytest.raises(BudgetExceededError) as info:
+        slice_count(s, z, 3, PrimeField(5), budget=40)
+    assert str(info.value) == (
+        "flag fiber tables need 45 lines, budget is 40; reached 39 lines in "
+        "4 (bipartition, p) tables and 3 memo states"
+    )
+    s, z = build_slice_data([1, 2, 2], [(2, 1)], [1], 3, 5)
+    with pytest.raises(BudgetExceededError) as info:
+        slice_count(s, z, 1, PrimeField(5), budget=4)
+    assert str(info.value) == (
+        "orbit size at n=1, p=5 needs 5 points (vectors to classify), budget is 4; "
+        "the fiber count had finished with 3 lines in 3 (bipartition, p) tables"
+    )
 
 
 def test_slice_count_identity_case():

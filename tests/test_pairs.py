@@ -1,5 +1,7 @@
 """Orbit classification of enhanced pairs: invariants and exact censuses."""
 
+from collections import Counter
+
 import pytest
 
 from nilorbit.gfmat import (
@@ -30,6 +32,7 @@ from nilorbit.pairs import (
     classify,
     commutant,
     mixed_invariant,
+    mixed_orbit_size,
     orbit_representative,
     orbit_size,
     same_orbit,
@@ -336,3 +339,18 @@ def test_mixed_classifier_batches():
     mc = MixedClassifier(x, p)
     for v in ((0, 0), (1, 0), (0, 1), (1, 1)):
         assert mc.invariant(v) == mixed_invariant(EnhancedPair(x, v, p))
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
+def test_mixed_orbit_size_matches_tally(n, p):
+    """Closed-form sizes of split orbits against a tally of every split pair."""
+    tally = Counter()
+    for x in all_matrices(n, p):
+        try:
+            classifier = MixedClassifier(x, p)
+        except NonSplitError:
+            continue
+        for v in all_vectors(n, p):
+            tally[classifier.invariant(v)] += 1
+    for inv, count in tally.items():
+        assert mixed_orbit_size(inv, PrimeField(p)) == count, inv
