@@ -67,8 +67,9 @@ class SymplecticSpace:
         return tuple(tuple(r) for r in rows)
 
     @cached_property
-    def gram_inv(self) -> Matrix:
-        return mat_inv(self.gram, self.p)
+    def gram_entries(self) -> tuple[tuple[int, int], ...]:
+        """(column, value) of the one nonzero entry in each row of J."""
+        return tuple(next((j, c) for j, c in enumerate(row) if c) for row in self.gram)
 
     @cached_property
     def flag_order(self) -> tuple[int, ...]:
@@ -81,13 +82,19 @@ class SymplecticSpace:
         return sum(x * y for x, y in zip(apply(u, self.gram, p), w)) % p
 
     def theta(self, g: Matrix) -> Matrix:
-        p = self.p
-        return mat_mul(mat_mul(self.gram, mat_inv(transpose(g), p), p), self.gram_inv, p)
+        return self.theta_inv_of(mat_inv(g, self.p))
 
     def theta_inv_of(self, g: Matrix) -> Matrix:
-        """theta(g)^{-1} = J g^T J^{-1}, avoiding one inversion."""
-        p = self.p
-        return mat_mul(mat_mul(self.gram, transpose(g), p), self.gram_inv, p)
+        """theta(g)^{-1} = J g^T J^{-1}, avoiding one inversion.
+
+        J is a signed permutation with J^{-1} = J^T, so with J[i][k_i] =
+        eps_i the (i, j) entry is eps_i eps_j g[k_j][k_i]: entries move and
+        change sign, and no product is formed.  For symplectic g this is g^{-1}.
+        """
+        p, entries = self.p, self.gram_entries
+        return tuple(
+            tuple((ei * ej * g[kj][ki]) % p for kj, ej in entries) for ki, ei in entries
+        )
 
     def is_symplectic(self, g: Matrix) -> bool:
         return mat_mul(mat_mul(g, self.gram, self.p), transpose(g), self.p) == self.gram
@@ -138,7 +145,11 @@ def identity_scaled(space: SymplecticSpace, c: int) -> Matrix:
 
 
 def flag_unipotent_elements(space: SymplecticSpace) -> Iterator[Matrix]:
-    """All elements of the unipotent radical of the flag-stabilizing Borel."""
+    """All elements of the unipotent radical of the flag-stabilizing Borel.
+
+    p^{n(2n-1)} of them; the library's twisted cosets and pattern subgroups
+    avoid this walk, which stays as the tests' oracle.
+    """
     return gfmat.unitriangular_elements(space.flag_order, space.p)
 
 
@@ -167,13 +178,8 @@ def transvection(space: SymplecticSpace, u: Vector, c: int) -> Matrix:
     )
 
 
-def sp_generators(space: SymplecticSpace) -> list[Matrix]:
-    """Transvection generators of Sp_{2n}(F_p).
-
-    Directions e_i, f_i and the cross terms e_{i+1} + f_i connecting
-    consecutive hyperbolic planes; coefficients +-1.  Generation is
-    exercised directly in the tests.
-    """
+def _generator_data(space: SymplecticSpace) -> list[tuple[Vector, int]]:
+    """(direction u, coefficient c) of each transvection generator, in order."""
     n, p = space.n, space.p
     dirs: list[Vector] = []
     for i in range(n):
@@ -181,11 +187,17 @@ def sp_generators(space: SymplecticSpace) -> list[Matrix]:
         dirs.append(tuple(1 if k == n + i else 0 for k in range(2 * n)))
     for i in range(n - 1):
         dirs.append(tuple(1 if k in (i + 1, n + i) else 0 for k in range(2 * n)))
-    gens = []
-    for u in dirs:
-        for c in (1, p - 1):
-            gens.append(transvection(space, u, c))
-    return gens
+    return [(u, c) for u in dirs for c in (1, p - 1)]
+
+
+def sp_generators(space: SymplecticSpace) -> list[Matrix]:
+    """Transvection generators of Sp_{2n}(F_p).
+
+    Directions e_i, f_i and the cross terms e_{i+1} + f_i connecting
+    consecutive hyperbolic planes; coefficients +-1.  Generation is
+    exercised directly in the tests.
+    """
+    return [transvection(space, u, c) for u, c in _generator_data(space)]
 
 
 def _encode(x: Matrix, v: Vector) -> bytes:
@@ -207,25 +219,63 @@ class OrbitSet:
         return _encode(x, v) in self.states
 
 
+def _transvect(state: bytes, d: int, sa, sb, c: int, p: int) -> bytes:
+    """The encoded pair (g^-1 x g, v g) for g = I + c a b, a rank-one update.
+
+    `sa` and `sb` list the nonzero (index, entry) of the column a and the
+    row b.  Since b a = 0, g^-1 = I - c a b and
+    g^-1 x g = x + c (x a) b - c a (b x) - c^2 (b x a) a b, v g = v + c (v a) b,
+    which changes only the columns of x in supp(b) and its rows in supp(a).
+    """
+    dd = d * d
+    out = list(state)
+    xa = [0] * d
+    for k, ak in sa:
+        xa = [t + ak * e for t, e in zip(xa, state[k:dd:d])]
+    bx = [0] * d
+    for k, bk in sb:
+        bx = [t + bk * e for t, e in zip(bx, state[k * d : (k + 1) * d])]
+    bxa = sum(bk * xa[k] for k, bk in sb)
+    va = sum(ak * state[dd + k] for k, ak in sa)
+    for j, bj in sb:
+        bx[j] += c * bxa * bj  # folds the c^2 term into the row update
+        f = c * bj
+        out[j:dd:d] = [(o + f * e) % p for o, e in zip(out[j:dd:d], xa)]
+        out[dd + j] = (out[dd + j] + f * va) % p
+    for i, ai in sa:
+        f = c * ai
+        row = slice(i * d, (i + 1) * d)
+        out[row] = [(o - f * e) % p for o, e in zip(out[row], bx)]
+    return bytes(out)
+
+
 def h_orbit(
     space: SymplecticSpace, x: Matrix, v: Vector, budget: int = 500_000
 ) -> OrbitSet:
-    """Closure of {(x, v)} under (x, v) -> (g^-1 x g, v g) over generators."""
-    p = space.p
+    """Closure of {(x, v)} under (x, v) -> (g^-1 x g, v g) over generators.
+
+    The generator w -> w + c <w, u> u is g = I + c a b with a = J u^T and
+    b = u, and each step is applied to the encoded state by `_transvect`.
+    """
+    p, d = space.p, space.dim
     if space.p >= 256:
         raise ValueError("state encoding assumes p < 256")
-    gens = [(g, mat_inv(g, p)) for g in sp_generators(space)]
-    seen = {_encode(x, v)}
-    frontier = [(x, v)]
+    steps = []
+    for u, c in _generator_data(space):
+        a = apply(u, transpose(space.gram), p)
+        sa = [(i, ai) for i, ai in enumerate(a) if ai]
+        sb = [(j, bj) for j, bj in enumerate(u) if bj]
+        steps.append((sa, sb, c))
+    start = _encode(x, v)
+    seen = {start}
+    frontier = [start]
     depth = 0
     while frontier:
         depth += 1
         fresh = []
-        for x0, v0 in frontier:
-            for g, ginv in gens:
-                x1 = mat_mul(mat_mul(ginv, x0, p), g, p)
-                v1 = apply(v0, g, p)
-                key = _encode(x1, v1)
+        for state in frontier:
+            for sa, sb, c in steps:
+                key = _transvect(state, d, sa, sb, c, p)
                 if key not in seen:
                     if len(seen) >= budget:
                         raise BudgetExceededError(
@@ -233,7 +283,7 @@ def h_orbit(
                             f"{len(seen)} states while building BFS depth {depth}"
                         )
                     seen.add(key)
-                    fresh.append((x1, v1))
+                    fresh.append(key)
         frontier = fresh
     return OrbitSet(space, frozenset(seen))
 
@@ -388,13 +438,37 @@ def symplectic_transition(space: SymplecticSpace, flag: Sequence[Subspace]) -> M
 
 
 def twisted_coset_set(space: SymplecticSpace, s: Matrix) -> list[Matrix]:
-    """The intersection of the coset s U with the twisted set, by enumeration."""
-    p = space.p
+    """The intersection (sU)^{iota theta} of the coset s U with the twisted
+    set, by a linear solve.
+
+    Write u = I + sum_k c_k E_{a_k b_k} over the free positions of U.  Then
+    J s u = J s + sum_k c_k (J s)[:, a_k] e_{b_k}, so `in_twisted_set`'s
+    conditions (J y)_ij + (J y)_ji = 0 (i <= j) on y = s u are affine in c.
+    Their solutions are one solution plus the kernel of the system, and
+    s u is listed for each of them; an inconsistent system gives [].
+    """
+    p, dim = space.p, space.dim
+    js = mat_mul(space.gram, s, p)
+    free = gfmat.unitriangular_positions(space.flag_order)
+    rows: list[Vector] = []
+    rhs: list[int] = []
+    for i in range(dim):
+        for j in range(i, dim):
+            rows.append(
+                tuple((js[i][a] * (j == b) + js[j][a] * (i == b)) % p for a, b in free)
+            )
+            rhs.append(-(js[i][j] + js[j][i]) % p)
+    try:
+        base = _solve_affine(rows, rhs, len(free), p)
+    except ValueError:
+        return []
+    kernel = gfmat.right_kernel(tuple(rows), p).basis
     out = []
-    for u in flag_unipotent_elements(space):
-        y = mat_mul(s, u, p)
-        if space.in_twisted_set(y):
-            out.append(y)
+    for t in gfmat.all_vectors(len(kernel), p):
+        u = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for k, (a, b) in enumerate(free):
+            u[a][b] = (base[k] + sum(tk * vec[k] for tk, vec in zip(t, kernel))) % p
+        out.append(mat_mul(s, tuple(tuple(r) for r in u), p))
     return out
 
 
@@ -411,7 +485,8 @@ def exotic_fiber_count(
 
     Membership of h x h^{-1} in (sU)^{iota theta} reduces to flag
     triangularity with the diagonal pattern of s, since twistedness is
-    preserved by symplectic conjugation.
+    preserved by symplectic conjugation.  The transitions are symplectic,
+    so h^{-1} = J h^T J^{-1} is read off by `theta_inv_of`.
     """
     p = space.p
     if flags is None:
@@ -422,7 +497,7 @@ def exotic_fiber_count(
     for flag, h in zip(flags, transitions):
         if not flag[-1].contains(v):
             continue
-        y = mat_mul(mat_mul(h, x, p), mat_inv(h, p), p)
+        y = mat_mul(mat_mul(h, x, p), space.theta_inv_of(h), p)
         if in_flag_borel_coset(space, y, s):
             count += 1
     return count
@@ -592,7 +667,7 @@ def z_variety_count(space: SymplecticSpace, s: Matrix) -> int:
     total = 0
     for w in signed_permutations(space.n):
         h = w.matrix(space)
-        hinv = mat_inv(h, p)
+        hinv = space.theta_inv_of(h)
         shared = sum(1 for y in base if mat_mul(mat_mul(h, y, p), hinv, p) in members)
         total += p ** length(w) * shared * p ** lagrangian_meet_dim(space, w)
     return type_c_poincare(space.n, p) * total
@@ -620,6 +695,29 @@ class RootIdentityReport:
         }
 
 
+def unipotent_meet(space: SymplecticSpace, w: SignedPermutation) -> Iterator[Matrix]:
+    """The elements of A = U meet w U w^{-1} inside GL_{2n}, U the flag unipotents.
+
+    Conjugation by the signed permutation matrix of w sends each E_ab to
+    +-E_a'b', so u = I + sum c_ab E_ab has w^{-1} u w in U exactly when
+    c_ab = 0 wherever w^{-1} (I + E_ab) w falls outside U.  A is the
+    pattern subgroup on the remaining positions, enumerated by
+    `gfmat.unitriangular_elements`.
+    """
+    p, dim = space.p, space.dim
+    wmat = w.matrix(space)
+    winv = space.theta_inv_of(wmat)
+    unit = identity(dim)
+    free = []
+    for a, b in gfmat.unitriangular_positions(space.flag_order):
+        e_ab = tuple(
+            tuple(int(i == j or (i, j) == (a, b)) for j in range(dim)) for i in range(dim)
+        )
+        if in_flag_borel_coset(space, mat_mul(mat_mul(winv, e_ab, p), wmat, p), unit):
+            free.append((a, b))
+    return gfmat.unitriangular_elements(space.flag_order, p, free)
+
+
 def root_identity_check(
     w: SignedPermutation,
     group_primes: Sequence[int] = (2, 3),
@@ -631,7 +729,8 @@ def root_identity_check(
     linear algebra over each prime.  For small n the group-level exponents
     are verified as well: with A = U meet wUw^{-1} inside GL_{2n},
     |A| = p^D, |A^theta| = p^d, |{u theta(u)^{-1}}| = p^{D-d}, and the
-    bookkeeping d = (D - d) + b_w must hold.
+    bookkeeping d = (D - d) + b_w must hold.  Each u in A gives
+    y = u theta(u)^{-1} once, and u is theta-fixed exactly when y = I.
     """
     n = w.n
     bw = b_stat(w)
@@ -644,19 +743,16 @@ def root_identity_check(
     if n <= group_max_n:
         for p in group_primes:
             space = SymplecticSpace(n, p)
-            wmat = w.matrix(space)
-            winv = mat_inv(wmat, p)
-            members = []
-            for u in flag_unipotent_elements(space):
-                if in_flag_borel_coset(
-                    space, mat_mul(mat_mul(winv, u, p), wmat, p), identity(space.dim)
-                ):
-                    members.append(u)
-            size = len(members)
+            unit = identity(space.dim)
+            size = fixed = 0
+            image = set()
+            for u in unipotent_meet(space, w):
+                y = mat_mul(u, space.theta_inv_of(u), p)
+                size += 1
+                fixed += y == unit
+                image.add(y)
             big_d = _exact_log(size, p)
-            fixed = sum(1 for u in members if space.theta(u) == u)
             small_d = _exact_log(fixed, p)
-            image = {mat_mul(u, space.theta_inv_of(u), p) for u in members}
             image_exp = _exact_log(len(image), p)
             ok = (
                 big_d is not None

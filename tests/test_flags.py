@@ -328,6 +328,12 @@ def test_unipotent_elements_count():
     for u in unitriangular_elements(range(3), 2):
         assert u[0][0] == u[1][1] == u[2][2] == 1
         assert u[0][1] == u[0][2] == u[1][2] == 0
+    pattern = list(unitriangular_elements(range(3), 3, free=[(2, 0)]))
+    assert len(pattern) == 3
+    assert {u[2][0] for u in pattern} == {0, 1, 2}
+    assert all(u[1][0] == u[2][1] == 0 for u in pattern)
+    with pytest.raises(ValueError):
+        list(unitriangular_elements(range(3), 3, free=[(0, 2)]))
 
 
 def build_slice_data(diag, unip, vtail, n, p):

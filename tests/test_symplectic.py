@@ -35,9 +35,10 @@ from nilorbit.symplectic import (
     symplectic_transition,
     twisted_coset_set,
     type_c_poincare,
+    unipotent_meet,
     z_variety_count,
 )
-from nilorbit.verify import exotic_orbit_report
+from nilorbit.verify import _exotic_case_data, exotic_orbit_cases, exotic_orbit_report
 
 
 def mulclose(gens, p, expect=None):
@@ -247,6 +248,37 @@ def test_h_orbit_closure_and_divisibility():
                     assert orbit.contains(moved_x, moved_v)
 
 
+def matrix_bfs_orbit(space, x, v):
+    """The orbit closure with each generator applied as two matrix products."""
+    p = space.p
+    gens = [(g, mat_inv(g, p)) for g in sp_generators(space)]
+    seen = {(x, v)}
+    frontier = [(x, v)]
+    while frontier:
+        fresh = []
+        for x0, v0 in frontier:
+            for g, ginv in gens:
+                pair = (mat_mul(mat_mul(ginv, x0, p), g, p), apply(v0, g, p))
+                if pair not in seen:
+                    seen.add(pair)
+                    fresh.append(pair)
+        frontier = fresh
+    return seen
+
+
+def test_h_orbit_matches_matrix_bfs():
+    for n, primes in ((1, (3, 5)), (2, (3,))):
+        for case in exotic_orbit_cases(n):
+            for p in primes:
+                space = SymplecticSpace(n, p)
+                s, u, v = _exotic_case_data(case, space)
+                x = mat_mul(s, u, p)
+                orbit = h_orbit(space, x, v)
+                oracle = matrix_bfs_orbit(space, x, v)
+                assert orbit.size == len(oracle), (n, p, case["name"])
+                assert all(orbit.contains(y, w) for y, w in oracle)
+
+
 def test_h_orbit_budget_reports_progress():
     space = SymplecticSpace(1, 3)
     with pytest.raises(BudgetExceededError) as info:
@@ -310,6 +342,53 @@ def test_twisted_coset_set_n1():
         assert members == [identity(2)]
 
 
+def enumerated_twisted_coset_set(space, s):
+    """(sU)^{iota theta} by testing every flag unipotent u."""
+    out = []
+    for u in flag_unipotent_elements(space):
+        y = mat_mul(s, u, space.p)
+        if space.in_twisted_set(y):
+            out.append(y)
+    return out
+
+
+def test_twisted_coset_set_matches_enumeration():
+    for n, primes in ((1, (2, 3, 5, 7)), (2, (3, 5))):
+        for p in primes:
+            space = SymplecticSpace(n, p)
+            for torus in ([1] * n, list(range(1, n + 1)), [2] * n):
+                if any(t % p == 0 for t in torus):
+                    continue
+                s = space.torus_twisted(torus)
+                solved = sorted(twisted_coset_set(space, s))
+                assert solved == sorted(enumerated_twisted_coset_set(space, s)), (n, p, torus)
+                assert solved
+    # diag(1, 2, 1, 1) is not a twisted torus element, and its coset misses the set
+    space = SymplecticSpace(2, 5)
+    s = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert twisted_coset_set(space, s) == enumerated_twisted_coset_set(space, s) == []
+
+
+def test_twisted_coset_set_n3_is_affine_of_dim_n_n_minus_1():
+    n, p = 3, 3
+    space = SymplecticSpace(n, p)
+    for torus in ([1, 1, 1], [1, 2, 1], [2, 2, 2]):
+        s = space.torus_twisted(torus)
+        members = twisted_coset_set(space, s)
+        assert len(members) == len(set(members)) == p ** (n * (n - 1))
+        for y in members:
+            assert space.in_twisted_set(y)
+            assert in_flag_borel_coset(space, y, s)
+
+
+def test_theta_inv_of_inverts_symplectic_transitions():
+    p = 3
+    space = SymplecticSpace(2, p)
+    for flag in isotropic_flags(space):
+        h = symplectic_transition(space, flag)
+        assert space.theta_inv_of(h) == mat_inv(h, p)
+
+
 def test_exotic_orbit_report_all_ok():
     for n in (1, 2):
         for row in exotic_orbit_report(n, skip_slow=True):
@@ -364,6 +443,28 @@ def test_root_identity_exhaustive_n3():
             assert report.ok, report.to_json()
             if n <= 2:
                 assert len(report.group_checks) == 2  # p = 2 and 3
+
+
+def test_unipotent_meet_matches_conjugation_filter():
+    for n in (1, 2):
+        for p in (2, 3):
+            space = SymplecticSpace(n, p)
+            unit = identity(2 * n)
+            for w in signed_permutations(n):
+                wmat = w.matrix(space)
+                winv = mat_inv(wmat, p)
+                filtered = {
+                    u
+                    for u in flag_unipotent_elements(space)
+                    if in_flag_borel_coset(space, mat_mul(mat_mul(winv, u, p), wmat, p), unit)
+                }
+                direct = list(unipotent_meet(space, w))
+                assert len(direct) == len(set(direct))
+                assert set(direct) == filtered, (n, p, w.image)
+                by_image = sum(
+                    1 for u in direct if mat_mul(u, space.theta_inv_of(u), p) == unit
+                )
+                assert by_image == sum(1 for u in filtered if space.theta(u) == u)
 
 
 def test_root_identity_example_sign_flip():
