@@ -184,25 +184,19 @@ def cmd_exotic(args) -> int:
     rows = []
     if "roots" in selected:
         cap = min(n, 4)
-        rows.append({"check": "roots", "n": cap, "ok": verify_mod.root_identity_ok(cap)})
+        rows.append(verify_mod.check_row("roots", verify_mod.root_identity_failures(cap), n=cap))
     if "twisted-set" in selected and n >= 1:
-        rows.append(
-            {"check": "twisted-set", "n": 1, "ok": verify_mod.twisted_set_ok(args.primes or [3])}
-        )
+        failures = verify_mod.twisted_set_failures(args.primes or [3])
+        rows.append(verify_mod.check_row("twisted-set", failures, n=1))
     if "slice-dim" in selected or "fiber-dim" in selected:
         for k in range(1, min(n, 2) + 1):
             rows.extend(verify_mod.exotic_orbit_report(k))
     if "z-bound" in selected and n >= 2:
-        counts, ests, bound = verify_mod.z_bound(args.primes or [3, 5])
+        counts, estimate, bound, failures = verify_mod.z_bound(args.primes or [3, 5])
         rows.append(
-            {
-                "check": "z-bound",
-                "n": 2,
-                "counts": counts,
-                "dim_estimate": max(ests),
-                "expected": bound,
-                "ok": all(e <= bound for e in ests),
-            }
+            verify_mod.check_row(
+                "z-bound", failures, n=2, counts=counts, dim_estimate=estimate, expected=bound
+            )
         )
     ok = all(row["ok"] for row in rows)
     _emit(args, {"n": n, "rows": rows, "ok": ok}, "exotic")

@@ -75,24 +75,6 @@ class FlagCondition:
             raise ValueError(f"step index must lie in [0, {n}], got {self.m}")
 
 
-def _eigenvalues(x: Matrix, p: int, candidates: Optional[Sequence[int]] = None):
-    """Eigenvalues of x in GF(p), i.e. values with a nontrivial eigenline."""
-    n = len(x)
-    out = []
-    for a in range(p) if candidates is None else candidates:
-        shifted = mat_sub(x, scal_mul(a, identity(n), p), p)
-        if gfmat.rank(shifted, p) < n:
-            out.append(a)
-    return out
-
-
-def _eigenlines(x: Matrix, a: int, p: int):
-    """Monic representatives of lines fixed by x with eigenvalue a."""
-    n = len(x)
-    shifted = mat_sub(x, scal_mul(a, identity(n), p), p)
-    return right_kernel(transpose(shifted), p).lines()
-
-
 def _count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int) -> int:
     """Depth-first enumeration of stable flags with pruning at step m."""
     n = len(x)
@@ -115,8 +97,9 @@ def _count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int) -> int:
         _, quotient = induced_maps(x, space, p)
         complement = [c for c in range(n) if c not in space.pivots]
         found = 0
-        for a in _eigenvalues(quotient, p):
-            for line in _eigenlines(quotient, a, p):
+        for a in range(p):
+            shifted = mat_sub(quotient, scal_mul(a, identity(len(quotient)), p), p)
+            for line in right_kernel(transpose(shifted), p).lines():
                 lift = [0] * n
                 for j, c in enumerate(complement):
                     lift[c] = line[j]

@@ -317,10 +317,6 @@ def jordan_type(x: Matrix, p: int) -> Partition:
     return partition_from_ranks([space.dim for space in power_images(x, p)])
 
 
-def stable_under(x: Matrix, w: Subspace, p: int) -> bool:
-    return all(w.contains(apply(b, x, p)) for b in w.basis)
-
-
 def induced_maps(x: Matrix, w: Subspace, p: int) -> tuple[Matrix, Matrix]:
     """Matrices of x on the x-stable subspace W and on the quotient V/W.
 
@@ -408,16 +404,3 @@ def unitriangular_elements(
         for (i, j), val in zip(positions, values):
             rows[i][j] = val
         yield tuple(tuple(r) for r in rows)
-
-
-def matrix_to_json(a: Matrix, p: int) -> dict:
-    return {"p": p, "rows": [list(row) for row in a]}
-
-
-def matrix_from_json(data: dict) -> tuple[Matrix, int]:
-    p = int(data["p"])
-    PrimeField(p)
-    rows = data["rows"]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix rows")
-    return freeze(rows, p), p

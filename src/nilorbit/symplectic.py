@@ -15,7 +15,6 @@ unipotent radical is lower unitriangular in that order.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -290,64 +289,40 @@ def h_orbit(
 
 @dataclass(frozen=True)
 class TwistedSetReport:
-    mode: str
-    solution_size: Optional[int]
-    image_size: Optional[int]
-    coincide: Optional[bool]
-    samples_ok: Optional[bool]
+    solution_size: int
+    image_size: int
+    coincide: bool
 
 
 def iotheta_set(
-    space: SymplecticSpace,
-    budget: int = 100_000,
-    samples: int = 200,
-    seed: int = 0,
-) -> tuple[TwistedSetReport, Optional[tuple[set, set]]]:
+    space: SymplecticSpace, budget: int = 100_000
+) -> tuple[TwistedSetReport, tuple[set, set]]:
     """The twisted set two ways: fixed points of g -> theta(g)^{-1} versus
-    the image of g -> g theta(g)^{-1}.
+    the image of g -> g theta(g)^{-1}, by enumerating all of GL.
 
-    Full enumeration of GL when it fits the budget; otherwise a seeded
-    sample of image points, each checked to satisfy the fixed-point equation.
+    Raises BudgetExceededError when the p^(dim^2) matrices exceed the budget.
     """
     p, dim = space.p, space.dim
     scan = p ** (dim * dim)
-    if scan <= budget:
-        solution = set()
-        image = set()
-        for g in gfmat.all_matrices(dim, p):
-            if rank(g, p) < dim:
-                continue
-            if space.in_twisted_set(g):
-                solution.add(g)
-            image.add(mat_mul(g, space.theta_inv_of(g), p))
-        report = TwistedSetReport(
-            mode="full",
-            solution_size=len(solution),
-            image_size=len(image),
-            coincide=(solution == image),
-            samples_ok=None,
+    if scan > budget:
+        raise BudgetExceededError(
+            f"twisted set scan of {dim}x{dim} matrices over GF({p}) needs {scan} "
+            f"matrices, budget is {budget}"
         )
-        return report, (solution, image)
-    rng = random.Random(seed)
-    ok = True
-    seen = set()
-    for _ in range(samples):
-        while True:
-            g = gfmat.random_matrix(dim, p, rng)
-            if rank(g, p) == dim:
-                break
-        point = mat_mul(g, space.theta_inv_of(g), p)
-        seen.add(point)
-        if not space.in_twisted_set(point):
-            ok = False
+    solution = set()
+    image = set()
+    for g in gfmat.all_matrices(dim, p):
+        if rank(g, p) < dim:
+            continue
+        if space.in_twisted_set(g):
+            solution.add(g)
+        image.add(mat_mul(g, space.theta_inv_of(g), p))
     report = TwistedSetReport(
-        mode="sampled",
-        solution_size=None,
-        image_size=len(seen),
-        coincide=None,
-        samples_ok=ok,
+        solution_size=len(solution),
+        image_size=len(image),
+        coincide=(solution == image),
     )
-    return report, None
+    return report, (solution, image)
 
 
 def isotropic_flags(

@@ -1,13 +1,18 @@
 """Named invariant suites behind the `verify` command.
 
-Each check returns a JSON-ready dict with at least {"check", "ok"}.  The
-suites are deterministic for a fixed seed and n_max, which the CLI relies
-on for byte-identical reports.
+Each check is written once, as a function that takes its scope (an n
+range, primes or census points) and returns its failing cases as
+JSON-ready dicts; an empty list means the check passed.  The suites, the
+`exotic` command and the acceptance criteria all call these functions.
+
+A suite row is a dict with at least {"check", "ok"}; a failing row names
+its first failing case as "witness".  The suites are deterministic for a
+fixed seed and n_max, which the CLI relies on for byte-identical reports.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import factorial
 from typing import Callable, Sequence
 
 from . import flags as flags_mod
@@ -15,8 +20,10 @@ from . import pairs as pairs_mod
 from . import symplectic as symp
 from .counting import (
     CountSeries,
+    first_primes,
     gaussian_factorial_poly,
     growth_exponent,
+    poly_mul,
     slope_dim,
     slope_estimates,
 )
@@ -45,167 +52,235 @@ from .partitions import (
 SUITES = ("partitions", "enhanced", "springer", "exotic")
 
 
-def _check(name: str, ok: bool, **details) -> dict:
-    out = {"check": name, "ok": bool(ok)}
-    out.update(details)
+def check_row(name: str, failures: list, /, **details) -> dict:
+    """Report row of a check: ok when nothing failed, else the first failure
+    as witness."""
+    out = {"check": name, "ok": not failures, **details}
+    if failures:
+        out["witness"] = failures[0]
     return out
+
+
+def _case(bla, **details) -> dict:
+    """A failing case of one bipartition."""
+    return {"bpartition": bipartition_to_json(bla), **details}
+
+
+def _law(law: str, *elems, **details) -> dict:
+    """A failing case of an order law on the given bipartitions."""
+    return {"law": law, "bpartitions": [bipartition_to_json(e) for e in elems], **details}
+
+
+def _conjugate(z, g, p: int):
+    """The pair (g^{-1} x g, v g)."""
+    return mat_mul(mat_mul(mat_inv(g, p), z.x, p), g, p), apply(z.v, g, p)
 
 
 # ---------------------------------------------------------------------------
 # partitions
 
 
-def partitions_suite(n_max: int, seed: int = 0) -> list[dict]:
-    checks = []
-
-    failures = []
+def bipartition_count_failures(n_max: int) -> list[dict]:
+    """There are sum_k p(k) p(n - k) bipartitions of n, distinct, of total n."""
+    out = []
     for n in range(n_max + 1):
         elems = list(enumerate_bipartitions(n))
-        expected = sum(
-            partition_count(k) * partition_count(n - k) for k in range(n + 1)
-        )
-        if len(elems) != expected or len(set(elems)) != len(elems):
-            failures.append(n)
-        if any(total(b) != n for b in elems):
-            failures.append(n)
-    checks.append(_check("bipartition-count", not failures, n_max=n_max))
+        valid = {b for b in elems if total(b) == n}
+        expected = sum(partition_count(k) * partition_count(n - k) for k in range(n + 1))
+        if len(elems) != expected or len(valid) != expected:
+            out.append({"n": n, "expected": expected, "got": len(elems)})
+    return out
 
-    cap = min(n_max, 6)
-    order_ok = True
-    dom_ok = True
-    mono_ok = True
-    for n in range(cap + 1):
-        elems = list(enumerate_bipartitions(n))
-        leq = {
-            (a, b): ah_leq(a, b) for a in elems for b in elems
-        }
+
+def _closure_order(n: int):
+    elems = list(enumerate_bipartitions(n))
+    return elems, {(a, b): ah_leq(a, b) for a in elems for b in elems}
+
+
+def closure_partial_order_failures(n_max: int) -> list[dict]:
+    """The closure order is reflexive, antisymmetric and transitive."""
+    out = []
+    for n in range(n_max + 1):
+        elems, leq = _closure_order(n)
         for a in elems:
-            if not leq[(a, a)]:
-                order_ok = False
-        for a in elems:
+            if not leq[a, a]:
+                out.append(_law("reflexive", a))
             for b in elems:
-                if a != b and leq[(a, b)] and leq[(b, a)]:
-                    order_ok = False
-                if leq[(a, b)] and a != b and a_stat(a) <= a_stat(b):
-                    mono_ok = False
-        for a in elems:
-            for b in elems:
-                if not leq[(a, b)]:
+                if a == b or not leq[a, b]:
                     continue
-                for c in elems:
-                    if leq[(b, c)] and not leq[(a, c)]:
-                        order_ok = False
+                if leq[b, a]:
+                    out.append(_law("antisymmetric", a, b))
+                out.extend(
+                    _law("transitive", a, b, c) for c in elems if leq[b, c] and not leq[a, c]
+                )
+    return out
+
+
+def closure_dominance_failures(n_max: int) -> list[dict]:
+    """On pairs ((), mu) the closure order is the dominance order."""
+    out = []
+    for n in range(n_max + 1):
         for mu in enumerate_partitions(n):
             for la in enumerate_partitions(n):
-                if ah_leq(((), mu), ((), la)) != dominance_leq(mu, la):
-                    dom_ok = False
-    checks.append(_check("closure-partial-order", order_ok, n_max=cap))
-    checks.append(_check("closure-dominance-restriction", dom_ok, n_max=cap))
-    checks.append(_check("closure-dimension-monotone", mono_ok, n_max=cap))
+                got = ah_leq(((), mu), ((), la))
+                if got != dominance_leq(mu, la):
+                    out.append({"mu": list(mu), "lambda": list(la), "got": got})
+    return out
 
-    cap = min(n_max, 8)
-    consistent = True
-    for n in range(cap + 1):
+
+def closure_monotone_failures(n_max: int) -> list[dict]:
+    """A strictly smaller orbit has a strictly larger stabilizer dimension a."""
+    out = []
+    for n in range(n_max + 1):
+        elems, leq = _closure_order(n)
+        for a in elems:
+            for b in elems:
+                if a != b and leq[a, b] and a_stat(a) <= a_stat(b):
+                    out.append(_law("monotone", a, b, got=[a_stat(a), a_stat(b)]))
+    return out
+
+
+def dimension_formula_failures(n_max: int) -> list[dict]:
+    """n^2 - a(beta) = (n^2 - n - 2 n(mu + nu)) + |mu| for beta = (mu, nu)."""
+    out = []
+    for n in range(n_max + 1):
         for bla in enumerate_bipartitions(n):
-            nu = partition_sum(bla[0], bla[1])
-            lhs = n * n - a_stat(bla)
-            rhs = (n * n - n - 2 * n_stat(nu)) + size(bla[0])
-            if lhs != rhs:
-                consistent = False
-    checks.append(_check("dimension-formula-consistency", consistent, n_max=cap))
+            got = n * n - a_stat(bla)
+            expected = (n * n - n - 2 * n_stat(partition_sum(bla[0], bla[1]))) + size(bla[0])
+            if got != expected:
+                out.append(_case(bla, expected=expected, got=got))
+    return out
 
-    cap = min(n_max, 6)
-    wedderburn = True
-    from math import factorial
 
-    for n in range(cap + 1):
+def group_algebra_failures(n_max: int) -> list[dict]:
+    """The irreducibles of W_m x W_(n-m) have square dimensions summing to m!(n-m)!."""
+    out = []
+    for n in range(n_max + 1):
         for m in range(n + 1):
-            lhs = sum(
-                irr_dim(bmu) ** 2 for bmu in enumerate_bipartitions(n, m)
-            )
-            if lhs != factorial(m) * factorial(n - m):
-                wedderburn = False
-    checks.append(_check("group-algebra-dimension", wedderburn, n_max=cap))
-    return checks
+            got = sum(irr_dim(bmu) ** 2 for bmu in enumerate_bipartitions(n, m))
+            expected = factorial(m) * factorial(n - m)
+            if got != expected:
+                out.append({"n": n, "m": m, "expected": expected, "got": got})
+    return out
+
+
+def partitions_suite(n_max: int, seed: int = 0) -> list[dict]:
+    cap, wide = min(n_max, 6), min(n_max, 8)
+    return [
+        check_row("bipartition-count", bipartition_count_failures(n_max), n_max=n_max),
+        check_row("closure-partial-order", closure_partial_order_failures(cap), n_max=cap),
+        check_row("closure-dominance-restriction", closure_dominance_failures(cap), n_max=cap),
+        check_row("closure-dimension-monotone", closure_monotone_failures(cap), n_max=cap),
+        check_row(
+            "dimension-formula-consistency", dimension_formula_failures(wide), n_max=wide
+        ),
+        check_row("group-algebra-dimension", group_algebra_failures(cap), n_max=cap),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # enhanced
 
 
-def enhanced_suite(n_max: int, seed: int = 0) -> list[dict]:
-    checks = []
-
-    cap = min(n_max, 4)
-    stab_ok = True
-    for n in range(cap + 1):
-        for p in (2, 3, 5):
+def stabilizer_dimension_failures(n_max: int, primes: Sequence[int]) -> list[dict]:
+    """The stabilizer of the normal form of beta = (mu, nu) has dimension
+    a(beta), and a(beta) = 2(n(mu) + n(nu)) + |nu|."""
+    out = []
+    for n in range(n_max + 1):
+        for p in primes:
             for bla in enumerate_bipartitions(n):
-                z = pairs_mod.orbit_representative(bla, p)
-                if pairs_mod.stab_dim(z) != a_stat(bla):
-                    stab_ok = False
-    checks.append(_check("stabilizer-dimension", stab_ok, n_max=cap, primes=[2, 3, 5]))
+                expected = a_stat(bla)
+                formula = 2 * (n_stat(bla[0]) + n_stat(bla[1])) + size(bla[1])
+                got = pairs_mod.stab_dim(pairs_mod.orbit_representative(bla, p))
+                if got != expected or formula != expected:
+                    out.append(_case(bla, p=p, expected=expected, got=got, formula=formula))
+    return out
 
-    cap = min(n_max, 3)
-    conj_ok = True
-    for n in range(1, cap + 1):
+
+def classify_conjugation_failures(n_max: int, seed: int) -> list[dict]:
+    """classify is constant on GL_n orbits, for three seeded g per pair."""
+    out = []
+    for n in range(1, n_max + 1):
         for p in (2, 3):
             for bla in enumerate_bipartitions(n):
                 z = pairs_mod.orbit_representative(bla, p)
                 for s in range(3):
                     g = random_invertible(n, p, seed * 977 + s)
-                    moved = pairs_mod.EnhancedPair(
-                        mat_mul(mat_mul(mat_inv(g, p), z.x, p), g, p),
-                        apply(z.v, g, p),
-                        p,
-                    )
-                    if pairs_mod.classify(moved) != bla:
-                        conj_ok = False
-    checks.append(_check("classify-conjugation-invariant", conj_ok, n_max=cap))
+                    got = pairs_mod.classify(pairs_mod.EnhancedPair(*_conjugate(z, g, p), p))
+                    if got != bla:
+                        out.append(_case(bla, p=p, got=bipartition_to_json(got)))
+    return out
 
-    census_points = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]
-    census_ok = True
-    ran = []
-    for n, p in census_points:
-        if n > n_max:
-            continue
-        ran.append([n, p])
+
+def census_orbit_bijection_failures(points: Sequence[tuple[int, int]]) -> list[dict]:
+    """At each census point (n, p) the classes are exactly the bipartitions
+    of n, each with a positive count, and the counts add up to p^(n^2)."""
+    out = []
+    for n, p in points:
         table = pairs_mod.census(n, PrimeField(p))
-        keys = list(table)
-        if sorted(keys) != sorted(enumerate_bipartitions(n)):
-            census_ok = False
-        if any(c <= 0 for c in table.values()):
-            census_ok = False
-        if sum(table.values()) != p ** (n * n - n) * p**n:
-            census_ok = False
-    checks.append(_check("census-orbit-bijection", census_ok, points=ran))
+        bips = sorted(enumerate_bipartitions(n))
+        expected = {"classes": len(bips), "points": p ** (n * n)}
+        got = {"classes": sum(c > 0 for c in table.values()), "points": sum(table.values())}
+        if sorted(table) != bips or got != expected:
+            out.append({"n": n, "p": p, "expected": expected, "got": got})
+    return out
 
-    cap = min(n_max, 2)
-    size_ok = True
-    for n in range(1, cap + 1):
+
+def orbit_size_census_failures(n_max: int) -> list[dict]:
+    """The closed-form orbit sizes equal the census counts at p = 2, 3."""
+    out = []
+    for n in range(1, n_max + 1):
         for p in (2, 3):
-            table = pairs_mod.census(n, PrimeField(p))
-            for bla, count in table.items():
-                if count != pairs_mod.orbit_size(bla, PrimeField(p)):
-                    size_ok = False
-    checks.append(_check("orbit-size-census-match", size_ok, n_max=cap))
+            for bla, count in pairs_mod.census(n, PrimeField(p)).items():
+                got = pairs_mod.orbit_size(bla, PrimeField(p))
+                if got != count:
+                    out.append(_case(bla, p=p, expected=count, got=got))
+    return out
 
-    cap = min(n_max, 3)
-    growth_ok = True
-    for n in range(1, cap + 1):
+
+def orbit_dimension_growth_failures(n_max: int, primes: Sequence[int]) -> list[dict]:
+    """Orbit sizes grow like p^(n^2 - a(beta)); the zero orbit is one point."""
+    out = []
+    for n in range(1, n_max + 1):
         for bla in enumerate_bipartitions(n):
-            series = CountSeries.of(
-                [(p, pairs_mod.orbit_size(bla, PrimeField(p))) for p in (3, 5, 7)]
-            )
-            if a_stat(bla) == n * n:
-                # the zero orbit has a single point at every prime
-                if any(c != 1 for _, c in series.points):
-                    growth_ok = False
-                continue
-            if growth_exponent(series) != n * n - a_stat(bla):
-                growth_ok = False
-    checks.append(_check("orbit-dimension-growth", growth_ok, n_max=cap, primes=[3, 5, 7]))
-    return checks
+            counts = [pairs_mod.orbit_size(bla, PrimeField(p)) for p in primes]
+            expected = n * n - a_stat(bla)
+            if expected == 0:
+                got = 0 if set(counts) == {1} else None
+            else:
+                got = growth_exponent(CountSeries.of(list(zip(primes, counts))))
+            if got != expected:
+                out.append(_case(bla, counts=counts, expected=expected, got=got))
+    return out
+
+
+CENSUS_POINTS = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
+
+
+def enhanced_suite(n_max: int, seed: int = 0) -> list[dict]:
+    points = [[n, p] for n, p in CENSUS_POINTS if n <= n_max]
+    stab, small, tiny = min(n_max, 4), min(n_max, 3), min(n_max, 2)
+    return [
+        check_row(
+            "stabilizer-dimension",
+            stabilizer_dimension_failures(stab, (2, 3, 5)),
+            n_max=stab,
+            primes=[2, 3, 5],
+        ),
+        check_row(
+            "classify-conjugation-invariant",
+            classify_conjugation_failures(small, seed),
+            n_max=small,
+        ),
+        check_row("census-orbit-bijection", census_orbit_bijection_failures(points), points=points),
+        check_row("orbit-size-census-match", orbit_size_census_failures(tiny), n_max=tiny),
+        check_row(
+            "orbit-dimension-growth",
+            orbit_dimension_growth_failures(small, (3, 5, 7)),
+            n_max=small,
+            primes=[3, 5, 7],
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -351,77 +426,88 @@ def slice_report(n: int, primes: Sequence[int] = (3, 5, 7), budget: int = 2_000_
     return out
 
 
-def springer_suite(n_max: int, seed: int = 0) -> list[dict]:
-    checks = []
-
-    cap = min(n_max, 4)
-    report_ok = True
-    bad = []
-    for n in range(cap + 1):
+def fiber_degree_and_leading_failures(n_max: int) -> list[dict]:
+    """Each fiber polynomial has degree d_mu and leading coefficient dim E_mu."""
+    out = []
+    for n in range(n_max + 1):
         for bmu in enumerate_bipartitions(n):
             rep = flags_mod.springer_report(bmu, size(bmu[0]))
             if not (rep.degree_ok and rep.leading_ok):
-                report_ok = False
-                bad.append(bipartition_to_json(bmu))
-    checks.append(_check("fiber-degree-and-leading", report_ok, n_max=cap, failures=bad))
+                expected = {"degree": rep.d_mu, "leading": irr_dim(bmu)}
+                out.append(_case(bmu, expected=expected, got=rep.polynomial.to_json()))
+    return out
 
-    cap = min(n_max, 4)
-    product_ok = True
-    for n in range(cap + 1):
+
+def flag_count_product_case_failures(n_max: int) -> list[dict]:
+    """The fiber polynomial of ((1^m), (1^(n-m))) equals [m]_q! [n-m]_q!.
+
+    The identity is false at (n, m) = (4, 2) and (4, 3), so this check
+    fails from n_max = 4 on.
+    """
+    out = []
+    for n in range(n_max + 1):
         for m in range(n + 1):
-            bmu = ((1,) * m, (1,) * (n - m))
-            rep = flags_mod.springer_report(bmu, m)
-            target = [Fraction(c) for c in gaussian_factorial_poly(m)]
-            other = gaussian_factorial_poly(n - m)
-            prod = [Fraction(0)] * (len(target) + len(other) - 1)
-            for i, a in enumerate(target):
-                for j, b in enumerate(other):
-                    prod[i + j] += a * b
-            coeffs = list(rep.polynomial.coefficients)
-            coeffs += [Fraction(0)] * (len(prod) - len(coeffs))
-            if coeffs[: len(prod)] != prod or any(c for c in coeffs[len(prod) :]):
-                product_ok = False
-    checks.append(_check("flag-count-product-case", product_ok, n_max=cap))
+            poly = flags_mod.springer_report(((1,) * m, (1,) * (n - m)), m).polynomial
+            got = [
+                c.numerator if c.denominator == 1 else str(c)
+                for c in poly.coefficients[: poly.degree + 1]
+            ]
+            expected = poly_mul(gaussian_factorial_poly(m), gaussian_factorial_poly(n - m))
+            if got != expected:
+                out.append({"n": n, "m": m, "expected": expected, "got": got})
+    return out
 
-    conj_ok = True
-    for n in range(1, min(n_max, 3) + 1):
+
+def fiber_conjugation_failures(n_max: int, seed: int) -> list[dict]:
+    """Fiber counts are constant on GL_n orbits, for one seeded g per pair."""
+    out = []
+    for n in range(1, n_max + 1):
         for p in (2, 3):
             for bmu in enumerate_bipartitions(n):
                 z = flags_mod.orbit_representative(bmu, p)
                 m = size(bmu[0])
-                base = flags_mod.count_fiber(flags_mod.FlagCondition(z.x, z.v, m, p))
+                expected = flags_mod.count_fiber(flags_mod.FlagCondition(z.x, z.v, m, p))
                 g = random_invertible(n, p, seed * 31 + n * 7 + p)
-                moved = flags_mod.FlagCondition(
-                    mat_mul(mat_mul(mat_inv(g, p), z.x, p), g, p),
-                    apply(z.v, g, p),
-                    m,
-                    p,
-                )
-                if flags_mod.count_fiber(moved) != base:
-                    conj_ok = False
-    checks.append(_check("fiber-conjugation-covariant", conj_ok))
+                got = flags_mod.count_fiber(flags_mod.FlagCondition(*_conjugate(z, g, p), m, p))
+                if got != expected:
+                    out.append(_case(bmu, p=p, expected=expected, got=got))
+    return out
 
-    cap = min(n_max, 4)
-    galois_ok = True
-    from .counting import first_primes
 
-    for n in range(1, cap + 1):
+def covering_degree_failures(n_max: int) -> list[dict]:
+    """Over a regular semisimple pair the fiber has m! (n-m)! points, at the
+    first prime above n."""
+    out = []
+    for n in range(1, n_max + 1):
         p = first_primes(1, minimum=n + 1)[0]
         for m in range(n + 1):
-            _, _, ok = flags_mod.galois_degree_check(n, m, PrimeField(p))
-            galois_ok = galois_ok and ok
-    checks.append(_check("covering-degree", galois_ok, n_max=cap))
+            got, _, good = flags_mod.galois_degree_check(n, m, PrimeField(p))
+            expected = factorial(m) * factorial(n - m)
+            if not good or got != expected:
+                out.append({"n": n, "m": m, "p": p, "expected": expected, "got": got})
+    return out
 
-    cap = min(n_max, 3)
-    slice_ok = True
-    rows = []
-    for n in range(1, cap + 1):
-        primes = (3, 5, 7) if n <= 2 else (3, 5)
-        for row in slice_report(n, primes=primes):
-            rows.append(row)
-            slice_ok = slice_ok and row["ok"]
-    checks.append(_check("slice-dimension", slice_ok, rows=rows))
-    return checks
+
+def springer_suite(n_max: int, seed: int = 0) -> list[dict]:
+    cap = min(n_max, 4)
+    degree = fiber_degree_and_leading_failures(cap)
+    rows = [
+        row
+        for n in range(1, min(n_max, 3) + 1)
+        for row in slice_report(n, primes=(3, 5, 7) if n <= 2 else (3, 5))
+    ]
+    return [
+        check_row(
+            "fiber-degree-and-leading",
+            degree,
+            n_max=cap,
+            failures=[case["bpartition"] for case in degree],
+        ),
+        check_row("flag-count-product-case", flag_count_product_case_failures(cap), n_max=cap),
+        check_row("fiber-conjugation-covariant", fiber_conjugation_failures(min(n_max, 3), seed)),
+        check_row("covering-degree", covering_degree_failures(cap), n_max=cap),
+        check_row("slice-dimension", [row for row in rows if not row["ok"]], rows=rows),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -555,103 +641,109 @@ def exotic_orbit_report(n: int, skip_slow: bool = False) -> list[dict]:
     return rows
 
 
-def root_identity_ok(n_cap: int) -> bool:
-    """The long-root identity for every signed permutation of rank 1..n_cap."""
-    return all(
-        symp.root_identity_check(w).ok
-        for n in range(1, n_cap + 1)
-        for w in symp.signed_permutations(n)
-    )
+def root_identity_failures(n_max: int) -> list[dict]:
+    """The long-root identity for every signed permutation of rank 1..n_max."""
+    out = []
+    for n in range(1, n_max + 1):
+        for w in symp.signed_permutations(n):
+            report = symp.root_identity_check(w)
+            if not report.ok:
+                out.append(report.to_json())
+    return out
 
 
-def twisted_set_ok(primes: Sequence[int]) -> bool:
+def involution_failures(n_max: int, seed: int) -> list[dict]:
+    """theta is an involution, g theta(g)^{-1} is twisted and transvections
+    are theta-fixed, for five seeded g per (n, p)."""
+    out = []
+    for n in range(1, n_max + 1):
+        for p in (3, 5):
+            space = symp.SymplecticSpace(n, p)
+            for s in range(5):
+                g = random_invertible(2 * n, p, seed * 53 + 10 * n + s)
+                h = symp.transvection(
+                    space, tuple(1 if k == s % (2 * n) else 0 for k in range(2 * n)), 1
+                )
+                laws = {
+                    "involution": space.theta(space.theta(g)) == g,
+                    "twisting": space.in_twisted_set(mat_mul(g, space.theta_inv_of(g), p)),
+                    "transvection-fixed": space.theta(h) == h,
+                }
+                out.extend(
+                    {"n": n, "p": p, "sample": s, "law": law}
+                    for law, ok in laws.items()
+                    if not ok
+                )
+    return out
+
+
+def twisted_set_failures(primes: Sequence[int]) -> list[dict]:
     """At n = 1 the fixed points of g -> theta(g)^{-1} equal the image of
     g -> g theta(g)^{-1}, and both are the nonzero scalars."""
+    out = []
     for p in primes:
         space = symp.SymplecticSpace(1, p)
-        report, sets = symp.iotheta_set(space)
+        report, (solution, image) = symp.iotheta_set(space)
         scalars = {symp.identity_scaled(space, c) for c in range(1, p)}
-        if not (report.coincide and sets[0] == scalars):
-            return False
-    return True
+        if not solution == image == scalars:
+            got = [report.solution_size, report.image_size]
+            out.append({"p": p, "expected": len(scalars), "got": got})
+    return out
 
 
-def z_bound(primes: Sequence[int]) -> tuple[list[int], list[int], int]:
+def isotropic_flag_failures(n_max: int) -> list[dict]:
+    """There are as many isotropic flags as the type-C Poincare polynomial
+    at p says, and the first one ends in a Lagrangian."""
+    out = []
+    for n in range(1, n_max + 1):
+        for p in (3, 5):
+            space = symp.SymplecticSpace(n, p)
+            flags = symp.isotropic_flags(space)
+            lag = flags[0][-1]
+            expected = symp.type_c_poincare(n, p)
+            isotropic = not any(space.form(b1, b2) for b1 in lag.basis for b2 in lag.basis)
+            if len(flags) != expected or not isotropic:
+                out.append({"n": n, "p": p, "expected": expected, "got": len(flags)})
+    return out
+
+
+def z_bound(primes: Sequence[int]) -> tuple[list[int], int, int, list[dict]]:
     """Double-flag counts of the central torus element at n = 2, their
-    growth estimates, and the bound 2 nu_h the estimates must not exceed."""
+    largest growth estimate, the bound 2 nu_h and the estimates above it."""
     counts = []
     for p in primes:
         space = symp.SymplecticSpace(2, p)
         counts.append((p, symp.z_variety_count(space, space.torus_twisted([1, 1]))))
     bound = 2 * symp.SymplecticSpace(2, 3).nu_h
-    return [c for _, c in counts], slope_estimates(CountSeries.of(counts)), bound
+    ests = slope_estimates(CountSeries.of(counts))
+    failures = [
+        {"primes": list(primes[i : i + 2]), "expected": bound, "got": e}
+        for i, e in enumerate(ests)
+        if e > bound
+    ]
+    return [c for _, c in counts], max(ests), bound, failures
 
 
 def exotic_suite(n_max: int, seed: int = 0) -> list[dict]:
-    checks = []
-
-    cap = min(n_max, 4)
-    checks.append(_check("root-identity", root_identity_ok(cap), n_max=cap))
-
-    involution_ok = True
-    for n in (1, 2):
-        if n > n_max:
-            continue
-        for p in (3, 5):
-            space = symp.SymplecticSpace(n, p)
-            for s in range(5):
-                g = random_invertible(2 * n, p, seed * 53 + 10 * n + s)
-                if space.theta(space.theta(g)) != g:
-                    involution_ok = False
-                point = mat_mul(g, space.theta_inv_of(g), p)
-                if not space.in_twisted_set(point):
-                    involution_ok = False
-                h = symp.transvection(
-                    space, tuple(1 if k == s % (2 * n) else 0 for k in range(2 * n)), 1
-                )
-                if space.theta(h) != h:
-                    involution_ok = False
-    checks.append(_check("involution-and-twisting", involution_ok))
-
+    roots, small = min(n_max, 4), min(n_max, 2)
+    checks = [
+        check_row("root-identity", root_identity_failures(roots), n_max=roots),
+        check_row("involution-and-twisting", involution_failures(small, seed)),
+    ]
     if n_max >= 1:
         checks.append(
-            _check("twisted-set-coincidence", twisted_set_ok((3, 5)), n=1, primes=[3, 5])
+            check_row("twisted-set-coincidence", twisted_set_failures((3, 5)), n=1, primes=[3, 5])
         )
-
-    flag_ok = True
-    for n in (1, 2):
-        if n > n_max:
-            continue
-        for p in (3, 5):
-            space = symp.SymplecticSpace(n, p)
-            flags = symp.isotropic_flags(space)
-            if len(flags) != symp.type_c_poincare(n, p):
-                flag_ok = False
-            lag = flags[0][-1]
-            if any(space.form(b1, b2) for b1 in lag.basis for b2 in lag.basis):
-                flag_ok = False
-    checks.append(_check("isotropic-flag-count", flag_ok))
-
-    orbit_rows = []
-    orbit_ok = True
-    for n in (1, 2):
-        if n > n_max:
-            continue
-        for row in exotic_orbit_report(n, skip_slow=True):
-            orbit_rows.append(row)
-            orbit_ok = orbit_ok and row["ok"]
-    checks.append(_check("slice-fiber-dimensions", orbit_ok, rows=orbit_rows))
-
+    checks.append(check_row("isotropic-flag-count", isotropic_flag_failures(small)))
+    rows = [
+        row for n in range(1, small + 1) for row in exotic_orbit_report(n, skip_slow=True)
+    ]
+    checks.append(
+        check_row("slice-fiber-dimensions", [row for row in rows if not row["ok"]], rows=rows)
+    )
     if n_max >= 2:
-        counts, ests, bound = z_bound((3, 5))
-        checks.append(
-            _check(
-                "double-flag-bound",
-                all(e <= bound for e in ests),
-                counts=counts,
-                bound=bound,
-            )
-        )
+        counts, _, bound, failures = z_bound((3, 5))
+        checks.append(check_row("double-flag-bound", failures, counts=counts, bound=bound))
     return checks
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -161,6 +162,26 @@ def test_verify_partitions_deterministic(tmp_path):
     doc = json.loads(text1)
     assert doc["ok"] is True
     assert all(check["ok"] for check in doc["checks"])
+
+
+# sha256 of each command's report.  Criterion 9 compares two runs of the same
+# code; these pins catch a change to a report body against earlier code.
+PINNED_REPORTS = {
+    "verify --suite partitions --n-max 6": "d4ee948bd3c882788ac2979f2475c7e33e0c1b0cb341b798a28316fbb2498cde",
+    "verify --suite enhanced --n-max 3": "1568709bfecc6562ce3cb8d2776c08b1be6fef126f83a2c98392475f0964da05",
+    "verify --suite springer --n-max 3": "190e7ae66d603fe84c9742f66e8363e28cf18554e639a1c320c1affdab4b7e02",
+    "verify --suite exotic --n-max 1": "9a2155d8eff23b06373f4b00c5fba6add65ed1b0a960707106315aa23244598c",
+    "exotic --n 2 --checks roots twisted-set z-bound": "819aa224462d0d08a50dec8f8c9c23ccc580708062b82c7a9ebd787875827bd7",
+}
+
+
+def test_reports_match_pinned_digests(tmp_path):
+    digests = {}
+    for command in PINNED_REPORTS:
+        code, text = run_cli(command.split(), tmp_path)
+        assert code == 0, command
+        digests[command] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == PINNED_REPORTS
 
 
 def test_cli_entry_point_runs():

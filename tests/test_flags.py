@@ -10,6 +10,7 @@ import pytest
 from nilorbit.counting import (
     CountSeries,
     gaussian_factorial_poly,
+    poly_mul,
     slope_dim,
 )
 from nilorbit.flags import (
@@ -263,11 +264,7 @@ def test_springer_report_top_orbit():
 
 
 def product_poly(m, k):
-    out = [0] * (len(gaussian_factorial_poly(m)) + len(gaussian_factorial_poly(k)) - 1)
-    for i, a in enumerate(gaussian_factorial_poly(m)):
-        for j, b in enumerate(gaussian_factorial_poly(k)):
-            out[i + j] += a * b
-    return out
+    return poly_mul(gaussian_factorial_poly(m), gaussian_factorial_poly(k))
 
 
 def test_springer_report_column_case_where_product_holds():

@@ -143,7 +143,7 @@ def test_iotheta_set_n1():
     for p in (3, 5):
         space = SymplecticSpace(1, p)
         report, sets = iotheta_set(space)
-        assert report.mode == "full" and report.coincide
+        assert report.coincide
         scalars = {identity_scaled(space, c) for c in range(1, p)}
         assert sets[0] == scalars == sets[1]
 
@@ -160,11 +160,10 @@ def test_iotheta_image_twisted_conjugation_stable():
             assert moved in image
 
 
-def test_iotheta_sampled_mode():
+def test_iotheta_set_budget():
     space = SymplecticSpace(2, 3)
-    report, sets = iotheta_set(space, budget=1000, samples=25, seed=1)
-    assert report.mode == "sampled" and sets is None
-    assert report.samples_ok
+    with pytest.raises(BudgetExceededError, match="needs 43046721 matrices, budget is 1000"):
+        iotheta_set(space, budget=1000)
 
 
 def test_isotropic_flag_counts():
