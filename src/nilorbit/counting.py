@@ -4,8 +4,8 @@ A count series is a list of (prime, count) pairs.  When a family of counts
 is known to be polynomial in the field size, Lagrange interpolation over
 exact rationals recovers the polynomial and every recorded point is
 re-checked against it; a mismatch is always surfaced.  When interpolation
-is out of reach, the rounded logarithmic growth rate across primes serves
-as a dimension estimate.
+is out of reach, the growth rate across primes, rounded to the nearest
+integer in exact arithmetic, serves as a dimension estimate.
 """
 
 from __future__ import annotations
@@ -108,8 +108,23 @@ def interpolate(series: CountSeries, degree_bound: int) -> CountPolynomial:
     return poly
 
 
+def _twice_rate_sign(q1: int, c1: int, q2: int, c2: int, e: int) -> int:
+    """Sign of 2 log(c2/c1) - e log(q2/q1), from c2^2 q1^e against c1^2 q2^e."""
+    if e >= 0:
+        lhs, rhs = c2 * c2 * q1**e, c1 * c1 * q2**e
+    else:
+        lhs, rhs = c2 * c2 * q2**-e, c1 * c1 * q1**-e
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def slope_estimates(series: CountSeries) -> list[int]:
-    """Rounded log growth rate for each consecutive pair of points."""
+    """Nearest integer to the growth rate log(c2/c1) / log(q2/q1) of each
+    consecutive pair of points, in exact integer arithmetic.
+
+    The estimate is the d with c2^2 q1^(2d-1) > c1^2 q2^(2d-1) and
+    c2^2 q1^(2d+1) < c1^2 q2^(2d+1).  A rate that is exactly a half-integer
+    raises ValueError instead of being rounded either way.
+    """
     pts = series.points
     if len(pts) < 2:
         raise ValueError("need at least two points")
@@ -117,7 +132,19 @@ def slope_estimates(series: CountSeries) -> list[int]:
         raise ValueError("counts must be positive for slope estimation")
     out = []
     for (q1, c1), (q2, c2) in zip(pts, pts[1:]):
-        out.append(round(math.log(c2 / c1) / math.log(q2 / q1)))
+        d = 0
+        while _twice_rate_sign(q1, c1, q2, c2, 2 * d + 1) > 0:
+            d += 1
+        while _twice_rate_sign(q1, c1, q2, c2, 2 * d - 1) < 0:
+            d -= 1
+        if not (
+            _twice_rate_sign(q1, c1, q2, c2, 2 * d + 1)
+            and _twice_rate_sign(q1, c1, q2, c2, 2 * d - 1)
+        ):
+            raise ValueError(
+                f"growth rate between {(q1, c1)} and {(q2, c2)} is a half-integer"
+            )
+        out.append(d)
     return out
 
 

@@ -9,10 +9,11 @@ quantities the verification suites check.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .counting import (
     CountPolynomial,
@@ -27,12 +28,14 @@ from .gfmat import (
     PrimeField,
     Subspace,
     Vector,
+    apply,
     identity,
     induced_maps,
     mat_mul,
     mat_sub,
     partition_from_ranks,
     power_images,
+    rank,
     right_kernel,
     scal_mul,
     transpose,
@@ -110,6 +113,77 @@ def _count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int) -> int:
     return recurse(Subspace.zero(n, p), 0)
 
 
+@lru_cache(maxsize=None)
+def _transition_table(bla: Bipartition, p: int) -> Mapping[Bipartition, int]:
+    """{quotient class: number of lines in ker x} for the normal form of bla.
+
+    With I_k the row space of x^k, K the Krylov span of v and J_k = I_k + K,
+    the quotient by L = <w> has rank x^k = dim I_k - [w in I_k] on V/L and
+    dim J_k + [w not in J_k] - dim(K + L) on V/(K + L).  Both chains
+    decrease, so the class of L depends only on a = max{k : w in I_k} and
+    b = max{k : w in J_k}, and b >= a because I_a lies in J_a.  With
+    A_a = I_a cap ker x and d(a, b) = dim(A_a cap J_b), the vectors of
+    ker x with pattern (a, b) number
+
+        p^d(a, b) - p^d(a + 1, b) - p^d(a, b + 1) + p^d(a + 1, b + 1),
+
+    where the zero spaces A_h and J_(h + 1), h the nilpotency index of x,
+    close both chains and exclude the zero vector.  So the table takes
+    O(h^2) rank computations and enumerates no line.  The mapping is
+    read-only because the cache hands it to every caller.
+    """
+    z = orbit_representative(bla, p)
+    n = z.n
+    images = power_images(z.x, p)
+    height = len(images) - 1
+    krylov = Subspace.from_vectors(krylov_basis(z.x, z.v, p), n, p)
+    joined = [space.sum(krylov) for space in images] + [Subspace.zero(n, p)]
+    meets = []
+    for space in images[:-1]:
+        # I_a is x-stable: A_a is the kernel of x restricted to I_a.
+        restriction, _ = induced_maps(z.x, space, p)
+        kernel = right_kernel(transpose(restriction), p)
+        meets.append(tuple(apply(c, space.basis, p) for c in kernel.basis))
+    meets.append(())
+    dims = [
+        [
+            len(meet)
+            if b <= a
+            else len(meet) + joined[b].dim - rank(meet + joined[b].basis, p)
+            for b in range(height + 2)
+        ]
+        for a, meet in enumerate(meets)
+    ]
+    out: dict[Bipartition, int] = {}
+    for a in range(height):
+        for b in range(a, height + 1):
+            vectors = (
+                p ** dims[a][b]
+                - p ** dims[a + 1][b]
+                - p ** dims[a][b + 1]
+                + p ** dims[a + 1][b + 1]
+            )
+            if not vectors:
+                continue
+            lines, rem = divmod(vectors, p - 1)
+            if rem:
+                raise RuntimeError(
+                    f"{vectors} vectors of pattern ({a}, {b}) in the table of {bla} "
+                    f"at p={p} do not fill whole lines"
+                )
+            lam = partition_from_ranks(
+                [n - 1] + [images[k].dim - (k <= a) for k in range(1, height)] + [0]
+            )
+            k_and_l = krylov.dim + (b < height)
+            rho = partition_from_ranks(
+                [n - k_and_l]
+                + [joined[k].dim + (k > b) - k_and_l for k in range(1, height + 1)]
+            )
+            key = bipartition_from_types(lam, rho)
+            out[key] = out.get(key, 0) + lines
+    return MappingProxyType(out)
+
+
 class _FiberCounter:
     """Stable-flag counts over orbit keys, driven by line-transition tables.
 
@@ -119,7 +193,8 @@ class _FiberCounter:
     differs from the orbit of (x, v) only in the block of a, whose
     bipartition beta becomes the class of the quotient of the normal form
     of beta by a line of ker x.  The table {class: number of lines} is
-    built once per beta, and the recursion runs on (blocks, m) keys alone.
+    cached per (beta, p), and the recursion runs on (blocks, m) keys alone.
+    The budget bounds the memo states one counter enters.
 
     With an eigenvalue order (s_1, ..., s_n), only flags on whose k-th
     quotient x acts by s_k are counted: a state with r dimensions left
@@ -131,55 +206,15 @@ class _FiberCounter:
         self.p = p
         self.budget = budget
         self.order = None if order is None else tuple(order)
-        self.tables: dict[Bipartition, dict[Bipartition, int]] = {}
+        self.tables: dict[Bipartition, Mapping[Bipartition, int]] = {}
         self.memo: dict = {}
-        self.lines = 0
+        self.states = 0
 
-    def table(self, bla: Bipartition) -> dict[Bipartition, int]:
-        """Quotient classes of the lines in ker x for the normal form of bla.
-
-        With I_k the row space of x^k and K the Krylov span of v, the
-        quotient by L = <w> has rank x^k = dim I_k - [w in I_k] on V/L and
-        dim(I_k + K) + [w not in I_k + K] - dim(K + L) on V/(K + L).  So
-        the class depends only on which of these spaces contain w, and each
-        membership pattern is classified once.
-        """
-        if bla in self.tables:
-            return self.tables[bla]
-        p = self.p
-        z = orbit_representative(bla, p)
-        n = z.n
-        kernel = right_kernel(transpose(z.x), p)
-        lines = (p**kernel.dim - 1) // (p - 1)
-        if self.lines + lines > self.budget:
-            raise BudgetExceededError(
-                f"flag fiber tables need {self.lines + lines} lines, budget is "
-                f"{self.budget}; reached {self.lines} lines in {len(self.tables)} "
-                f"(bipartition, p) tables and {len(self.memo)} memo states"
-            )
-        self.lines += lines
-        images = power_images(z.x, p)
-        krylov = Subspace.from_vectors(krylov_basis(z.x, z.v, p), n, p)
-        # I_0 = V contains every line and the zero space none; I_k + K ends with K.
-        inner = images[1:-1]
-        joined = [space.sum(krylov) for space in images[1:]]
-        probes = inner + joined
-        patterns = Counter(tuple(space.contains(w) for space in probes) for w in kernel.lines())
-        out: dict[Bipartition, int] = {}
-        for bits, count in patterns.items():
-            in_image, in_joined = bits[: len(inner)], bits[len(inner) :]
-            lam = partition_from_ranks(
-                [n - 1] + [space.dim - b for space, b in zip(inner, in_image)] + [0]
-            )
-            k_and_l = krylov.dim + (not in_joined[-1])
-            rho = partition_from_ranks(
-                [n - k_and_l]
-                + [space.dim + (not b) - k_and_l for space, b in zip(joined, in_joined)]
-            )
-            key = bipartition_from_types(lam, rho)
-            out[key] = out.get(key, 0) + count
-        self.tables[bla] = out
-        return out
+    def table(self, bla: Bipartition) -> Mapping[Bipartition, int]:
+        """Quotient classes of the lines in ker x for the normal form of bla."""
+        if bla not in self.tables:
+            self.tables[bla] = _transition_table(bla, self.p)
+        return self.tables[bla]
 
     def count(self, blocks: tuple[tuple[int, Bipartition], ...], m: int) -> int:
         if m == 0 and any(bla[0] for _, bla in blocks):
@@ -189,6 +224,13 @@ class _FiberCounter:
         key = (blocks, m)
         if key in self.memo:
             return self.memo[key]
+        if self.states >= self.budget:
+            raise BudgetExceededError(
+                f"flag fiber recursion needs more than {self.budget} memo states; "
+                f"reached {self.states} memo states, {len(self.memo)} of them finished, "
+                f"in {len(self.tables)} (bipartition, p) tables"
+            )
+        self.states += 1
         found = 0
         wanted = None
         if self.order is not None:
@@ -213,8 +255,7 @@ def count_fiber(
     A stable complete flag triangularizes x, so when the characteristic
     polynomial of x does not split over GF(p) the count is 0.  The depth
     first enumeration method="plain" is the oracle.  The budget bounds the
-    flag nodes it visits, and the lines enumerated into transition tables
-    otherwise.
+    flag nodes it visits, and the memo states of the recursion otherwise.
     """
     x, v, m, p = condition.x, condition.v, condition.m, condition.p
     if method not in ("auto", "plain"):
@@ -344,7 +385,8 @@ def slice_count(
     where fiber_s counts the flags adapted to z0.  |O| is mixed_orbit_size
     and fiber_s the fiber recursion restricted to the eigenvalue order
     s_11, ..., s_nn; a nonzero remainder raises RuntimeError.  The budget
-    bounds the fiber-table lines and the vectors of each orbit size.
+    bounds the memo states of the fiber count and the vectors of each
+    orbit size.
     """
     p = field.p
     n = z0.n
@@ -367,8 +409,8 @@ def slice_count(
         pairs = mixed_orbit_size(target, field, budget) * fiber
     except BudgetExceededError as exc:
         raise BudgetExceededError(
-            f"{exc}; the fiber count had finished with {counter.lines} lines in "
-            f"{len(counter.tables)} (bipartition, p) tables"
+            f"{exc}; the fiber count had finished with {counter.states} memo states "
+            f"in {len(counter.tables)} (bipartition, p) tables"
         ) from None
     count, rem = divmod(pairs, gaussian_factorial(n, p))
     if rem:

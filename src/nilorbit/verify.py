@@ -12,6 +12,7 @@ fixed seed and n_max, which the CLI relies on for byte-identical reports.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 from typing import Callable, Sequence
 
@@ -35,8 +36,10 @@ from .gfmat import (
     random_invertible,
 )
 from .partitions import (
+    Bipartition,
     a_stat,
     ah_leq,
+    as_bipartition,
     bipartition_to_json,
     dominance_leq,
     enumerate_bipartitions,
@@ -426,12 +429,23 @@ def slice_report(n: int, primes: Sequence[int] = (3, 5, 7), budget: int = 2_000_
     return out
 
 
+@lru_cache(maxsize=None)
+def _fiber_report(bmu: Bipartition) -> flags_mod.SpringerReport:
+    """springer_report of a normalized bipartition at its own step and the
+    default primes.
+
+    The degree and product checks both read the column bipartitions'
+    reports, so each report is computed once per process.
+    """
+    return flags_mod.springer_report(bmu, size(bmu[0]))
+
+
 def fiber_degree_and_leading_failures(n_max: int) -> list[dict]:
     """Each fiber polynomial has degree d_mu and leading coefficient dim E_mu."""
     out = []
     for n in range(n_max + 1):
         for bmu in enumerate_bipartitions(n):
-            rep = flags_mod.springer_report(bmu, size(bmu[0]))
+            rep = _fiber_report(as_bipartition(bmu))
             if not (rep.degree_ok and rep.leading_ok):
                 expected = {"degree": rep.d_mu, "leading": irr_dim(bmu)}
                 out.append(_case(bmu, expected=expected, got=rep.polynomial.to_json()))
@@ -447,7 +461,7 @@ def flag_count_product_case_failures(n_max: int) -> list[dict]:
     out = []
     for n in range(n_max + 1):
         for m in range(n + 1):
-            poly = flags_mod.springer_report(((1,) * m, (1,) * (n - m)), m).polynomial
+            poly = _fiber_report(as_bipartition(((1,) * m, (1,) * (n - m)))).polynomial
             got = [
                 c.numerator if c.denominator == 1 else str(c)
                 for c in poly.coefficients[: poly.degree + 1]

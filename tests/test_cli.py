@@ -129,6 +129,15 @@ def test_springer_stratum_command(tmp_path):
     assert doc["ok"] is True
 
 
+def test_springer_n5_stratum_fits_the_default_budget(tmp_path):
+    code, text = run_cli(["springer", "--n", "5", "--m", "5"], tmp_path)
+    assert code == 0
+    doc = json.loads(text)
+    assert len(doc["reports"]) == len(list(enumerate_bipartitions(5, 5)))
+    assert all(rep["degree_ok"] and rep["leading_ok"] for rep in doc["reports"])
+    assert doc["ok"] is True
+
+
 def test_exotic_roots_command(tmp_path):
     code, text = run_cli(["exotic", "--n", "2", "--checks", "roots"], tmp_path)
     assert code == 0

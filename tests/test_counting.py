@@ -1,5 +1,7 @@
 """Interpolation, growth estimates and Gaussian factorials."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -75,6 +77,27 @@ def test_slope_examples():
 
 def test_slope_estimates_values():
     assert slope_estimates(CountSeries.of([(3, 9), (5, 25), (7, 49)])) == [2, 2]
+    assert slope_estimates(CountSeries.of([(3, 81), (5, 1), (7, 1)])) == [-9, 0]
+    assert slope_estimates(CountSeries.of([(3, 4), (5, 16), (7, 36)])) == [3, 2]
+
+
+def test_slope_estimates_raise_on_a_half_integer_rate():
+    # log(2) / log(4) = 1/2 exactly, and log(1/8) / log(4) = -3/2
+    for points in ([(2, 1), (8, 2)], [(2, 8), (8, 1)]):
+        with pytest.raises(ValueError, match="half-integer"):
+            slope_estimates(CountSeries.of(points))
+
+
+def test_slope_estimates_agree_with_float_rounding_off_the_halves():
+    rng = random.Random(0)
+    for _ in range(2000):
+        q1 = rng.randrange(2, 40)
+        q2 = q1 + rng.randrange(1, 40)
+        c1, c2 = rng.randrange(1, 10**9), rng.randrange(1, 10**12)
+        rate = math.log(c2 / c1) / math.log(q2 / q1)
+        if abs(rate - math.floor(rate) - 0.5) > 1e-6:
+            got = slope_estimates(CountSeries.of([(q1, c1), (q2, c2)]))
+            assert got == [round(rate)], (q1, c1, q2, c2)
 
 
 def test_growth_exponent_handles_drift():

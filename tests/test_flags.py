@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -16,6 +17,7 @@ from nilorbit.counting import (
 from nilorbit.flags import (
     FlagCondition,
     _FiberCounter,
+    _transition_table,
     count_fiber,
     fiber_dimension,
     galois_degree_check,
@@ -31,9 +33,13 @@ from nilorbit.gfmat import (
     apply,
     mat_inv,
     mat_mul,
+    partition_from_ranks,
+    power_images,
     random_invertible,
     random_matrix,
     rank,
+    right_kernel,
+    transpose,
     unitriangular_elements,
     zeros,
 )
@@ -41,6 +47,8 @@ from nilorbit.pairs import (
     EnhancedPair,
     MixedClassifier,
     NonSplitError,
+    bipartition_from_types,
+    krylov_basis,
     mixed_invariant,
     orbit_representative,
 )
@@ -147,6 +155,46 @@ def test_memo_matches_plain_on_random_split_pairs(p):
     assert split and nonsplit
 
 
+def enumerated_transition_table(bla, p):
+    """Independent oracle: sort every line of ker x by the spaces that contain it.
+
+    With I_k the row space of x^k and K the Krylov span of v, the quotient
+    by L = <w> has rank x^k = dim I_k - [w in I_k] on V/L and
+    dim(I_k + K) + [w not in I_k + K] - dim(K + L) on V/(K + L).
+    """
+    z = orbit_representative(bla, p)
+    n = z.n
+    kernel = right_kernel(transpose(z.x), p)
+    images = power_images(z.x, p)
+    krylov = Subspace.from_vectors(krylov_basis(z.x, z.v, p), n, p)
+    # I_0 = V contains every line and the zero space none; I_k + K ends with K.
+    inner = images[1:-1]
+    joined = [space.sum(krylov) for space in images[1:]]
+    probes = inner + joined
+    patterns = Counter(tuple(space.contains(w) for space in probes) for w in kernel.lines())
+    out = Counter()
+    for bits, count in patterns.items():
+        in_image, in_joined = bits[: len(inner)], bits[len(inner) :]
+        lam = partition_from_ranks(
+            [n - 1] + [space.dim - b for space, b in zip(inner, in_image)] + [0]
+        )
+        k_and_l = krylov.dim + (not in_joined[-1])
+        rho = partition_from_ranks(
+            [n - k_and_l]
+            + [space.dim + (not b) - k_and_l for space, b in zip(joined, in_joined)]
+        )
+        out[bipartition_from_types(lam, rho)] += count
+    return dict(out)
+
+
+@pytest.mark.parametrize("n_max,p", [(5, 2), (5, 3), (4, 5), (4, 7)])
+def test_transition_tables_match_line_enumeration(n_max, p):
+    for n in range(1, n_max + 1):
+        for bla in enumerate_bipartitions(n):
+            got = dict(_transition_table(bla, p))
+            assert got == enumerated_transition_table(bla, p), (bla, p)
+
+
 def test_transition_tables_count_every_line_of_the_kernel():
     for p in (2, 3):
         counter = _FiberCounter(p, budget=10**6)
@@ -161,11 +209,26 @@ def test_transition_tables_count_every_line_of_the_kernel():
 def test_fiber_budget_reports_progress():
     z = orbit_representative(((1, 1, 1), ()), 5)
     with pytest.raises(BudgetExceededError) as info:
-        count_fiber(FlagCondition(z.x, z.v, 3, 5), budget=40)
+        count_fiber(FlagCondition(z.x, z.v, 3, 5), budget=4)
     assert str(info.value) == (
-        "flag fiber tables need 45 lines, budget is 40; reached 39 lines in "
-        "4 (bipartition, p) tables and 3 memo states"
+        "flag fiber recursion needs more than 4 memo states; reached 4 memo states, "
+        "3 of them finished, in 4 (bipartition, p) tables"
     )
+
+
+def test_fiber_budget_does_not_depend_on_cached_tables():
+    """A counter counts the tables it reads, whether or not they were cached."""
+    z = orbit_representative(((1, 1, 1), ()), 5)
+    condition = FlagCondition(z.x, z.v, 3, 5)
+    _transition_table.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError) as info:
+            count_fiber(condition, budget=4)
+        messages.append(str(info.value))
+    cache = _transition_table.cache_info()
+    assert cache.hits == cache.misses == cache.currsize > 0
+    assert messages[0] == messages[1]
 
 
 def test_plain_budget_reports_progress():
@@ -371,17 +434,17 @@ def test_slice_count_matches_enumeration(n, p):
 def test_slice_budget_reports_progress():
     s, z = build_slice_data([1, 1, 1], [], [1], 3, 5)
     with pytest.raises(BudgetExceededError) as info:
-        slice_count(s, z, 3, PrimeField(5), budget=40)
+        slice_count(s, z, 3, PrimeField(5), budget=4)
     assert str(info.value) == (
-        "flag fiber tables need 45 lines, budget is 40; reached 39 lines in "
-        "4 (bipartition, p) tables and 3 memo states"
+        "flag fiber recursion needs more than 4 memo states; reached 4 memo states, "
+        "3 of them finished, in 4 (bipartition, p) tables"
     )
     s, z = build_slice_data([1, 2, 2], [(2, 1)], [1], 3, 5)
     with pytest.raises(BudgetExceededError) as info:
         slice_count(s, z, 1, PrimeField(5), budget=4)
     assert str(info.value) == (
         "orbit size at n=1, p=5 needs 5 points (vectors to classify), budget is 4; "
-        "the fiber count had finished with 3 lines in 3 (bipartition, p) tables"
+        "the fiber count had finished with 3 memo states in 3 (bipartition, p) tables"
     )
 
 
