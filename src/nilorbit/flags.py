@@ -113,9 +113,14 @@ def _count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int) -> int:
     return recurse(Subspace.zero(n, p), 0)
 
 
-@lru_cache(maxsize=None)
-def _transition_table(bla: Bipartition, p: int) -> Mapping[Bipartition, int]:
-    """{quotient class: number of lines in ker x} for the normal form of bla.
+_Table = Mapping[Bipartition, tuple[int, ...]]
+_FIBER_BUDGET = 2_000_000
+
+
+def _pattern_dimensions(
+    bla: Bipartition, p: int
+) -> tuple[tuple[Bipartition, tuple[int, int, int, int]], ...]:
+    """(quotient class, dimensions) of each non-empty line pattern of bla over GF(p).
 
     With I_k the row space of x^k, K the Krylov span of v and J_k = I_k + K,
     the quotient by L = <w> has rank x^k = dim I_k - [w in I_k] on V/L and
@@ -125,12 +130,13 @@ def _transition_table(bla: Bipartition, p: int) -> Mapping[Bipartition, int]:
     A_a = I_a cap ker x and d(a, b) = dim(A_a cap J_b), the vectors of
     ker x with pattern (a, b) number
 
-        p^d(a, b) - p^d(a + 1, b) - p^d(a, b + 1) + p^d(a + 1, b + 1),
+        q^d(a, b) - q^d(a + 1, b) - q^d(a, b + 1) + q^d(a + 1, b + 1),
 
     where the zero spaces A_h and J_(h + 1), h the nilpotency index of x,
-    close both chains and exclude the zero vector.  So the table takes
-    O(h^2) rank computations and enumerates no line.  The mapping is
-    read-only because the cache hands it to every caller.
+    close both chains and exclude the zero vector.  The pattern is empty
+    when its two subspaces of A_a cap J_b cover it, that is when
+    {d(a, b), d(a + 1, b + 1)} = {d(a + 1, b), d(a, b + 1)}.  The dimensions
+    take O(h^2) rank computations at p and enumerate no line.
     """
     z = orbit_representative(bla, p)
     n = z.n
@@ -154,23 +160,12 @@ def _transition_table(bla: Bipartition, p: int) -> Mapping[Bipartition, int]:
         ]
         for a, meet in enumerate(meets)
     ]
-    out: dict[Bipartition, int] = {}
+    out = []
     for a in range(height):
         for b in range(a, height + 1):
-            vectors = (
-                p ** dims[a][b]
-                - p ** dims[a + 1][b]
-                - p ** dims[a][b + 1]
-                + p ** dims[a + 1][b + 1]
-            )
-            if not vectors:
+            corners = (dims[a][b], dims[a + 1][b], dims[a][b + 1], dims[a + 1][b + 1])
+            if sorted(corners[::3]) == sorted(corners[1:3]):
                 continue
-            lines, rem = divmod(vectors, p - 1)
-            if rem:
-                raise RuntimeError(
-                    f"{vectors} vectors of pattern ({a}, {b}) in the table of {bla} "
-                    f"at p={p} do not fill whole lines"
-                )
             lam = partition_from_ranks(
                 [n - 1] + [images[k].dim - (k <= a) for k in range(1, height)] + [0]
             )
@@ -179,22 +174,80 @@ def _transition_table(bla: Bipartition, p: int) -> Mapping[Bipartition, int]:
                 [n - k_and_l]
                 + [joined[k].dim + (k > b) - k_and_l for k in range(1, height + 1)]
             )
-            key = bipartition_from_types(lam, rho)
-            out[key] = out.get(key, 0) + lines
-    return MappingProxyType(out)
+            out.append((bipartition_from_types(lam, rho), corners))
+    return tuple(out)
+
+
+def _evaluate(poly: Sequence[int], q: int) -> int:
+    out = 0
+    for c in reversed(poly):
+        out = out * q + c
+    return out
+
+
+def _add_product(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """acc += a * b, coefficients ascending; acc grows as needed."""
+    if a and b and len(acc) < len(a) + len(b) - 1:
+        acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            acc[i + j] += x * y
+
+
+@lru_cache(maxsize=None)
+def _poly_table(bla: Bipartition) -> _Table:
+    """{quotient class: number of lines in ker x, in Z[q]} for the normal form of bla.
+
+    The subspace dimensions behind the table do not depend on the prime,
+    so they are computed at 2 and at 3, and a difference raises.  A pattern
+    with dimensions (d1, d2, d3, d4) has (q^d1 - q^d2 - q^d3 + q^d4) / (q - 1)
+    lines.  The mapping is read-only because the cache hands it to every
+    caller.
+    """
+    patterns = _pattern_dimensions(bla, 2)
+    if _pattern_dimensions(bla, 3) != patterns:
+        raise RuntimeError(f"the line patterns of {bla} differ between p=2 and p=3")
+    out: dict[Bipartition, list[int]] = {}
+    for key, corners in patterns:
+        vectors = [0] * (corners[0] + 1)
+        for d, sign in zip(corners, (1, -1, -1, 1)):
+            vectors[d] += sign
+        # synthetic division by q - 1, from the top coefficient down
+        lines = [0] * corners[0]
+        carry = 0
+        for k in range(corners[0], 0, -1):
+            carry += vectors[k]
+            lines[k - 1] = carry
+        if carry + vectors[0]:
+            raise RuntimeError(
+                f"{vectors} (ascending in q) vectors of a pattern in the table of "
+                f"{bla} are not divisible by q - 1"
+            )
+        _add_product(out.setdefault(key, []), lines, (1,))  # out[key] += lines
+    return MappingProxyType({key: tuple(lines) for key, lines in out.items()})
+
+
+@lru_cache(maxsize=None)
+def _transition_table(bla: Bipartition, p: int) -> Mapping[Bipartition, int]:
+    """The table of _poly_table(bla) at q = p; read-only, like its source."""
+    return MappingProxyType(
+        {key: _evaluate(lines, p) for key, lines in _poly_table(bla).items()}
+    )
 
 
 class _FiberCounter:
-    """Stable-flag counts over orbit keys, driven by line-transition tables.
+    """Stable-flag counts in Z[q] over orbit keys, driven by line-transition tables.
 
     A first step V_1 of a stable flag is a line L in ker(x - a) for an
     eigenvalue a, and the count from there on depends only on the orbit
     of the pair induced on V/L and on the remaining step index.  That orbit
     differs from the orbit of (x, v) only in the block of a, whose
     bipartition beta becomes the class of the quotient of the normal form
-    of beta by a line of ker x.  The table {class: number of lines} is
-    cached per (beta, p), and the recursion runs on (blocks, m) keys alone.
-    The budget bounds the memo states one counter enters.
+    of beta by a line of ker x.  The table {class: number of lines} is a
+    polynomial in q cached per beta, so the recursion runs on (blocks, m)
+    keys alone, once for every prime: a count polynomial evaluated at p is
+    the count over GF(p).  The budget bounds the memo states one counter
+    enters.
 
     With an eigenvalue order (s_1, ..., s_n), only flags on whose k-th
     quotient x acts by s_k are counted: a state with r dimensions left
@@ -202,25 +255,25 @@ class _FiberCounter:
     the blocks, so the memo key stays (blocks, m).
     """
 
-    def __init__(self, p: int, budget: int, order: Optional[Sequence[int]] = None):
-        self.p = p
+    def __init__(self, budget: int, order: Optional[Sequence[int]] = None):
         self.budget = budget
         self.order = None if order is None else tuple(order)
-        self.tables: dict[Bipartition, Mapping[Bipartition, int]] = {}
+        self.tables: dict[Bipartition, _Table] = {}
         self.memo: dict = {}
         self.states = 0
 
-    def table(self, bla: Bipartition) -> Mapping[Bipartition, int]:
+    def table(self, bla: Bipartition) -> _Table:
         """Quotient classes of the lines in ker x for the normal form of bla."""
         if bla not in self.tables:
-            self.tables[bla] = _transition_table(bla, self.p)
+            self.tables[bla] = _poly_table(bla)
         return self.tables[bla]
 
-    def count(self, blocks: tuple[tuple[int, Bipartition], ...], m: int) -> int:
+    def count(self, blocks: tuple[tuple[int, Bipartition], ...], m: int) -> tuple[int, ...]:
+        """Coefficients in q, ascending, of the flag count of the pair with these blocks."""
         if m == 0 and any(bla[0] for _, bla in blocks):
-            return 0
+            return ()
         if not blocks:
-            return 1
+            return (1,)
         key = (blocks, m)
         if key in self.memo:
             return self.memo[key]
@@ -231,7 +284,7 @@ class _FiberCounter:
                 f"in {len(self.tables)} (bipartition, p) tables"
             )
         self.states += 1
-        found = 0
+        found: list[int] = []
         wanted = None
         if self.order is not None:
             wanted = self.order[len(self.order) - sum(total(bla) for _, bla in blocks)]
@@ -240,15 +293,16 @@ class _FiberCounter:
                 continue
             for quotient, lines in self.table(bla).items():
                 kept = ((a, quotient),) if total(quotient) else ()
-                found += lines * self.count(blocks[:i] + kept + blocks[i + 1 :], max(m - 1, 0))
-        self.memo[key] = found
-        return found
+                rest = self.count(blocks[:i] + kept + blocks[i + 1 :], max(m - 1, 0))
+                _add_product(found, lines, rest)
+        self.memo[key] = tuple(found)
+        return self.memo[key]
 
 
 def count_fiber(
     condition: FlagCondition,
     method: str = "auto",
-    budget: int = 2_000_000,
+    budget: int = _FIBER_BUDGET,
 ) -> int:
     """Exact number of x-stable complete flags with v in step m.
 
@@ -266,7 +320,7 @@ def count_fiber(
         classifier = MixedClassifier(x, p)
     except NonSplitError:
         return 0
-    return _FiberCounter(p, budget).count(classifier.invariant(v).blocks, m)
+    return _evaluate(_FiberCounter(budget).count(classifier.invariant(v).blocks, m), p)
 
 
 @dataclass(frozen=True)
@@ -322,11 +376,16 @@ def springer_report(
     if primes is None:
         primes = first_primes(d + 1, minimum=max(2, n) + 1)
     primes = tuple(primes)
-    counts = []
     for p in primes:
-        z = orbit_representative(bmu, p)
-        counts.append(count_fiber(FlagCondition(z.x, z.v, m, p)))
+        PrimeField(p)
+    fiber = _FiberCounter(_FIBER_BUDGET).count(((0, bmu),) if n else (), m)
+    counts = [_evaluate(fiber, p) for p in primes]
     poly = interpolate(CountSeries.of(list(zip(primes, counts))), d)
+    if poly.coefficients != fiber + (0,) * (len(poly.coefficients) - len(fiber)):
+        raise RuntimeError(
+            f"the degree-{d} interpolant {poly.to_json()} of the counts of {bmu} "
+            f"differs from the fiber polynomial {list(fiber)}"
+        )
     return SpringerReport(
         mu=bmu,
         m=m,
@@ -369,7 +428,7 @@ def slice_count(
     z0: EnhancedPair,
     m: int,
     field: PrimeField,
-    budget: int = 2_000_000,
+    budget: int = _FIBER_BUDGET,
 ) -> int:
     """Points of the orbit O of z0 inside sU x M_m, by double counting.
 
@@ -403,8 +462,8 @@ def slice_count(
         raise ValueError(f"v0 must lie in the span of the first {m} coordinates")
     diagonal = [s[i][i] for i in range(n)]
     target = MixedClassifier(z0.x, p, eigenvalues=diagonal).invariant(z0.v)
-    counter = _FiberCounter(p, budget, order=diagonal)
-    fiber = counter.count(target.blocks, m)
+    counter = _FiberCounter(budget, order=diagonal)
+    fiber = _evaluate(counter.count(target.blocks, m), p)
     try:
         pairs = mixed_orbit_size(target, field, budget) * fiber
     except BudgetExceededError as exc:

@@ -87,6 +87,13 @@ def test_invalid_input_exit_code(tmp_path):
     assert main(["classify", "--in", str(bad)]) == 2
 
 
+def test_springer_rejects_non_primes(capsys):
+    for primes in (["4", "9", "25"], ["1", "5", "7"]):
+        code = main(["springer", "--n", "2", "--m", "1", "--primes", *primes])
+        assert code == 2
+        assert capsys.readouterr().err == f"invalid input: {primes[0]} is not prime\n"
+
+
 def test_springer_single_mu(tmp_path):
     code, text = run_cli(["springer", "--mu", "[[1],[1]]"], tmp_path)
     assert code == 0
@@ -181,6 +188,8 @@ PINNED_REPORTS = {
     "verify --suite springer --n-max 3": "190e7ae66d603fe84c9742f66e8363e28cf18554e639a1c320c1affdab4b7e02",
     "verify --suite exotic --n-max 1": "9a2155d8eff23b06373f4b00c5fba6add65ed1b0a960707106315aa23244598c",
     "exotic --n 2 --checks roots twisted-set z-bound": "819aa224462d0d08a50dec8f8c9c23ccc580708062b82c7a9ebd787875827bd7",
+    "springer --n 4 --m 4": "803b698238893a32049c46969d97700108e725ec62297eca31ecbf17ae848af0",
+    "springer --n 5": "e4a3c80dec2d4b3c6fc735ccf01b25e472fe5846822dccc6ed5458d7ffb038aa",
 }
 
 

@@ -14,9 +14,12 @@ from nilorbit.counting import (
     poly_mul,
     slope_dim,
 )
+from nilorbit import flags
 from nilorbit.flags import (
     FlagCondition,
     _FiberCounter,
+    _evaluate,
+    _poly_table,
     _transition_table,
     count_fiber,
     fiber_dimension,
@@ -197,13 +200,28 @@ def test_transition_tables_match_line_enumeration(n_max, p):
 
 def test_transition_tables_count_every_line_of_the_kernel():
     for p in (2, 3):
-        counter = _FiberCounter(p, budget=10**6)
+        counter = _FiberCounter(budget=10**6)
         for n in range(1, 5):
             for bla in enumerate_bipartitions(n):
-                table = counter.table(bla)
+                table = {q: _evaluate(lines, p) for q, lines in counter.table(bla).items()}
                 ell = len(partition_sum(*bla))
                 assert sum(table.values()) == (p**ell - 1) // (p - 1), (bla, p)
                 assert all(total(quotient) == n - 1 for quotient in table)
+
+
+def test_poly_table_rejects_tables_that_differ_between_primes(monkeypatch):
+    bla = ((1,), (1, 1))
+    dimensions = flags._pattern_dimensions
+
+    def skewed(beta, p):
+        patterns = dimensions(beta, p)
+        return patterns if p == 2 else patterns[1:]
+
+    _poly_table.cache_clear()
+    monkeypatch.setattr(flags, "_pattern_dimensions", skewed)
+    with pytest.raises(RuntimeError) as info:
+        _poly_table(bla)
+    assert str(info.value) == "the line patterns of ((1,), (1, 1)) differ between p=2 and p=3"
 
 
 def test_fiber_budget_reports_progress():
@@ -220,13 +238,13 @@ def test_fiber_budget_does_not_depend_on_cached_tables():
     """A counter counts the tables it reads, whether or not they were cached."""
     z = orbit_representative(((1, 1, 1), ()), 5)
     condition = FlagCondition(z.x, z.v, 3, 5)
-    _transition_table.cache_clear()
+    _poly_table.cache_clear()
     messages = []
     for _ in range(2):
         with pytest.raises(BudgetExceededError) as info:
             count_fiber(condition, budget=4)
         messages.append(str(info.value))
-    cache = _transition_table.cache_info()
+    cache = _poly_table.cache_info()
     assert cache.hits == cache.misses == cache.currsize > 0
     assert messages[0] == messages[1]
 
@@ -279,7 +297,8 @@ def test_ordered_fibers_add_up_to_the_fiber(p):
             )
             for m in range(n + 1):
                 ordered = sum(
-                    _FiberCounter(p, 10**6, order=order).count(blocks, m) for order in orders
+                    _evaluate(_FiberCounter(10**6, order=order).count(blocks, m), p)
+                    for order in orders
                 )
                 assert ordered == count_fiber(FlagCondition(x, v, m, p)), (blocks, m)
 
@@ -364,6 +383,33 @@ def test_springer_report_example_n2():
 def test_springer_report_validates_step():
     with pytest.raises(ValueError):
         springer_report(((1,), (1,)), 2)
+
+
+def test_springer_report_validates_primes():
+    for primes in ((4, 9, 25), (1, 5, 7)):
+        with pytest.raises(ValueError) as info:
+            springer_report(((1,), (1,)), 1, primes=primes)
+        assert str(info.value) == f"{primes[0]} is not prime"
+
+
+def test_springer_report_counts_match_plain_enumeration():
+    """The Z[q] fiber at every prime, p <= n included, against the DFS oracle."""
+    primes = (2, 3, 5, 7)
+    for n in range(4):
+        for bmu in enumerate_bipartitions(n):
+            m = size(bmu[0])
+            rep = springer_report(bmu, m, primes=primes)
+            for p, count in zip(primes, rep.counts):
+                z = orbit_representative(bmu, p)
+                plain = count_fiber(FlagCondition(z.x, z.v, m, p), method="plain")
+                assert count == plain, (bmu, p)
+
+
+def test_springer_report_checks_the_interpolation_residual(monkeypatch):
+    evaluate = flags._evaluate
+    monkeypatch.setattr(flags, "_evaluate", lambda poly, q: evaluate(poly, q) + (q == 7))
+    with pytest.raises(RuntimeError, match="differs from the fiber polynomial"):
+        springer_report(((1, 1), (1, 1)), 2)
 
 
 def test_galois_examples():
