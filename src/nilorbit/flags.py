@@ -227,14 +227,6 @@ def _poly_table(bla: Bipartition) -> _Table:
     return MappingProxyType({key: tuple(lines) for key, lines in out.items()})
 
 
-@lru_cache(maxsize=None)
-def _transition_table(bla: Bipartition, p: int) -> Mapping[Bipartition, int]:
-    """The table of _poly_table(bla) at q = p; read-only, like its source."""
-    return MappingProxyType(
-        {key: _evaluate(lines, p) for key, lines in _poly_table(bla).items()}
-    )
-
-
 class _FiberCounter:
     """Stable-flag counts in Z[q] over orbit keys, driven by line-transition tables.
 

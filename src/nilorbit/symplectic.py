@@ -388,7 +388,8 @@ def symplectic_transition(space: SymplecticSpace, flag: Sequence[Subspace]) -> M
 
     Rows 1..n are a flag-adapted basis b_i of the isotropic steps; rows
     n+1..2n are a dual family c_i with <b_i, c_j> = delta_ij and <c_i, c_j> = 0,
-    found by solving the pairing equations step by step.
+    found by solving the pairing equations step by step.  The library no
+    longer needs it; it stays for the tests' flag-by-flag fiber oracle.
     """
     n, p, dim = space.n, space.p, space.dim
     gram = space.gram
@@ -447,35 +448,43 @@ def twisted_coset_set(space: SymplecticSpace, s: Matrix) -> list[Matrix]:
     return out
 
 
-def exotic_fiber_count(
-    space: SymplecticSpace,
-    s: Matrix,
-    x: Matrix,
-    v: Vector,
-    flags: Optional[Sequence[tuple[Subspace, ...]]] = None,
-    transitions: Optional[Sequence[Matrix]] = None,
-) -> int:
-    """Isotropic flags whose transition drags x into s U and v into the
-    Lagrangian step.
+def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) -> int:
+    """Isotropic flags F with x in the conjugate of (sU)^{iota theta} and v in F_n.
 
-    Membership of h x h^{-1} in (sU)^{iota theta} reduces to flag
-    triangularity with the diagonal pattern of s, since twistedness is
-    preserved by symplectic conjugation.  The transitions are symplectic,
-    so h^{-1} = J h^T J^{-1} is read off by `theta_inv_of`.
+    Depth first over stable isotropic lines: F_(k+1) = F_k + <w> qualifies
+    exactly when w is in F_k^perp and w (x - s_k) is in F_k, s_k the k-th
+    diagonal entry of s in flag order; one kernel per node.  n steps decide
+    triangularity in all 2n: twisted x is self-adjoint (J x = x^T J), so it
+    keeps F_k^perp when it keeps F_k and acts on F_k^perp / F_(k+1)^perp as
+    on F_(k+1) / F_k, as s = diag(t, t) does in flag order.  F_n is
+    Lagrangian, so v is in F_n exactly when every w is orthogonal to v: the
+    row v J.  Raises ValueError unless x is twisted and s = diag(t, t).
     """
-    p = space.p
-    if flags is None:
-        flags = isotropic_flags(space)
-    if transitions is None:
-        transitions = [symplectic_transition(space, flag) for flag in flags]
-    count = 0
-    for flag, h in zip(flags, transitions):
-        if not flag[-1].contains(v):
-            continue
-        y = mat_mul(mat_mul(h, x, p), space.theta_inv_of(h), p)
-        if in_flag_borel_coset(space, y, s):
-            count += 1
-    return count
+    n, p, dim = space.n, space.p, space.dim
+    if not space.in_twisted_set(x):
+        raise ValueError("x does not lie in the twisted set")
+    diag = [s[i][i] for i in range(n)]
+    if s != space.torus_twisted(diag):
+        raise ValueError("s is not a twisted torus element diag(t, t)")
+    v_row = (apply(v, space.gram, p),)
+
+    def count(current: Subspace) -> int:
+        k = current.dim
+        # w (x - s_k) lies in F_k exactly when w annihilates the columns of
+        # the residues mod F_k of the rows of x - s_k
+        residues = [
+            current.reduce(r[:i] + (r[i] - diag[k],) + r[i + 1 :]) for i, r in enumerate(x)
+        ]
+        rows = transpose(residues) + mat_mul(current.basis, space.gram, p) + v_row
+        allowed = gfmat.right_kernel(rows, p)
+        if k == n - 1:  # the last step's lines, counted in closed form
+            return (p ** (allowed.dim - k) - 1) // (p - 1)
+        fresh = Subspace.from_vectors([current.reduce(b) for b in allowed.basis], dim, p)
+        return sum(
+            count(Subspace.from_vectors(current.basis + (w,), dim, p)) for w in fresh.lines()
+        )
+
+    return count(Subspace.zero(dim, p))
 
 
 def exotic_slice_count(

@@ -581,7 +581,6 @@ def exotic_orbit_report(n: int, skip_slow: bool = False) -> list[dict]:
     """Slice equality, slice bound and fiber bound/value for the test orbits."""
     cases = exotic_orbit_cases(n)
     fiber_primes = EXOTIC_FIBER_PRIMES[n]
-    flag_cache: dict = {}
     rows = []
     for case in cases:
         if skip_slow and case.get("slow"):
@@ -609,17 +608,8 @@ def exotic_orbit_report(n: int, skip_slow: bool = False) -> list[dict]:
         for p in fiber_primes:
             space = symp.SymplecticSpace(n, p)
             s, u, v = _exotic_case_data(case, space)
-            if p not in flag_cache:
-                flags = symp.isotropic_flags(space)
-                flag_cache[p] = (
-                    flags,
-                    [symp.symplectic_transition(space, f) for f in flags],
-                )
-            flags, trans = flag_cache[p]
             x = mat_mul(s, u, p)
-            fiber_counts.append(
-                (p, symp.exotic_fiber_count(space, s, x, v, flags, trans))
-            )
+            fiber_counts.append((p, symp.exotic_fiber_count(space, s, x, v)))
         fiber_series = CountSeries.of(fiber_counts)
         fiber_ests = slope_estimates(fiber_series)
         fiber_est = slope_dim(fiber_series)

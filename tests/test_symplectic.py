@@ -1,5 +1,8 @@
 """Symplectic side: involution, twisted sets, flags, orbits, root identities."""
 
+import itertools
+import random
+
 import pytest
 
 from nilorbit.counting import CountSeries, slope_dim
@@ -38,7 +41,7 @@ from nilorbit.symplectic import (
     unipotent_meet,
     z_variety_count,
 )
-from nilorbit.verify import _exotic_case_data, exotic_orbit_cases, exotic_orbit_report
+from nilorbit.verify import EXOTIC_FIBER_PRIMES, _exotic_case_data, exotic_orbit_cases
 
 
 def mulclose(gens, p, expect=None):
@@ -388,10 +391,85 @@ def test_theta_inv_of_inverts_symplectic_transitions():
         assert space.theta_inv_of(h) == mat_inv(h, p)
 
 
-def test_exotic_orbit_report_all_ok():
-    for n in (1, 2):
-        for row in exotic_orbit_report(n, skip_slow=True):
-            assert row["ok"], row
+def flag_transitions(space):
+    """Every isotropic flag with its symplectic transition."""
+    return [(flag, symplectic_transition(space, flag)) for flag in isotropic_flags(space)]
+
+
+def flag_loop_fiber_count(space, transitions, s, x, v):
+    """Independent oracle: over the isotropic flags whose Lagrangian step
+    holds v, conjugate x by the flag's transition h and test h x h^-1 for
+    flag triangularity with the diagonal of s in all 2n steps."""
+    p = space.p
+    count = 0
+    for flag, h in transitions:
+        if flag[-1].contains(v):
+            y = mat_mul(mat_mul(h, x, p), space.theta_inv_of(h), p)
+            count += in_flag_borel_coset(space, y, s)
+    return count
+
+
+def test_exotic_fiber_count_matches_flag_loop_on_report_cases():
+    for n, primes in EXOTIC_FIBER_PRIMES.items():
+        for p in primes:
+            space = SymplecticSpace(n, p)
+            transitions = flag_transitions(space)
+            for case in exotic_orbit_cases(n):
+                s, u, v = _exotic_case_data(case, space)
+                x = mat_mul(s, u, p)
+                expected = flag_loop_fiber_count(space, transitions, s, x, v)
+                assert exotic_fiber_count(space, s, x, v) == expected, (n, p, case["name"])
+
+
+def random_twisted_elements(space, rng, count):
+    """x = g theta(g)^-1 for random g, and Sp-conjugates of random members
+    of the twisted cosets t U of twisted torus elements t."""
+    n, p, dim = space.n, space.p, space.dim
+    gens = sp_generators(space)
+    tori = [space.torus_twisted(t) for t in itertools.product(range(1, p), repeat=n)]
+    for _ in range(count):
+        g = random_invertible(dim, p, rng.randrange(10**9))
+        yield mat_mul(g, space.theta_inv_of(g), p)
+        h = identity(dim)
+        for _ in range(4 * dim):
+            h = mat_mul(h, rng.choice(gens), p)
+        y = rng.choice(twisted_coset_set(space, rng.choice(tori)))
+        yield mat_mul(mat_mul(space.theta_inv_of(h), y, p), h, p)
+
+
+def test_exotic_fiber_count_matches_flag_loop_on_random_twisted_pairs():
+    rng = random.Random(12)
+    nonzero = 0
+    for n, p, count in ((1, 3, 20), (1, 5, 20), (2, 3, 12)):
+        space = SymplecticSpace(n, p)
+        transitions = flag_transitions(space)
+        for t in itertools.product(range(1, p), repeat=n):
+            s = space.torus_twisted(t)
+            for x in random_twisted_elements(space, rng, count):
+                assert space.in_twisted_set(x)
+                for v in ((0,) * space.dim, tuple(rng.randrange(p) for _ in range(space.dim))):
+                    expected = flag_loop_fiber_count(space, transitions, s, x, v)
+                    assert exotic_fiber_count(space, s, x, v) == expected, (s, x, v)
+                    nonzero += expected > 0
+    assert nonzero >= 50
+
+
+def test_exotic_fiber_count_rejects_untwisted_x():
+    space = SymplecticSpace(1, 3)
+    x = ((1, 1), (0, 1))
+    assert not space.in_twisted_set(x)
+    with pytest.raises(ValueError, match="twisted set"):
+        exotic_fiber_count(space, space.torus_twisted([1]), x, (0, 0))
+
+
+def test_exotic_fiber_count_rejects_s_outside_the_twisted_torus():
+    space = SymplecticSpace(2, 5)
+    x = space.torus_twisted([1, 2])
+    mirrored = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1))
+    off_diagonal = ((1, 1, 0, 0),) + x[1:]
+    for s in (mirrored, off_diagonal):
+        with pytest.raises(ValueError, match="twisted torus"):
+            exotic_fiber_count(space, s, x, (0, 0, 0, 0))
 
 
 def test_signed_permutation_basics():
