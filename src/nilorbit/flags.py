@@ -61,6 +61,9 @@ from .partitions import (
 )
 
 
+_FIBER_BUDGET = 2_000_000
+
+
 @dataclass(frozen=True)
 class FlagCondition:
     """x-stable complete flags with v in the m-th step."""
@@ -78,8 +81,9 @@ class FlagCondition:
             raise ValueError(f"step index must lie in [0, {n}], got {self.m}")
 
 
-def _count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int) -> int:
-    """Depth-first enumeration of stable flags with pruning at step m."""
+def _count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int = _FIBER_BUDGET) -> int:
+    """Depth-first enumeration of stable flags with pruning at step m; the
+    budget bounds the flag nodes it visits."""
     n = len(x)
     nodes = 0
     flags = 0
@@ -114,7 +118,6 @@ def _count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int) -> int:
 
 
 _Table = Mapping[Bipartition, tuple[int, ...]]
-_FIBER_BUDGET = 2_000_000
 
 
 def _pattern_dimensions(
@@ -273,7 +276,7 @@ class _FiberCounter:
             raise BudgetExceededError(
                 f"flag fiber recursion needs more than {self.budget} memo states; "
                 f"reached {self.states} memo states, {len(self.memo)} of them finished, "
-                f"in {len(self.tables)} (bipartition, p) tables"
+                f"in {len(self.tables)} bipartition tables"
             )
         self.states += 1
         found: list[int] = []
@@ -291,23 +294,15 @@ class _FiberCounter:
         return self.memo[key]
 
 
-def count_fiber(
-    condition: FlagCondition,
-    method: str = "auto",
-    budget: int = _FIBER_BUDGET,
-) -> int:
+def count_fiber(condition: FlagCondition, budget: int = _FIBER_BUDGET) -> int:
     """Exact number of x-stable complete flags with v in step m.
 
     A stable complete flag triangularizes x, so when the characteristic
     polynomial of x does not split over GF(p) the count is 0.  The depth
-    first enumeration method="plain" is the oracle.  The budget bounds the
-    flag nodes it visits, and the memo states of the recursion otherwise.
+    first enumeration `_count_plain` is the tests' oracle.  The budget
+    bounds the memo states of the recursion.
     """
     x, v, m, p = condition.x, condition.v, condition.m, condition.p
-    if method not in ("auto", "plain"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "plain":
-        return _count_plain(x, v, m, p, budget)
     try:
         classifier = MixedClassifier(x, p)
     except NonSplitError:
@@ -461,7 +456,7 @@ def slice_count(
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"{exc}; the fiber count had finished with {counter.states} memo states "
-            f"in {len(counter.tables)} (bipartition, p) tables"
+            f"in {len(counter.tables)} bipartition tables"
         ) from None
     count, rem = divmod(pairs, gaussian_factorial(n, p))
     if rem:

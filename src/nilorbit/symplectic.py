@@ -203,21 +203,6 @@ def _encode(x: Matrix, v: Vector) -> bytes:
     return bytes(c for row in x for c in row) + bytes(v)
 
 
-@dataclass(frozen=True)
-class OrbitSet:
-    """BFS closure of a pair under the symplectic group action."""
-
-    space: SymplecticSpace
-    states: frozenset[bytes]
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
-
-    def contains(self, x: Matrix, v: Vector) -> bool:
-        return _encode(x, v) in self.states
-
-
 def _transvect(state: bytes, d: int, sa, sb, c: int, p: int) -> bytes:
     """The encoded pair (g^-1 x g, v g) for g = I + c a b, a rank-one update.
 
@@ -250,8 +235,9 @@ def _transvect(state: bytes, d: int, sa, sb, c: int, p: int) -> bytes:
 
 def h_orbit(
     space: SymplecticSpace, x: Matrix, v: Vector, budget: int = 500_000
-) -> OrbitSet:
-    """Closure of {(x, v)} under (x, v) -> (g^-1 x g, v g) over generators.
+) -> frozenset[bytes]:
+    """Closure of {(x, v)} under (x, v) -> (g^-1 x g, v g) over generators,
+    as the set of `_encode`d pairs.
 
     The generator w -> w + c <w, u> u is g = I + c a b with a = J u^T and
     b = u, and each step is applied to the encoded state by `_transvect`.
@@ -284,23 +270,15 @@ def h_orbit(
                     seen.add(key)
                     fresh.append(key)
         frontier = fresh
-    return OrbitSet(space, frozenset(seen))
+    return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class TwistedSetReport:
-    solution_size: int
-    image_size: int
-    coincide: bool
-
-
-def iotheta_set(
-    space: SymplecticSpace, budget: int = 100_000
-) -> tuple[TwistedSetReport, tuple[set, set]]:
+def iotheta_set(space: SymplecticSpace, budget: int = 100_000) -> tuple[set, set]:
     """The twisted set two ways: fixed points of g -> theta(g)^{-1} versus
     the image of g -> g theta(g)^{-1}, by enumerating all of GL.
 
-    Raises BudgetExceededError when the p^(dim^2) matrices exceed the budget.
+    Returns (solution, image).  Raises BudgetExceededError when the
+    p^(dim^2) matrices exceed the budget.
     """
     p, dim = space.p, space.dim
     scan = p ** (dim * dim)
@@ -317,12 +295,7 @@ def iotheta_set(
         if space.in_twisted_set(g):
             solution.add(g)
         image.add(mat_mul(g, space.theta_inv_of(g), p))
-    report = TwistedSetReport(
-        solution_size=len(solution),
-        image_size=len(image),
-        coincide=(solution == image),
-    )
-    return report, (solution, image)
+    return solution, image
 
 
 def isotropic_flags(
@@ -488,32 +461,38 @@ def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) 
 
 
 def exotic_slice_count(
-    space: SymplecticSpace,
-    s: Matrix,
-    u: Matrix,
-    v: Vector,
-    orbit_budget: int = 500_000,
+    space: SymplecticSpace, s: Matrix, u: Matrix, v: Vector
 ) -> tuple[int, int]:
-    """Count of the orbit of (s u, v) inside (sU)^{iota-theta} x M_n.
+    """Count of the orbit O of (s u, v) inside X x M_n, X = (sU)^{iota theta}.
 
-    Returns (slice_count, orbit_size).  Orbit membership is decided purely
-    by lookup in the BFS closure.
+    Returns (slice_count, orbit_size).  Call (x, v) adapted to an isotropic
+    flag F when x lies in F's conjugate of X and v in F_n.  The pairs
+    adapted to the standard flag are X x M_n, and Sp acts transitively on
+    isotropic flags, so counting the pairs (z in O, F) with z adapted to F
+    in two ways gives
+
+        |O cap (X x M_n)| * type_c_poincare(n, p) = |O| * fiber(s u, v),
+
+    fiber being `exotic_fiber_count`, which is constant on O.  |O| is the
+    size of the `h_orbit` closure; a nonzero remainder raises RuntimeError.
+    Raises ValueError unless s u is twisted, s = diag(t, t) and v lies in
+    the Lagrangian M_n.
     """
-    p, n = space.p, space.n
-    x0 = mat_mul(s, u, p)
-    if not space.in_twisted_set(x0):
-        raise ValueError("s u does not lie in the twisted set")
+    p = space.p
     if not space.in_lagrangian(v):
         raise ValueError("v must lie in the Lagrangian coordinate span")
-    orbit = h_orbit(space, x0, v, budget=orbit_budget)
-    candidates = twisted_coset_set(space, s)
-    count = 0
-    for y in candidates:
-        for tail in gfmat.all_vectors(n, p):
-            w = tail + (0,) * n
-            if orbit.contains(y, w):
-                count += 1
-    return count, orbit.size
+    x0 = mat_mul(s, u, p)
+    fiber = exotic_fiber_count(space, s, x0, v)
+    orbit_size = len(h_orbit(space, x0, v))
+    pairs = orbit_size * fiber
+    flags = type_c_poincare(space.n, p)
+    count, rem = divmod(pairs, flags)
+    if rem:
+        raise RuntimeError(
+            f"double count is not exact: |O| * fiber = {pairs} is not divisible "
+            f"by the {flags} isotropic flags"
+        )
+    return count, orbit_size
 
 
 # ---------------------------------------------------------------------------
@@ -702,11 +681,13 @@ def unipotent_meet(space: SymplecticSpace, w: SignedPermutation) -> Iterator[Mat
     return gfmat.unitriangular_elements(space.flag_order, p, free)
 
 
-def root_identity_check(
-    w: SignedPermutation,
-    group_primes: Sequence[int] = (2, 3),
-    group_max_n: int = 2,
-) -> RootIdentityReport:
+# primes of the intersection dimensions, and of the group-level exponents
+# checked for rank up to ROOT_GROUP_MAX_N
+ROOT_GROUP_PRIMES = (2, 3)
+ROOT_GROUP_MAX_N = 2
+
+
+def root_identity_check(w: SignedPermutation) -> RootIdentityReport:
     """The long-root count of w against the Lagrangian intersection dimension.
 
     b_w is computed from the root system; the intersection dimension by
@@ -719,13 +700,13 @@ def root_identity_check(
     n = w.n
     bw = b_stat(w)
     meets = []
-    for p in group_primes:
+    for p in ROOT_GROUP_PRIMES:
         meets.append(lagrangian_meet_dim(SymplecticSpace(n, p), w))
     combinatorial_ok = all(m == bw for m in meets)
     group_checks = []
     overall = combinatorial_ok
-    if n <= group_max_n:
-        for p in group_primes:
+    if n <= ROOT_GROUP_MAX_N:
+        for p in ROOT_GROUP_PRIMES:
             space = SymplecticSpace(n, p)
             unit = identity(space.dim)
             size = fixed = 0

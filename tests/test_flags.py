@@ -18,6 +18,7 @@ from nilorbit import flags
 from nilorbit.flags import (
     FlagCondition,
     _FiberCounter,
+    _count_plain,
     _evaluate,
     _poly_table,
     count_fiber,
@@ -118,7 +119,7 @@ def test_plain_and_memo_agree():
             for bmu in enumerate_bipartitions(n):
                 z = orbit_representative(bmu, p)
                 for m in range(n + 1):
-                    plain = count_fiber(FlagCondition(z.x, z.v, m, p), method="plain")
+                    plain = _count_plain(z.x, z.v, m, p)
                     memo = count_fiber(FlagCondition(z.x, z.v, m, p))
                     assert plain == memo, (bmu, m, p)
 
@@ -132,7 +133,7 @@ def test_memo_matches_plain_on_conjugated_normal_forms():
             x = mat_mul(mat_mul(mat_inv(g, p), z.x, p), g, p)
             v = apply(z.v, g, p)
             for m in range(n + 1):
-                plain = count_fiber(FlagCondition(x, v, m, p), method="plain")
+                plain = _count_plain(x, v, m, p)
                 memo = count_fiber(FlagCondition(x, v, m, p))
                 assert plain == memo, (bmu, m)
 
@@ -153,7 +154,7 @@ def test_memo_matches_plain_on_random_split_pairs(p):
             split += 1
         for m in range(n + 1):
             condition = FlagCondition(x, v, m, p)
-            assert count_fiber(condition, method="plain") == count_fiber(condition), (x, v, m)
+            assert _count_plain(x, v, m, p) == count_fiber(condition), (x, v, m)
     assert split and nonsplit
 
 
@@ -229,7 +230,7 @@ def test_fiber_budget_reports_progress():
         count_fiber(FlagCondition(z.x, z.v, 3, 5), budget=4)
     assert str(info.value) == (
         "flag fiber recursion needs more than 4 memo states; reached 4 memo states, "
-        "3 of them finished, in 4 (bipartition, p) tables"
+        "3 of them finished, in 4 bipartition tables"
     )
 
 
@@ -250,7 +251,7 @@ def test_fiber_budget_does_not_depend_on_cached_tables():
 
 def test_plain_budget_reports_progress():
     with pytest.raises(BudgetExceededError) as info:
-        count_fiber(FlagCondition(zeros(2, 2), (0, 0), 2, 2), method="plain", budget=3)
+        _count_plain(zeros(2, 2), (0, 0), 2, 2, budget=3)
     assert str(info.value) == (
         "flag enumeration exceeded 3 nodes; visited 3 nodes and found 1 complete "
         "flags, stopped at depth 1 of 2"
@@ -326,7 +327,7 @@ def test_fiber_nonsplit_falls_back_to_plain():
     for m in (0, 1, 2):
         condition = FlagCondition(x, (0, 0), m, 3)
         assert count_fiber(condition) == 0
-        assert count_fiber(condition, method="plain") == 0
+        assert _count_plain(x, (0, 0), m, 3) == 0
 
 
 def test_fiber_dimension_formula():
@@ -400,7 +401,7 @@ def test_springer_report_counts_match_plain_enumeration():
             rep = springer_report(bmu, m, primes=primes)
             for p, count in zip(primes, rep.counts):
                 z = orbit_representative(bmu, p)
-                plain = count_fiber(FlagCondition(z.x, z.v, m, p), method="plain")
+                plain = _count_plain(z.x, z.v, m, p)
                 assert count == plain, (bmu, p)
 
 
@@ -482,14 +483,14 @@ def test_slice_budget_reports_progress():
         slice_count(s, z, 3, PrimeField(5), budget=4)
     assert str(info.value) == (
         "flag fiber recursion needs more than 4 memo states; reached 4 memo states, "
-        "3 of them finished, in 4 (bipartition, p) tables"
+        "3 of them finished, in 4 bipartition tables"
     )
     s, z = build_slice_data([1, 2, 2], [(2, 1)], [1], 3, 5)
     with pytest.raises(BudgetExceededError) as info:
         slice_count(s, z, 1, PrimeField(5), budget=4)
     assert str(info.value) == (
         "orbit size at n=1, p=5 needs 5 points (vectors to classify), budget is 4; "
-        "the fiber count had finished with 3 memo states in 3 (bipartition, p) tables"
+        "the fiber count had finished with 3 memo states in 3 bipartition tables"
     )
 
 

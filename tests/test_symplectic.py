@@ -1,5 +1,6 @@
 """Symplectic side: involution, twisted sets, flags, orbits, root identities."""
 
+import functools
 import itertools
 import random
 
@@ -17,9 +18,11 @@ from nilorbit.gfmat import (
     random_invertible,
     rank,
 )
+from nilorbit import symplectic
 from nilorbit.symplectic import (
     SignedPermutation,
     SymplecticSpace,
+    _encode,
     b_stat,
     exotic_fiber_count,
     exotic_slice_count,
@@ -145,16 +148,16 @@ def test_sp4_generation():
 def test_iotheta_set_n1():
     for p in (3, 5):
         space = SymplecticSpace(1, p)
-        report, sets = iotheta_set(space)
-        assert report.coincide
+        solution, image = iotheta_set(space)
+        assert solution == image
         scalars = {identity_scaled(space, c) for c in range(1, p)}
-        assert sets[0] == scalars == sets[1]
+        assert solution == scalars == image
 
 
 def test_iotheta_image_twisted_conjugation_stable():
     p = 3
     space = SymplecticSpace(1, p)
-    _, (solution, image) = iotheta_set(space)
+    _, image = iotheta_set(space)
     for seed in range(10):
         g = random_invertible(2, p, seed)
         for x in image:
@@ -224,21 +227,21 @@ def test_h_orbit_central_fixed_point():
     space = SymplecticSpace(1, 3)
     x = identity_scaled(space, 2)
     orbit = h_orbit(space, x, (0, 0))
-    assert orbit.size == 1
+    assert len(orbit) == 1
 
 
 def test_h_orbit_closure_and_divisibility():
     p = 3
     space = SymplecticSpace(1, p)
-    _, (solution, _) = iotheta_set(space)
+    solution, _ = iotheta_set(space)
     gens = sp_generators(space)
     group_order = sp_order(1, p)
     for x in sorted(solution):
         for v in ((0, 0), (1, 0), (1, 1)):
             orbit = h_orbit(space, x, v)
-            assert group_order % orbit.size == 0
+            assert group_order % len(orbit) == 0
             # closure under every generator
-            for state in list(orbit.states)[:5]:
+            for state in list(orbit)[:5]:
                 xm = tuple(
                     tuple(state[i * 2 + j] for j in range(2)) for i in range(2)
                 )
@@ -247,7 +250,7 @@ def test_h_orbit_closure_and_divisibility():
                     gi = mat_inv(g, p)
                     moved_x = mat_mul(mat_mul(gi, xm, p), g, p)
                     moved_v = apply(vm, g, p)
-                    assert orbit.contains(moved_x, moved_v)
+                    assert _encode(moved_x, moved_v) in orbit
 
 
 def matrix_bfs_orbit(space, x, v):
@@ -277,8 +280,8 @@ def test_h_orbit_matches_matrix_bfs():
                 x = mat_mul(s, u, p)
                 orbit = h_orbit(space, x, v)
                 oracle = matrix_bfs_orbit(space, x, v)
-                assert orbit.size == len(oracle), (n, p, case["name"])
-                assert all(orbit.contains(y, w) for y, w in oracle)
+                assert len(orbit) == len(oracle), (n, p, case["name"])
+                assert all(_encode(y, w) in orbit for y, w in oracle)
 
 
 def test_h_orbit_budget_reports_progress():
@@ -308,6 +311,86 @@ def test_exotic_slice_examples_n1():
         counts.append((p, count))
         assert count == p - 1
     assert slope_dim(CountSeries.of(counts)) == 1
+
+
+@pytest.fixture
+def shared_orbits(monkeypatch):
+    """Build each h_orbit closure once, for exotic_slice_count and its oracle."""
+    monkeypatch.setattr(symplectic, "h_orbit", functools.lru_cache(maxsize=None)(h_orbit))
+
+
+def lookup_slice_count(space, s, u, v):
+    """Independent oracle: look up every pair of (sU)^{iota theta} x M_n in
+    the BFS closure of (s u, v); returns (slice_count, orbit_size)."""
+    p, n = space.p, space.n
+    orbit = symplectic.h_orbit(space, mat_mul(s, u, p), v)
+    count = sum(
+        _encode(y, tail + (0,) * n) in orbit
+        for y in twisted_coset_set(space, s)
+        for tail in all_vectors(n, p)
+    )
+    return count, len(orbit)
+
+
+def test_exotic_slice_count_matches_lookup_on_report_cases(shared_orbits):
+    # the slow case's BFS at p = 7 is left to criterion 7
+    for n, primes in ((1, (3, 5, 7)), (2, (3, 5))):
+        for case in exotic_orbit_cases(n):
+            for p in (5,) if case.get("slow") else primes:
+                space = SymplecticSpace(n, p)
+                s, u, v = _exotic_case_data(case, space)
+                expected = lookup_slice_count(space, s, u, v)
+                assert exotic_slice_count(space, s, u, v) == expected, (n, p, case["name"])
+
+
+def test_exotic_slice_count_matches_lookup_on_random_twisted_pairs(shared_orbits):
+    rng = random.Random(5)
+    nonzero = 0
+    for n, p, count in ((1, 3, 8), (1, 5, 8), (2, 3, 1)):
+        space = SymplecticSpace(n, p)
+        tori = [space.torus_twisted(t) for t in itertools.product(range(1, p), repeat=n)]
+        for x in random_twisted_elements(space, rng, count):
+            for tail in ((0,) * n, tuple(rng.randrange(p) for _ in range(n))):
+                v = tail + (0,) * n
+                for s in tori:
+                    u = mat_mul(mat_inv(s, p), x, p)
+                    expected = lookup_slice_count(space, s, u, v)
+                    assert exotic_slice_count(space, s, u, v) == expected, (s, x, v)
+                    nonzero += expected[0] > 0
+    assert nonzero >= 50
+
+
+def test_exotic_slice_count_rejects_bad_input_before_the_orbit(monkeypatch):
+    def no_orbit(*args):
+        raise AssertionError("h_orbit reached")
+
+    monkeypatch.setattr(symplectic, "h_orbit", no_orbit)
+    space = SymplecticSpace(1, 3)
+    s = space.torus_twisted([1])
+    with pytest.raises(ValueError, match="Lagrangian"):
+        exotic_slice_count(space, s, identity(2), (0, 1))
+    with pytest.raises(ValueError, match="twisted set"):
+        exotic_slice_count(space, s, ((1, 1), (0, 1)), (0, 0))
+    # s u = diag(1, 2, 1, 2) is twisted, but s = diag(1, 2, 2, 1) is not diag(t, t)
+    space = SymplecticSpace(2, 5)
+    mirrored = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1))
+    u = mat_mul(mat_inv(mirrored, 5), space.torus_twisted([1, 2]), 5)
+    with pytest.raises(ValueError, match="twisted torus"):
+        exotic_slice_count(space, mirrored, u, (0, 0, 0, 0))
+
+
+def test_exotic_slice_count_raises_on_a_nonzero_remainder(monkeypatch):
+    fiber_count = symplectic.exotic_fiber_count
+    monkeypatch.setattr(
+        symplectic, "exotic_fiber_count", lambda *args: fiber_count(*args) + 1
+    )
+    space = SymplecticSpace(1, 3)
+    with pytest.raises(RuntimeError) as info:
+        exotic_slice_count(space, space.torus_twisted([1]), identity(2), (0, 0))
+    assert str(info.value) == (
+        "double count is not exact: |O| * fiber = 5 is not divisible by the 4 "
+        "isotropic flags"
+    )
 
 
 def test_exotic_fiber_examples_n1():
