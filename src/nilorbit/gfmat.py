@@ -14,6 +14,7 @@ two spanning sets of the same subspace produce identical bases.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -88,10 +89,9 @@ def scal_mul(c: int, a: Matrix, p: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
-    )
+    cols = list(zip(*b))
+    mul = operator.mul
+    return tuple(tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a)
 
 
 def mat_pow(a: Matrix, k: int, p: int) -> Matrix:
@@ -107,8 +107,8 @@ def mat_pow(a: Matrix, k: int, p: int) -> Matrix:
 
 def apply(v: Vector, a: Matrix, p: int) -> Vector:
     """Row-vector action v . A."""
-    cols = len(a[0]) if a else 0
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) % p for j in range(cols))
+    mul = operator.mul
+    return tuple([sum(map(mul, v, col)) % p for col in zip(*a)])
 
 
 def mat_inv(a: Matrix, p: int) -> Matrix:

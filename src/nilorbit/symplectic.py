@@ -14,6 +14,7 @@ unipotent radical is lower unitriangular in that order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,7 +69,12 @@ class SymplecticSpace:
     @cached_property
     def gram_entries(self) -> tuple[tuple[int, int], ...]:
         """(column, value) of the one nonzero entry in each row of J."""
-        return tuple(next((j, c) for j, c in enumerate(row) if c) for row in self.gram)
+        return signed_rows(self.gram)
+
+    @cached_property
+    def gram_column_entries(self) -> tuple[tuple[int, int], ...]:
+        """(row, value) of the one nonzero entry in each column of J."""
+        return signed_rows(transpose(self.gram))
 
     @cached_property
     def flag_order(self) -> tuple[int, ...]:
@@ -84,16 +90,21 @@ class SymplecticSpace:
         return self.theta_inv_of(mat_inv(g, self.p))
 
     def theta_inv_of(self, g: Matrix) -> Matrix:
-        """theta(g)^{-1} = J g^T J^{-1}, avoiding one inversion.
+        """theta(g)^{-1} = J g^T J^{-1}, avoiding one inversion: the
+        conjugate of g^T by the signed permutation J.  For symplectic g
+        this is g^{-1}."""
+        return signed_conjugate(self.gram_entries, transpose(g), self.p)
 
-        J is a signed permutation with J^{-1} = J^T, so with J[i][k_i] =
-        eps_i the (i, j) entry is eps_i eps_j g[k_j][k_i]: entries move and
-        change sign, and no product is formed.  For symplectic g this is g^{-1}.
-        """
-        p, entries = self.p, self.gram_entries
-        return tuple(
-            tuple((ei * ej * g[kj][ki]) % p for kj, ej in entries) for ki, ei in entries
-        )
+    def gram_times(self, g: Matrix) -> Matrix:
+        """J g, by signed row moves: row i is eps_i times row k_i of g."""
+        p = self.p
+        return tuple(tuple([e * x % p for x in g[k]]) for k, e in self.gram_entries)
+
+    def times_gram(self, rows: Sequence[Vector]) -> Matrix:
+        """Each row v times J, by signed entry moves: (v J)[j] = eps v[i]
+        for the one nonzero J[i][j] = eps in column j."""
+        p, columns = self.p, self.gram_column_entries
+        return tuple(tuple([e * v[i] % p for i, e in columns]) for v in rows)
 
     def is_symplectic(self, g: Matrix) -> bool:
         return mat_mul(mat_mul(g, self.gram, self.p), transpose(g), self.p) == self.gram
@@ -105,7 +116,7 @@ class SymplecticSpace:
         says that J g is skew-symmetric: one linear condition, no inverse.
         """
         p, dim = self.p, self.dim
-        jg = mat_mul(self.gram, g, p)
+        jg = self.gram_times(g)
         return all(
             (jg[i][j] + jg[j][i]) % p == 0 for i in range(dim) for j in range(i, dim)
         )
@@ -133,6 +144,25 @@ class SymplecticSpace:
 
     def in_lagrangian(self, v: Vector) -> bool:
         return all(c == 0 for c in v[self.n :])
+
+
+def signed_rows(h: Matrix) -> tuple[tuple[int, int], ...]:
+    """(column k_i, value eps_i) of the one nonzero entry in each row i of
+    a signed permutation matrix h."""
+    return tuple(next((j, c) for j, c in enumerate(row) if c) for row in h)
+
+
+def signed_conjugate(rows: Sequence[tuple[int, int]], y: Matrix, p: int) -> Matrix:
+    """h y h^{-1} for the signed permutation h with `signed_rows(h)` = rows.
+
+    h^{-1} = h^T, so the (i, j) entry is eps_i eps_j y[k_i][k_j]: entries
+    move and change sign, and no product is formed.
+    """
+    out = []
+    for ki, ei in rows:
+        row = y[ki]
+        out.append(tuple([ei * ej * row[kj] % p for kj, ej in rows]))
+    return tuple(out)
 
 
 def identity_scaled(space: SymplecticSpace, c: int) -> Matrix:
@@ -303,14 +333,13 @@ def isotropic_flags(
 ) -> list[tuple[Subspace, ...]]:
     """All complete isotropic flags L_1 < ... < L_n, depth first."""
     n, p, dim = space.n, space.p, space.dim
-    gram = space.gram
     out: list[tuple[Subspace, ...]] = []
     nodes = 0
 
     def perp(sub: Subspace) -> Subspace:
         if sub.dim == 0:
             return Subspace.full(dim, p)
-        return gfmat.right_kernel(mat_mul(sub.basis, gram, p), p)
+        return gfmat.right_kernel(space.times_gram(sub.basis), p)
 
     def extend(chain: list[Subspace]):
         nonlocal nodes
@@ -397,7 +426,7 @@ def twisted_coset_set(space: SymplecticSpace, s: Matrix) -> list[Matrix]:
     s u is listed for each of them; an inconsistent system gives [].
     """
     p, dim = space.p, space.dim
-    js = mat_mul(space.gram, s, p)
+    js = space.gram_times(s)
     free = gfmat.unitriangular_positions(space.flag_order)
     rows: list[Vector] = []
     rhs: list[int] = []
@@ -439,7 +468,7 @@ def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) 
     diag = [s[i][i] for i in range(n)]
     if s != space.torus_twisted(diag):
         raise ValueError("s is not a twisted torus element diag(t, t)")
-    v_row = (apply(v, space.gram, p),)
+    v_row = space.times_gram((v,))
 
     def count(current: Subspace) -> int:
         k = current.dim
@@ -448,7 +477,7 @@ def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) 
         residues = [
             current.reduce(r[:i] + (r[i] - diag[k],) + r[i + 1 :]) for i, r in enumerate(x)
         ]
-        rows = transpose(residues) + mat_mul(current.basis, space.gram, p) + v_row
+        rows = transpose(residues) + space.times_gram(current.basis) + v_row
         allowed = gfmat.right_kernel(rows, p)
         if k == n - 1:  # the last step's lines, counted in closed form
             return (p ** (allowed.dim - k) - 1) // (p - 1)
@@ -462,14 +491,14 @@ def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) 
 
 def exotic_slice_count(
     space: SymplecticSpace, s: Matrix, u: Matrix, v: Vector
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """Count of the orbit O of (s u, v) inside X x M_n, X = (sU)^{iota theta}.
 
-    Returns (slice_count, orbit_size).  Call (x, v) adapted to an isotropic
-    flag F when x lies in F's conjugate of X and v in F_n.  The pairs
-    adapted to the standard flag are X x M_n, and Sp acts transitively on
-    isotropic flags, so counting the pairs (z in O, F) with z adapted to F
-    in two ways gives
+    Returns (slice_count, orbit_size, fiber).  Call (x, v) adapted to an
+    isotropic flag F when x lies in F's conjugate of X and v in F_n.  The
+    pairs adapted to the standard flag are X x M_n, and Sp acts transitively
+    on isotropic flags, so counting the pairs (z in O, F) with z adapted to
+    F in two ways gives
 
         |O cap (X x M_n)| * type_c_poincare(n, p) = |O| * fiber(s u, v),
 
@@ -492,7 +521,7 @@ def exotic_slice_count(
             f"double count is not exact: |O| * fiber = {pairs} is not divisible "
             f"by the {flags} isotropic flags"
         )
-    return count, orbit_size
+    return count, orbit_size, fiber
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +569,24 @@ class SignedPermutation:
 
     def matrix(self, space: SymplecticSpace) -> Matrix:
         """Symplectic signed-permutation matrix: e_i -> e_{w(i)} or f_{|w(i)|},
-        f_i -> f_{w(i)} or -e_{|w(i)|}."""
-        n, p = space.n, space.p
-        rows = [[0] * (2 * n) for _ in range(2 * n)]
-        for i, w in enumerate(self.image):
-            if w > 0:
-                rows[i][w - 1] = 1
-                rows[n + i][n + w - 1] = 1
-            else:
-                rows[i][n - w - 1] = 1
-                rows[n + i][-w - 1] = (-1) % p
-        h = tuple(tuple(r) for r in rows)
-        assert space.is_symplectic(h)
-        return h
+        f_i -> f_{w(i)} or -e_{|w(i)|}.  Built once per (w, space)."""
+        return _signed_permutation_matrix(self.image, space)
+
+
+@functools.cache
+def _signed_permutation_matrix(image: tuple[int, ...], space: SymplecticSpace) -> Matrix:
+    n, p = space.n, space.p
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    for i, w in enumerate(image):
+        if w > 0:
+            rows[i][w - 1] = 1
+            rows[n + i][n + w - 1] = 1
+        else:
+            rows[i][n - w - 1] = 1
+            rows[n + i][-w - 1] = (-1) % p
+    h = tuple(tuple(r) for r in rows)
+    assert space.is_symplectic(h)
+    return h
 
 
 def signed_permutations(n: int) -> Iterator[SignedPermutation]:
@@ -629,9 +663,8 @@ def z_variety_count(space: SymplecticSpace, s: Matrix) -> int:
     members = frozenset(base)
     total = 0
     for w in signed_permutations(space.n):
-        h = w.matrix(space)
-        hinv = space.theta_inv_of(h)
-        shared = sum(1 for y in base if mat_mul(mat_mul(h, y, p), hinv, p) in members)
+        rows = signed_rows(w.matrix(space))
+        shared = sum(1 for y in base if signed_conjugate(rows, y, p) in members)
         total += p ** length(w) * shared * p ** lagrangian_meet_dim(space, w)
     return type_c_poincare(space.n, p) * total
 
@@ -668,15 +701,14 @@ def unipotent_meet(space: SymplecticSpace, w: SignedPermutation) -> Iterator[Mat
     `gfmat.unitriangular_elements`.
     """
     p, dim = space.p, space.dim
-    wmat = w.matrix(space)
-    winv = space.theta_inv_of(wmat)
+    winv_rows = signed_rows(transpose(w.matrix(space)))
     unit = identity(dim)
     free = []
     for a, b in gfmat.unitriangular_positions(space.flag_order):
         e_ab = tuple(
             tuple(int(i == j or (i, j) == (a, b)) for j in range(dim)) for i in range(dim)
         )
-        if in_flag_borel_coset(space, mat_mul(mat_mul(winv, e_ab, p), wmat, p), unit):
+        if in_flag_borel_coset(space, signed_conjugate(winv_rows, e_ab, p), unit):
             free.append((a, b))
     return gfmat.unitriangular_elements(space.flag_order, p, free)
 

@@ -588,10 +588,11 @@ def exotic_orbit_report(n: int, skip_slow: bool = False) -> list[dict]:
         slice_primes = case.get("slice_primes", EXOTIC_SLICE_PRIMES)
         orbit_counts = []
         slice_counts = []
+        fibers = {}
         for p in slice_primes:
             space = symp.SymplecticSpace(n, p)
             s, u, v = _exotic_case_data(case, space)
-            slc, orb = symp.exotic_slice_count(space, s, u, v)
+            slc, orb, fibers[p] = symp.exotic_slice_count(space, s, u, v)
             orbit_counts.append((p, orb))
             slice_counts.append((p, slc))
         c = slope_dim(CountSeries.of(orbit_counts))
@@ -604,12 +605,12 @@ def exotic_orbit_report(n: int, skip_slow: bool = False) -> list[dict]:
             ests = slope_estimates(slice_series)
             slice_est = slope_dim(slice_series)
             slice_ok = 2 * slice_est == c and all(2 * e <= c for e in ests)
-        fiber_counts = []
         for p in fiber_primes:
-            space = symp.SymplecticSpace(n, p)
-            s, u, v = _exotic_case_data(case, space)
-            x = mat_mul(s, u, p)
-            fiber_counts.append((p, symp.exotic_fiber_count(space, s, x, v)))
+            if p not in fibers:
+                space = symp.SymplecticSpace(n, p)
+                s, u, v = _exotic_case_data(case, space)
+                fibers[p] = symp.exotic_fiber_count(space, s, mat_mul(s, u, p), v)
+        fiber_counts = [(p, fibers[p]) for p in fiber_primes]
         fiber_series = CountSeries.of(fiber_counts)
         fiber_ests = slope_estimates(fiber_series)
         fiber_est = slope_dim(fiber_series)

@@ -206,3 +206,46 @@ def test_transpose_and_inverse():
     assert transpose(transpose(g)) == g
     r, rk, _ = rref(g, p)
     assert rk == 4 and r == identity(4)
+
+
+def naive_mat_mul(a, b, p):
+    """Triple-loop oracle; the column count is read from b's first row."""
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) % p for j in range(cols))
+        for i in range(len(a))
+    )
+
+
+def naive_apply(v, a, p):
+    cols = len(a[0]) if a else 0
+    return tuple(sum(v[i] * a[i][j] for i in range(len(a))) % p for j in range(cols))
+
+
+def random_entries(rows, cols, p, rng):
+    """Entries from -2p to 3p, so negative and unreduced values occur."""
+    return tuple(tuple(rng.randrange(-2 * p, 3 * p) for _ in range(cols)) for _ in range(rows))
+
+
+def test_mat_mul_and_apply_match_naive_products():
+    rng = random.Random(14)
+    shapes = [(m, k, c) for m in range(1, 6) for k in range(1, 6) for c in range(1, 6)]
+    for p in (2, 3, 5, 7):
+        for m, k, c in shapes:
+            a = random_entries(m, k, p, rng)
+            b = random_entries(k, c, p, rng)
+            product = mat_mul(a, b, p)
+            assert product == naive_mat_mul(a, b, p), (p, a, b)
+            assert all(0 <= x < p for row in product for x in row)
+            for row in a:
+                image = apply(row, b, p)
+                assert image == naive_apply(row, b, p), (p, row, b)
+                assert all(0 <= x < p for x in image)
+    # empty matrices: no rows, or rows of length 0
+    for p in (2, 3, 5, 7):
+        b = random_entries(3, 2, p, rng)
+        assert mat_mul((), b, p) == naive_mat_mul((), b, p) == ()
+        assert mat_mul(((),) * 2, (), p) == naive_mat_mul(((),) * 2, (), p) == ((), ())
+        assert mat_mul(b, ((),) * 2, p) == naive_mat_mul(b, ((),) * 2, p) == ((),) * 3
+        assert apply((), (), p) == naive_apply((), (), p) == ()
+        assert apply((1, 2, 3), ((),) * 3, p) == naive_apply((1, 2, 3), ((),) * 3, p) == ()

@@ -16,7 +16,9 @@ from nilorbit.gfmat import (
     mat_inv,
     mat_mul,
     random_invertible,
+    random_matrix,
     rank,
+    transpose,
 )
 from nilorbit import symplectic
 from nilorbit.symplectic import (
@@ -36,7 +38,9 @@ from nilorbit.symplectic import (
     length,
     positive_roots_c,
     root_identity_check,
+    signed_conjugate,
     signed_permutations,
+    signed_rows,
     sp_generators,
     symplectic_transition,
     twisted_coset_set,
@@ -115,6 +119,43 @@ def test_linear_twisted_membership_matches_theta():
                 point = mat_mul(g, space.theta_inv_of(g), p)
                 assert space.in_twisted_set(point) and in_twisted_set_by_theta(space, point)
                 assert space.in_twisted_set(g) == in_twisted_set_by_theta(space, g), g
+
+
+def test_theta_inv_of_matches_products_on_invertible_matrices():
+    rng = random.Random(14)
+    for n in (1, 2, 3):
+        for p in (2, 3, 5):
+            space = SymplecticSpace(n, p)
+            jinv = mat_inv(space.gram, p)
+            for _ in range(10):
+                g = random_invertible(2 * n, p, rng.randrange(10**9))
+                expected = mat_mul(mat_mul(space.gram, transpose(g), p), jinv, p)
+                assert space.theta_inv_of(g) == expected, (n, p, g)
+
+
+def test_products_with_the_gram_matrix_match_mat_mul():
+    rng = random.Random(15)
+    for n in (1, 2, 3):
+        for p in (2, 3, 5):
+            space = SymplecticSpace(n, p)
+            for _ in range(10):
+                g = random_matrix(2 * n, p, rng)
+                assert space.gram_times(g) == mat_mul(space.gram, g, p), (n, p, g)
+                assert space.times_gram(g) == mat_mul(g, space.gram, p), (n, p, g)
+
+
+def test_signed_conjugate_matches_products():
+    rng = random.Random(16)
+    for n in (1, 2, 3):
+        for p in (2, 3, 5):
+            space = SymplecticSpace(n, p)
+            for h in [space.gram] + [w.matrix(space) for w in signed_permutations(n)]:
+                rows = signed_rows(h)
+                hinv = mat_inv(h, p)
+                for _ in range(3):
+                    y = random_matrix(2 * n, p, rng)
+                    expected = mat_mul(mat_mul(h, y, p), hinv, p)
+                    assert signed_conjugate(rows, y, p) == expected, (n, p, h, y)
 
 
 def test_theta_on_scalars():
@@ -299,15 +340,17 @@ def test_exotic_slice_examples_n1():
         space = SymplecticSpace(1, p)
         s = identity_scaled(space, 1)
         u = identity(2)
-        count, orbit_size = exotic_slice_count(space, s, u, (0, 0))
+        count, orbit_size, fiber = exotic_slice_count(space, s, u, (0, 0))
         assert count == 1 and orbit_size == 1
+        assert fiber == p + 1
     # a nonzero vector: the slice is the punctured Lagrangian line
     counts = []
     for p in (3, 5, 7):
         space = SymplecticSpace(1, p)
         s = identity_scaled(space, 1)
-        count, orbit_size = exotic_slice_count(space, s, identity(2), (1, 0))
+        count, orbit_size, fiber = exotic_slice_count(space, s, identity(2), (1, 0))
         assert orbit_size == p * p - 1
+        assert fiber == 1
         counts.append((p, count))
         assert count == p - 1
     assert slope_dim(CountSeries.of(counts)) == 1
@@ -340,7 +383,9 @@ def test_exotic_slice_count_matches_lookup_on_report_cases(shared_orbits):
                 space = SymplecticSpace(n, p)
                 s, u, v = _exotic_case_data(case, space)
                 expected = lookup_slice_count(space, s, u, v)
-                assert exotic_slice_count(space, s, u, v) == expected, (n, p, case["name"])
+                count, orbit_size, fiber = exotic_slice_count(space, s, u, v)
+                assert (count, orbit_size) == expected, (n, p, case["name"])
+                assert fiber == exotic_fiber_count(space, s, mat_mul(s, u, p), v)
 
 
 def test_exotic_slice_count_matches_lookup_on_random_twisted_pairs(shared_orbits):
@@ -355,7 +400,9 @@ def test_exotic_slice_count_matches_lookup_on_random_twisted_pairs(shared_orbits
                 for s in tori:
                     u = mat_mul(mat_inv(s, p), x, p)
                     expected = lookup_slice_count(space, s, u, v)
-                    assert exotic_slice_count(space, s, u, v) == expected, (s, x, v)
+                    count, orbit_size, fiber = exotic_slice_count(space, s, u, v)
+                    assert (count, orbit_size) == expected, (s, x, v)
+                    assert fiber == exotic_fiber_count(space, s, x, v)
                     nonzero += expected[0] > 0
     assert nonzero >= 50
 
