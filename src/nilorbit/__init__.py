@@ -45,11 +45,8 @@ from .pairs import (  # noqa: F401
     stab_dim,
 )
 from .counting import (  # noqa: F401
-    CountPolynomial,
     CountSeries,
-    InterpolationError,
     gaussian_factorial,
-    interpolate,
     slope_dim,
 )
 from .flags import (  # noqa: F401

@@ -1,25 +1,21 @@
-"""Exact bookkeeping for point counts: series, interpolation, growth rates.
+"""Exact bookkeeping for point counts: polynomials in Z[q], series, growth rates.
 
-A count series is a list of (prime, count) pairs.  When a family of counts
-is known to be polynomial in the field size, Lagrange interpolation over
-exact rationals recovers the polynomial and every recorded point is
-re-checked against it; a mismatch is always surfaced.  When interpolation
-is out of reach, the growth rate across primes, rounded to the nearest
-integer in exact arithmetic, serves as a dimension estimate.
+A count polynomial is the tuple (or list) of its integer coefficients in
+q, ascending; the empty tuple is the zero polynomial.  This module is the
+one place that multiplies and evaluates them.  A count series is a list of
+(prime, count) pairs; where no polynomial is known, the growth rate across
+primes, rounded to the nearest integer in exact arithmetic, serves as a
+dimension estimate.  `growth_exponent` is the one estimate that still fits
+floating-point logs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .gfmat import _is_prime
-
-
-class InterpolationError(ValueError):
-    """The recorded counts do not lie on a polynomial of the claimed degree."""
 
 
 @dataclass(frozen=True)
@@ -36,76 +32,6 @@ class CountSeries:
     @staticmethod
     def of(points: Sequence[tuple[int, int]]) -> "CountSeries":
         return CountSeries(tuple((int(q), int(c)) for q, c in points))
-
-
-@dataclass(frozen=True)
-class CountPolynomial:
-    """Polynomial in q with exact rational coefficients, ascending degree."""
-
-    coefficients: tuple[Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        for i in range(len(self.coefficients) - 1, -1, -1):
-            if self.coefficients[i]:
-                return i
-        return 0
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coefficients:
-            return Fraction(0)
-        return self.coefficients[self.degree]
-
-    def __call__(self, q: int) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coefficients):
-            out = out * q + c
-        return out
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coefficients]
-
-
-def interpolate(series: CountSeries, degree_bound: int) -> CountPolynomial:
-    """Unique polynomial of degree <= degree_bound through the series.
-
-    Uses the first degree_bound + 1 points, then re-evaluates at every
-    recorded point; any residual raises InterpolationError.
-    """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    pts = series.points
-    if len(pts) < degree_bound + 1:
-        raise ValueError(
-            f"need {degree_bound + 1} points for degree {degree_bound}, got {len(pts)}"
-        )
-    nodes = pts[: degree_bound + 1]
-    coeffs = [Fraction(0)] * (degree_bound + 1)
-    for qi, ci in nodes:
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for qj, _ in nodes:
-            if qj == qi:
-                continue
-            # multiply the running basis polynomial by (q - qj)
-            shifted = [Fraction(0)] + basis
-            basis = [
-                shifted[k] - qj * (basis[k] if k < len(basis) else 0)
-                for k in range(len(shifted))
-            ]
-            denom *= qi - qj
-        scale = Fraction(ci) / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
-    poly = CountPolynomial(tuple(coeffs))
-    for q, c in pts:
-        if poly(q) != c:
-            raise InterpolationError(
-                f"count at q={q} is {c} but the degree-{degree_bound} "
-                f"interpolant gives {poly(q)}"
-            )
-    return poly
 
 
 def _twice_rate_sign(q1: int, c1: int, q2: int, c2: int, e: int) -> int:
@@ -201,12 +127,32 @@ def gaussian_factorial(m: int, q: int) -> int:
     return out
 
 
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+def degree(poly: Sequence[int]) -> int:
+    """Index of the highest nonzero coefficient; 0 for the zero polynomial."""
+    return max((i for i, c in enumerate(poly) if c), default=0)
+
+
+def evaluate(poly: Sequence[int], q: int) -> int:
+    """The value of the polynomial at q, by Horner's rule."""
+    out = 0
+    for c in reversed(poly):
+        out = out * q + c
+    return out
+
+
+def poly_mul(
+    a: Sequence[int], b: Sequence[int], acc: Optional[list[int]] = None
+) -> list[int]:
+    """a * b, coefficients ascending.  Given acc, adds the product into it in
+    place, growing it as needed, and returns it."""
+    if acc is None:
+        acc = []
+    if a and b and len(acc) < len(a) + len(b) - 1:
+        acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+            acc[i + j] += x * y
+    return acc
 
 
 def gaussian_factorial_poly(m: int) -> list[int]:

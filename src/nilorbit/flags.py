@@ -2,9 +2,9 @@
 
 The central object is the fiber over a pair (x, v): complete flags
 0 < V_1 < ... < V_n stabilized by x step by step, with v required to lie
-in the m-th step.  Counts are exact; interpolation across primes recovers
-the count polynomial, whose degree and leading coefficient are the
-quantities the verification suites check.
+in the m-th step.  Its count is a polynomial in q with integer
+coefficients, computed once and evaluated at each prime; its degree and
+leading coefficient are the quantities the verification suites check.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .counting import (
-    CountPolynomial,
     CountSeries,
+    degree,
+    evaluate,
     first_primes,
     gaussian_factorial,
-    interpolate,
+    poly_mul,
 )
 from .gfmat import (
     BudgetExceededError,
@@ -181,22 +182,6 @@ def _pattern_dimensions(
     return tuple(out)
 
 
-def _evaluate(poly: Sequence[int], q: int) -> int:
-    out = 0
-    for c in reversed(poly):
-        out = out * q + c
-    return out
-
-
-def _add_product(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
-    """acc += a * b, coefficients ascending; acc grows as needed."""
-    if a and b and len(acc) < len(a) + len(b) - 1:
-        acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            acc[i + j] += x * y
-
-
 @lru_cache(maxsize=None)
 def _poly_table(bla: Bipartition) -> _Table:
     """{quotient class: number of lines in ker x, in Z[q]} for the normal form of bla.
@@ -226,7 +211,7 @@ def _poly_table(bla: Bipartition) -> _Table:
                 f"{vectors} (ascending in q) vectors of a pattern in the table of "
                 f"{bla} are not divisible by q - 1"
             )
-        _add_product(out.setdefault(key, []), lines, (1,))  # out[key] += lines
+        poly_mul(lines, (1,), out.setdefault(key, []))  # out[key] += lines
     return MappingProxyType({key: tuple(lines) for key, lines in out.items()})
 
 
@@ -289,7 +274,7 @@ class _FiberCounter:
             for quotient, lines in self.table(bla).items():
                 kept = ((a, quotient),) if total(quotient) else ()
                 rest = self.count(blocks[:i] + kept + blocks[i + 1 :], max(m - 1, 0))
-                _add_product(found, lines, rest)
+                poly_mul(lines, rest, found)
         self.memo[key] = tuple(found)
         return self.memo[key]
 
@@ -307,7 +292,7 @@ def count_fiber(condition: FlagCondition, budget: int = _FIBER_BUDGET) -> int:
         classifier = MixedClassifier(x, p)
     except NonSplitError:
         return 0
-    return _evaluate(_FiberCounter(budget).count(classifier.invariant(v).blocks, m), p)
+    return evaluate(_FiberCounter(budget).count(classifier.invariant(v).blocks, m), p)
 
 
 @dataclass(frozen=True)
@@ -318,7 +303,7 @@ class SpringerReport:
     d_mu: int
     primes: tuple[int, ...]
     counts: tuple[int, ...]
-    polynomial: CountPolynomial
+    polynomial: tuple[int, ...]
     degree_ok: bool
     leading_ok: bool
 
@@ -330,7 +315,7 @@ class SpringerReport:
             "d_mu": self.d_mu,
             "primes": list(self.primes),
             "counts": list(self.counts),
-            "polynomial": self.polynomial.to_json(),
+            "polynomial": [str(c) for c in self.polynomial],
             "degree_ok": self.degree_ok,
             "leading_ok": self.leading_ok,
         }
@@ -352,7 +337,13 @@ def springer_report(
     m: int,
     primes: Optional[Sequence[int]] = None,
 ) -> SpringerReport:
-    """Fiber count polynomial of the orbit bmu, with degree and leading checks."""
+    """Fiber count polynomial of the orbit bmu, with degree and leading checks.
+
+    The polynomial is the fiber recursion's, padded with zeros to d_mu + 1
+    coefficients; the counts are its values at the primes, of which there
+    must be at least d_mu + 1.  A polynomial of degree above d_mu is kept
+    whole and fails the degree check.
+    """
     bmu = as_bipartition(bmu)
     n = total(bmu)
     if size(bmu[0]) != m:
@@ -366,23 +357,22 @@ def springer_report(
     for p in primes:
         PrimeField(p)
     fiber = _FiberCounter(_FIBER_BUDGET).count(((0, bmu),) if n else (), m)
-    counts = [_evaluate(fiber, p) for p in primes]
-    poly = interpolate(CountSeries.of(list(zip(primes, counts))), d)
-    if poly.coefficients != fiber + (0,) * (len(poly.coefficients) - len(fiber)):
-        raise RuntimeError(
-            f"the degree-{d} interpolant {poly.to_json()} of the counts of {bmu} "
-            f"differs from the fiber polynomial {list(fiber)}"
-        )
+    # the series rejects primes that are not distinct and increasing
+    series = CountSeries.of([(p, evaluate(fiber, p)) for p in primes])
+    if len(primes) < d + 1:
+        raise ValueError(f"need {d + 1} points for degree {d}, got {len(primes)}")
+    poly = fiber + (0,) * (d + 1 - len(fiber))
+    top = degree(poly)
     return SpringerReport(
         mu=bmu,
         m=m,
         n=n,
         d_mu=d,
         primes=primes,
-        counts=tuple(counts),
+        counts=tuple(c for _, c in series.points),
         polynomial=poly,
-        degree_ok=(poly.degree == d and poly.leading != 0),
-        leading_ok=(poly.leading == irr_dim(bmu)),
+        degree_ok=(top == d and poly[top] != 0),
+        leading_ok=(poly[top] == irr_dim(bmu)),
     )
 
 
@@ -450,7 +440,7 @@ def slice_count(
     diagonal = [s[i][i] for i in range(n)]
     target = MixedClassifier(z0.x, p, eigenvalues=diagonal).invariant(z0.v)
     counter = _FiberCounter(budget, order=diagonal)
-    fiber = _evaluate(counter.count(target.blocks, m), p)
+    fiber = evaluate(counter.count(target.blocks, m), p)
     try:
         pairs = mixed_orbit_size(target, field, budget) * fiber
     except BudgetExceededError as exc:

@@ -94,6 +94,16 @@ def test_springer_rejects_non_primes(capsys):
         assert capsys.readouterr().err == f"invalid input: {primes[0]} is not prime\n"
 
 
+def test_springer_rejects_prime_lists_it_cannot_use(capsys):
+    for primes, message in (
+        (["5", "7"], "need 4 points for degree 3, got 2"),
+        (["7", "5", "3", "2"], "primes must be distinct and increasing"),
+    ):
+        code = main(["springer", "--n", "3", "--primes", *primes])
+        assert code == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
 def test_springer_single_mu(tmp_path):
     code, text = run_cli(["springer", "--mu", "[[1],[1]]"], tmp_path)
     assert code == 0
@@ -191,6 +201,7 @@ PINNED_REPORTS = {
     "exotic --n 2 --checks roots twisted-set z-bound": "819aa224462d0d08a50dec8f8c9c23ccc580708062b82c7a9ebd787875827bd7",
     "springer --n 4 --m 4": "803b698238893a32049c46969d97700108e725ec62297eca31ecbf17ae848af0",
     "springer --n 5": "e4a3c80dec2d4b3c6fc735ccf01b25e472fe5846822dccc6ed5458d7ffb038aa",
+    "springer --n 6": "ec7997e4c2721ae22b295d0803befe50d19f208db29c2b365cca11adff731e43",
 }
 
 

@@ -1,21 +1,19 @@
-"""Interpolation, growth estimates and Gaussian factorials."""
+"""Polynomials in Z[q], growth estimates and Gaussian factorials."""
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from nilorbit.counting import (
-    CountPolynomial,
     CountSeries,
-    InterpolationError,
+    degree,
+    evaluate,
     first_primes,
     gaussian_factorial,
     gaussian_factorial_poly,
     gaussian_int,
     growth_exponent,
-    interpolate,
     poly_mul,
     slope_dim,
     slope_estimates,
@@ -31,38 +29,12 @@ def test_series_validation():
         CountSeries.of([(3, -1)])
 
 
-def test_interpolate_examples():
-    poly = interpolate(CountSeries.of([(2, 1), (3, 1)]), 0)
-    assert poly.coefficients == (Fraction(1),)
-    poly = interpolate(CountSeries.of([(2, 3), (3, 4), (5, 6)]), 1)
-    assert poly.coefficients == (Fraction(1), Fraction(1))
-    assert poly.degree == 1 and poly.leading == 1
-
-
-def test_interpolate_needs_enough_points():
-    with pytest.raises(ValueError):
-        interpolate(CountSeries.of([(2, 1)]), 1)
-
-
-def test_interpolate_surfaces_residual():
-    # 2^q is not a polynomial of degree 2
-    series = CountSeries.of([(2, 4), (3, 8), (5, 32), (7, 128)])
-    with pytest.raises(InterpolationError):
-        interpolate(series, 2)
-
-
-def test_interpolate_reproduces_flag_counts():
-    series = CountSeries.of([(q, gaussian_factorial(3, q)) for q in (2, 3, 5, 7)])
-    poly = interpolate(series, 3)
-    assert [int(c) for c in poly.coefficients] == gaussian_factorial_poly(3)
-    assert poly(11) == gaussian_factorial(3, 11)
-
-
 def test_polynomial_evaluation():
-    poly = CountPolynomial((Fraction(1), Fraction(0), Fraction(2)))
-    assert poly(3) == 19
-    assert poly.degree == 2
-    assert poly.leading == 2
+    assert evaluate((1, 0, 2), 3) == 19
+    assert evaluate((), 5) == 0
+    assert degree((1, 0, 2)) == 2
+    assert degree((1, 3, 0, 0)) == 1
+    assert degree((0, 0)) == degree(()) == 0
 
 
 def test_slope_examples():
@@ -131,6 +103,10 @@ def test_gaussian_factorial_poly():
 def test_poly_mul():
     assert poly_mul([1, 1], [1, 1]) == [1, 2, 1]
     assert poly_mul([], [1]) == []
+    acc = [5]
+    assert poly_mul([1, 1], [0, 1], acc) is acc
+    assert acc == [5, 1, 1]
+    assert poly_mul([1], [1], [1, 2, 3, 4]) == [2, 2, 3, 4]
 
 
 def test_first_primes():

@@ -1,25 +1,26 @@
 """Flag fiber counts: oracles, covariance, reports, covering degrees, slices."""
 
 import itertools
+import json
 import random
 from collections import Counter
-from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from nilorbit.counting import (
     CountSeries,
+    evaluate,
     gaussian_factorial_poly,
     poly_mul,
     slope_dim,
 )
 from nilorbit import flags
+from nilorbit.cli import main
 from nilorbit.flags import (
     FlagCondition,
     _FiberCounter,
     _count_plain,
-    _evaluate,
     _poly_table,
     count_fiber,
     fiber_dimension,
@@ -194,7 +195,7 @@ def enumerated_transition_table(bla, p):
 def test_transition_tables_match_line_enumeration(n_max, p):
     for n in range(1, n_max + 1):
         for bla in enumerate_bipartitions(n):
-            got = {key: _evaluate(lines, p) for key, lines in _poly_table(bla).items()}
+            got = {key: evaluate(lines, p) for key, lines in _poly_table(bla).items()}
             assert got == enumerated_transition_table(bla, p), (bla, p)
 
 
@@ -203,7 +204,7 @@ def test_transition_tables_count_every_line_of_the_kernel():
         counter = _FiberCounter(budget=10**6)
         for n in range(1, 5):
             for bla in enumerate_bipartitions(n):
-                table = {q: _evaluate(lines, p) for q, lines in counter.table(bla).items()}
+                table = {q: evaluate(lines, p) for q, lines in counter.table(bla).items()}
                 ell = len(partition_sum(*bla))
                 assert sum(table.values()) == (p**ell - 1) // (p - 1), (bla, p)
                 assert all(total(quotient) == n - 1 for quotient in table)
@@ -297,7 +298,7 @@ def test_ordered_fibers_add_up_to_the_fiber(p):
             )
             for m in range(n + 1):
                 ordered = sum(
-                    _evaluate(_FiberCounter(10**6, order=order).count(blocks, m), p)
+                    evaluate(_FiberCounter(10**6, order=order).count(blocks, m), p)
                     for order in orders
                 )
                 assert ordered == count_fiber(FlagCondition(x, v, m, p)), (blocks, m)
@@ -342,7 +343,7 @@ def test_springer_report_top_orbit():
         rep = springer_report(((m,), (n - m,)), m)
         assert rep.d_mu == 0
         assert rep.degree_ok and rep.leading_ok
-        assert rep.polynomial.coefficients == (Fraction(1),)
+        assert rep.polynomial == (1,)
 
 
 def product_poly(m, k):
@@ -356,7 +357,7 @@ def test_springer_report_column_case_where_product_holds():
         bmu = ((1,) * m, (1,) * (n - m))
         rep = springer_report(bmu, m)
         assert rep.degree_ok and rep.leading_ok
-        assert [int(c) for c in rep.polynomial.coefficients] == product_poly(m, n - m)
+        assert list(rep.polynomial) == product_poly(m, n - m)
 
 
 def test_springer_report_column_case_true_counts_n4():
@@ -367,16 +368,16 @@ def test_springer_report_column_case_true_counts_n4():
     degree and leading coefficient still agree with the product.
     """
     rep = springer_report(((1, 1), (1, 1)), 2)
-    assert [int(c) for c in rep.polynomial.coefficients] == [1, 3, 1]
+    assert rep.polynomial == (1, 3, 1)
     assert rep.degree_ok and rep.leading_ok
     rep = springer_report(((1, 1, 1), (1,)), 3)
-    assert [int(c) for c in rep.polynomial.coefficients] == [1, 3, 4, 1]
+    assert rep.polynomial == (1, 3, 4, 1)
     assert rep.degree_ok and rep.leading_ok
 
 
 def test_springer_report_example_n2():
     rep = springer_report(((1,), (1,)), 1)
-    assert rep.d_mu == 0 and rep.polynomial.leading == 1
+    assert rep.d_mu == 0 and rep.polynomial == (1,)
     assert rep.leading_ok and rep.degree_ok
 
 
@@ -405,11 +406,27 @@ def test_springer_report_counts_match_plain_enumeration():
                 assert count == plain, (bmu, p)
 
 
-def test_springer_report_checks_the_interpolation_residual(monkeypatch):
-    evaluate = flags._evaluate
-    monkeypatch.setattr(flags, "_evaluate", lambda poly, q: evaluate(poly, q) + (q == 7))
-    with pytest.raises(RuntimeError, match="differs from the fiber polynomial"):
-        springer_report(((1, 1), (1, 1)), 2)
+def test_springer_report_keeps_a_polynomial_above_its_degree(monkeypatch, capsys):
+    """A fiber polynomial of degree d_mu + 1 is reported whole and fails the
+    degree check; the springer command exits 1 instead of raising."""
+    bmu = ((1, 1), (1, 1))
+    d = fiber_dimension(bmu)
+    too_high = (1,) * (d + 1) + (7,)
+    count = flags._FiberCounter.count
+    monkeypatch.setattr(
+        flags._FiberCounter,
+        "count",
+        lambda self, blocks, m: too_high if blocks == ((0, bmu),) else count(self, blocks, m),
+    )
+    rep = springer_report(bmu, 2)
+    assert rep.polynomial == too_high
+    assert rep.counts == tuple(evaluate(too_high, p) for p in rep.primes)
+    assert not rep.degree_ok
+    assert rep.to_json()["polynomial"] == [str(c) for c in too_high]
+    assert main(["springer", "--mu", "[[1,1],[1,1]]"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert doc["reports"][0]["polynomial"] == ["1", "1", "1", "7"]
 
 
 def test_galois_examples():

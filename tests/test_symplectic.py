@@ -51,14 +51,43 @@ from nilorbit.symplectic import (
 from nilorbit.verify import EXOTIC_FIBER_PRIMES, _exotic_case_data, exotic_orbit_cases
 
 
+def rank_one_factors(g, p):
+    """The nonzero (index, entry) of a column a and of a row b with g - I = a b.
+
+    Raises AssertionError unless g - I has rank one, as for a transvection.
+    """
+    n = len(g)
+    d = [[(g[i][j] - (i == j)) % p for j in range(n)] for i in range(n)]
+    b = next(row for row in d if any(row))
+    k = next(j for j, e in enumerate(b) if e)
+    inv = pow(b[k], -1, p)
+    a = [row[k] * inv % p for row in d]
+    assert all(d[i][j] == a[i] * b[j] % p for i in range(n) for j in range(n)), g
+    return [(i, e) for i, e in enumerate(a) if e], [(j, e) for j, e in enumerate(b) if e]
+
+
+def left_mul_rank_one(factors, m, p):
+    """g m = m + a (b m) for g - I = a b: only the rows in supp(a) change."""
+    sa, sb = factors
+    bm = [0] * len(m)
+    for k, e in sb:
+        bm = [t + e * x for t, x in zip(bm, m[k])]
+    out = list(m)
+    for i, e in sa:
+        out[i] = tuple((x + e * y) % p for x, y in zip(m[i], bm))
+    return tuple(out)
+
+
 def mulclose(gens, p, expect=None):
+    """The group generated by transvections, closed by left multiplication."""
+    factors = [rank_one_factors(g, p) for g in gens]
     els = set(gens)
     frontier = list(els)
     while frontier:
         fresh = []
-        for a in gens:
+        for f in factors:
             for b in frontier:
-                c = mat_mul(a, b, p)
+                c = left_mul_rank_one(f, b, p)
                 if c not in els:
                     els.add(c)
                     fresh.append(c)
@@ -178,6 +207,18 @@ def test_sp_generation_small():
         space = SymplecticSpace(1, p)
         els = mulclose(sp_generators(space), p, expect=sp_order(1, p))
         assert len(els) == sp_order(1, p)
+
+
+def test_left_mul_rank_one_matches_mat_mul():
+    rng = random.Random(17)
+    for n in (1, 2):
+        for p in (3, 5):
+            space = SymplecticSpace(n, p)
+            for g in sp_generators(space):
+                factors = rank_one_factors(g, p)
+                for _ in range(5):
+                    m = random_matrix(2 * n, p, rng)
+                    assert left_mul_rank_one(factors, m, p) == mat_mul(g, m, p), (g, m)
 
 
 def test_sp4_generation():
