@@ -41,7 +41,6 @@ from .pairs import (  # noqa: F401
     mixed_orbit_size,
     orbit_representative,
     orbit_size,
-    same_orbit,
     stab_dim,
 )
 from .counting import (  # noqa: F401

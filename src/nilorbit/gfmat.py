@@ -13,6 +13,7 @@ two spanning sets of the same subspace produce identical bases.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -113,48 +114,62 @@ def apply(v: Vector, a: Matrix, p: int) -> Vector:
 
 def mat_inv(a: Matrix, p: int) -> Matrix:
     n = len(a)
-    aug = [list(ra) + list(ri) for ra, ri in zip(a, identity(n))]
-    r, _ = _row_reduce(aug, p)
-    if r < n:
+    aug = [(*ra, *ri) for ra, ri in zip(a, identity(n))]
+    _, pivots = _row_reduce(aug, p)
+    # [a | I] always has rank n; a is invertible iff its own columns hold the pivots
+    if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def _row_reduce(rows: list[list[int]], p: int) -> tuple[int, list[int]]:
-    """In-place reduced row echelon form; returns (rank, pivot columns)."""
-    if not rows:
+def _row_reduce(rows: list[Sequence[int]], p: int) -> tuple[int, list[int]]:
+    """In-place reduced row echelon form; returns (rank, pivot columns).
+
+    Every row is replaced by a list of its entries reduced mod p on entry,
+    so the rows come out reduced, zero rows included, and the input rows
+    themselves are never mutated.
+    """
+    nrows = len(rows)
+    if not nrows:
         return 0, []
+    for i in range(nrows):
+        rows[i] = [x % p for x in rows[i]]
     ncols = len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if rows[piv][c]:
+                break
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c] % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        row = rows[piv]
+        rows[piv] = rows[r]
+        lead = row[c]
+        if lead != 1:
+            inv = pow(lead, p - 2, p)
+            row = [(x * inv) % p for x in row]
+        rows[r] = row
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], row)]
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return r, pivots
 
 
 def rref(a: Matrix, p: int) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form, rank and pivot columns (zero rows kept)."""
-    rows = [list(r) for r in a]
+    """Reduced row echelon form, rank and pivot columns (zero rows kept, reduced mod p)."""
+    rows = list(a)
     rank, pivots = _row_reduce(rows, p)
     return tuple(tuple(r) for r in rows), rank, pivots
 
 
 def rank(a: Matrix, p: int) -> int:
-    rows = [list(r) for r in a]
-    r, _ = _row_reduce(rows, p)
+    r, _ = _row_reduce(list(a), p)
     return r
 
 
@@ -173,7 +188,7 @@ def _kernel_of_reduced(rows: Sequence[Sequence[int]], pivots: list[int], ncols: 
 
 def right_kernel(a: Matrix, p: int) -> "Subspace":
     """Canonical basis of {w : A w^T = 0} as a subspace of GF(p)^cols."""
-    rows = [list(r) for r in a]
+    rows = list(a)
     _, pivots = _row_reduce(rows, p)
     return _kernel_of_reduced(rows, pivots, shape(a)[1], p)
 
@@ -195,7 +210,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(vectors: Sequence[Vector], ambient: int, p: int) -> "Subspace":
-        rows = [list(v) for v in vectors]
+        rows = list(vectors)
         r, pivots = _row_reduce(rows, p)
         return Subspace(ambient, p, tuple(tuple(row) for row in rows[:r]), tuple(pivots))
 
@@ -204,6 +219,7 @@ class Subspace:
         return Subspace(ambient, p, (), ())
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def full(ambient: int, p: int) -> "Subspace":
         return Subspace(ambient, p, identity(ambient), tuple(range(ambient)))
 
@@ -292,11 +308,13 @@ def power_images(x: Matrix, p: int) -> list["Subspace"]:
     if any(len(row) != n for row in x):
         raise ValueError("matrix must be square")
     spaces = [Subspace.full(n, p)]
+    images = x  # the rows of x are the images of the standard basis
     while spaces[-1].dim:
-        image = Subspace.from_vectors([apply(b, x, p) for b in spaces[-1].basis], n, p)
+        image = Subspace.from_vectors(images, n, p)
         if image.dim == spaces[-1].dim:
             raise ValueError("matrix is not nilpotent")
         spaces.append(image)
+        images = [apply(b, x, p) for b in image.basis]
     return spaces
 
 

@@ -186,26 +186,6 @@ def stab_dim(z: EnhancedPair) -> int:
     return len(basis) - rank(images, z.p)
 
 
-def stabilizer_space(z: EnhancedPair) -> list[Matrix]:
-    """Basis of {A in the commutant of x : v.A = 0}."""
-    basis = commutant(z.x, z.p)
-    if not basis:
-        return []
-    images = tuple(apply(z.v, a, z.p) for a in basis)
-    coeff_kernel = right_kernel(transpose(images), z.p)
-    n, p = z.n, z.p
-    out = []
-    for coeffs in coeff_kernel.basis:
-        rows = [[0] * n for _ in range(n)]
-        for c, a in zip(coeffs, basis):
-            if c:
-                for i in range(n):
-                    for j in range(n):
-                        rows[i][j] = (rows[i][j] + c * a[i][j]) % p
-        out.append(tuple(tuple(r) for r in rows))
-    return out
-
-
 def split_eigenspaces(
     x: Matrix, p: int, eigenvalues: Optional[Sequence[int]] = None
 ) -> list[tuple[int, Subspace, Matrix]]:
@@ -271,12 +251,6 @@ def mixed_invariant(z: EnhancedPair) -> MixedInvariant:
     return MixedClassifier(z.x, z.p).invariant(z.v)
 
 
-def same_orbit(z1: EnhancedPair, z2: EnhancedPair) -> bool:
-    if z1.p != z2.p or z1.n != z2.n:
-        raise ValueError("pairs live on different spaces")
-    return mixed_invariant(z1) == mixed_invariant(z2)
-
-
 def orbit_representative(bla: Bipartition, p: int) -> EnhancedPair:
     """Normal form of the orbit: Jordan matrix plus marked block vectors.
 
@@ -305,53 +279,37 @@ def orbit_representative(bla: Bipartition, p: int) -> EnhancedPair:
     return z
 
 
-def census(n: int, field: PrimeField, budget: int = 5_000_000) -> dict[Bipartition, int]:
-    """Classify every pair (x nilpotent, v) over GF(p) by brute enumeration."""
+def census(n: int, field: PrimeField, budget: int = 5_000_000) -> Mapping[Bipartition, int]:
+    """Classify every pair (x nilpotent, v) over GF(p) by brute enumeration.
+
+    The table is cached per (n, p) and read-only; the budget bounds the
+    p^(n^2) matrices scanned and is checked before the cache is read.
+    """
     p = field.p
     if p ** (n * n) > budget:
         raise BudgetExceededError(
             f"census would scan {p**(n*n)} matrices, budget is {budget}"
         )
+    return _census_table(n, p)
+
+
+@lru_cache(maxsize=None)
+def _census_table(n: int, p: int) -> Mapping[Bipartition, int]:
+    """The table of census(n, GF(p)).  A nilpotent matrix has trace 0, so a
+    matrix with nonzero trace is skipped before its profile is computed."""
     table: dict[Bipartition, int] = {
         bla: 0 for bla in enumerate_bipartitions(n)
     }
     for x in gfmat.all_matrices(n, p):
+        if sum(x[i][i] for i in range(n)) % p:
+            continue
         try:
             profile = _nilpotent_profile(x, p)
         except ValueError:
             continue
         for v in gfmat.all_vectors(n, p):
             table[_classify_nilpotent(x, v, p, profile)] += 1
-    return table
-
-
-def stabilizer_group_order(z: EnhancedPair, budget: int = 50_000_000) -> int:
-    """Order of {g invertible : gx = xg, v.g = v} by enumerating I + S0.
-
-    S0 is the linear space {A in the commutant : v.A = 0}; the affine space
-    I + S0 is exactly the solution set of the stabilizer equations, and its
-    invertible points form the stabilizer group.  This is the slow oracle
-    behind orbit_size; the budget bounds the p^dim(S0) points enumerated.
-    """
-    p, n = z.p, z.n
-    basis = stabilizer_space(z)
-    d = len(basis)
-    if p**d > budget:
-        raise BudgetExceededError(
-            f"stabilizer enumeration at n={n}, p={p} needs {p**d} points, "
-            f"budget is {budget}"
-        )
-    flat_basis = [[entry for row in b for entry in row] for b in basis]
-    base = [entry for row in identity(n) for entry in row]
-    count = 0
-    for coeffs in gfmat.all_vectors(d, p):
-        flat = base
-        for c, b in zip(coeffs, flat_basis):
-            if c:
-                flat = [(f + c * e) % p for f, e in zip(flat, b)]
-        if rank(tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)), p) == n:
-            count += 1
-    return count
+    return MappingProxyType(table)
 
 
 def centralizer_order(lam: Partition, p: int) -> int:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nilorbit.gfmat import (
     PrimeField,
     Subspace,
+    all_matrices,
     apply,
     identity,
     induced_maps,
@@ -16,8 +17,10 @@ from nilorbit.gfmat import (
     mat_inv,
     mat_mul,
     partition_from_ranks,
+    power_images,
     random_invertible,
     rank,
+    right_kernel,
     rref,
     rref_rank_kernel,
     transpose,
@@ -249,3 +252,118 @@ def test_mat_mul_and_apply_match_naive_products():
         assert mat_mul(b, ((),) * 2, p) == naive_mat_mul(b, ((),) * 2, p) == ((),) * 3
         assert apply((), (), p) == naive_apply((), (), p) == ()
         assert apply((1, 2, 3), ((),) * 3, p) == naive_apply((1, 2, 3), ((),) * 3, p) == ()
+
+
+def gauss_jordan(rows, ncols, p):
+    """Textbook Gauss-Jordan oracle: (reduced echelon rows, pivot columns).
+
+    Each step takes the first row at or below the next pivot position with a
+    nonzero entry in the column, scales it by the inverse of that entry and
+    subtracts multiples of it from every other row, with no shortcuts.
+    """
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(m)) if m[i][c] % p != 0]
+        if not below:
+            continue
+        m[r], m[below[0]] = m[below[0]], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [(inv * x) % p for x in m[r]]
+        m = [
+            row if i == r else [(x - row[c] * y) % p for x, y in zip(row, m[r])]
+            for i, row in enumerate(m)
+        ]
+        pivots.append(c)
+    return m, pivots
+
+
+def gauss_jordan_kernel(rows, ncols, p):
+    """Basis of {w : A w = 0}, one vector per free column of the oracle's RREF."""
+    reduced, pivots = gauss_jordan(rows, ncols, p)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        w = [0] * ncols
+        w[free] = 1
+        for row, c in zip(reduced, pivots):
+            w[c] = -row[free] % p
+        basis.append(w)
+    return basis
+
+
+def is_reduced(rows, p):
+    return all(0 <= x < p for row in rows for x in row)
+
+
+def test_row_reduction_matches_gauss_jordan_oracle():
+    """rref, rank, kernels, canonical subspaces and inverses against the oracle,
+    on unreduced entries in [-2p, 3p)."""
+    rng = random.Random(16)
+    inverses = 0
+    for p in (2, 3, 5, 7, 11):
+        for nrows in range(7):
+            for ncols in range(1, 8):
+                for _ in range(3):
+                    a = random_entries(nrows, ncols, p, rng)
+                    expected, pivots = gauss_jordan(a, ncols, p)
+                    expected = tuple(tuple(row) for row in expected)
+                    reduced, rk, got_pivots = rref(a, p)
+                    assert (reduced, rk, got_pivots) == (expected, len(pivots), pivots), (p, a)
+                    assert is_reduced(reduced, p)
+                    assert rank(a, p) == len(pivots)
+
+                    space = Subspace.from_vectors(a, ncols, p)
+                    assert space.basis == expected[: len(pivots)]
+                    assert space.pivots == tuple(pivots)
+                    assert is_reduced(space.basis, p)
+
+                    if nrows:
+                        kernel = right_kernel(a, p)
+                        oracle = gauss_jordan(gauss_jordan_kernel(a, ncols, p), ncols, p)[0]
+                        assert kernel.basis == tuple(
+                            tuple(row) for row in oracle if any(row)
+                        ), (p, a)
+                        assert is_reduced(kernel.basis, p)
+
+                    if nrows == ncols and len(pivots) == nrows:
+                        inverses += 1
+                        aug = [tuple(ra) + tuple(ri) for ra, ri in zip(a, identity(nrows))]
+                        oracle = gauss_jordan(aug, 2 * nrows, p)[0]
+                        inv = mat_inv(a, p)
+                        assert inv == tuple(tuple(row[nrows:]) for row in oracle), (p, a)
+                        assert is_reduced(inv, p)
+                        assert mat_mul(a, inv, p) == identity(nrows)
+                    elif nrows == ncols and nrows:
+                        with pytest.raises(ZeroDivisionError):
+                            mat_inv(a, p)
+    assert inverses > 50
+
+
+def power_images_by_identity(x, p):
+    """The row spaces of the powers of x, starting from x applied to identity rows."""
+    n = len(x)
+    spaces = [Subspace.from_vectors(identity(n), n, p)]
+    while spaces[-1].dim:
+        image = Subspace.from_vectors([apply(b, x, p) for b in spaces[-1].basis], n, p)
+        if image.dim == spaces[-1].dim:
+            raise ValueError("matrix is not nilpotent")
+        spaces.append(image)
+    return spaces
+
+
+def test_power_images_match_identity_definition_on_all_3x3_over_f2():
+    nilpotent = 0
+    for x in all_matrices(3, 2):
+        try:
+            expected = power_images_by_identity(x, 2)
+        except ValueError:
+            with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+                power_images(x, 2)
+            continue
+        assert power_images(x, 2) == expected, x
+        nilpotent += 1
+    assert nilpotent == 2 ** (3 * 3 - 3)  # Fine-Herstein
+    assert power_images((), 5) == [Subspace(0, 5, (), ())]
+    assert Subspace.full(3, 5) is Subspace.full(3, 5)
+    assert Subspace.full(3, 5) == Subspace.from_vectors(identity(3), 3, 5)

@@ -20,12 +20,15 @@ from nilorbit.gfmat import (
     mat_inv,
     mat_mul,
     random_invertible,
+    rank,
     zeros,
 )
 from nilorbit.pairs import (
     EnhancedPair,
     MixedClassifier,
     NonSplitError,
+    _classify_nilpotent,
+    _nilpotent_profile,
     bipartition_from_types,
     census,
     centralizer_order,
@@ -35,9 +38,7 @@ from nilorbit.pairs import (
     mixed_orbit_size,
     orbit_representative,
     orbit_size,
-    same_orbit,
     stab_dim,
-    stabilizer_group_order,
 )
 from nilorbit.partitions import (
     a_stat,
@@ -45,6 +46,8 @@ from nilorbit.partitions import (
     enumerate_partitions,
     partition_sum,
 )
+from nilorbit.verify import CENSUS_POINTS
+from oracles import same_orbit, stabilizer_group_order, stabilizer_space
 
 
 def conjugate_pair(z: EnhancedPair, seed: int) -> EnhancedPair:
@@ -254,6 +257,37 @@ def test_census_budget():
         census(3, PrimeField(3), budget=100)
 
 
+def census_by_scan(n, p):
+    """Census oracle: every matrix goes through the profile, with no filter."""
+    table = {bla: 0 for bla in enumerate_bipartitions(n)}
+    for x in all_matrices(n, p):
+        try:
+            profile = _nilpotent_profile(x, p)
+        except ValueError:
+            continue
+        for v in all_vectors(n, p):
+            table[_classify_nilpotent(x, v, p, profile)] += 1
+    return table
+
+
+@pytest.mark.parametrize("n,p", list(CENSUS_POINTS) + [(2, 5)])
+def test_census_matches_unfiltered_scan(n, p):
+    assert census(n, PrimeField(p)) == census_by_scan(n, p)
+
+
+def test_census_table_is_read_only():
+    table = census(2, PrimeField(3))
+    with pytest.raises(TypeError):
+        table[((), (1, 1))] = 0
+    assert census(2, PrimeField(3)) is table
+
+
+def test_census_budget_is_checked_before_the_cache():
+    assert sum(census(2, PrimeField(2)).values()) == 2**4  # fills the (n, p) cache
+    with pytest.raises(BudgetExceededError, match=r"^census would scan 16 matrices, budget is 1$"):
+        census(2, PrimeField(2), budget=1)
+
+
 def test_orbit_size_examples():
     assert orbit_size(((), (1, 1, 1)), PrimeField(5)) == 1
     assert orbit_size(((1,), ()), PrimeField(3)) == 2
@@ -310,16 +344,12 @@ def test_centralizer_order_matches_stabilizer_of_zero_vector():
 
 
 def test_stabilizer_group_order_python_fallback():
-    # the generic (n > 4) path must agree with the vectorized one
+    # the oracle against a direct count of the invertible points of I + S0
     z = orbit_representative(((1,), (1,)), 3)
     fast = stabilizer_group_order(z)
     slow_z = EnhancedPair(z.x, z.v, z.p)
-    import nilorbit.pairs as pairs_mod
-
-    basis = pairs_mod.stabilizer_space(slow_z)
+    basis = stabilizer_space(slow_z)
     count = 0
-    from nilorbit.gfmat import all_vectors, rank
-
     for coeffs in all_vectors(len(basis), 3):
         rows = [
             [
