@@ -35,6 +35,7 @@ from .pairs import (  # noqa: F401
     MixedInvariant,
     NonSplitError,
     census,
+    class_polynomial,
     classify,
     commutant,
     mixed_invariant,

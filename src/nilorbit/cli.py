@@ -255,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=2_000_000,
-        help="bound on the memo states of each fiber count and on the p^k vectors "
-        "each k-dimensional eigenvalue block's orbit size classifies",
+        help="bound on the memo states of each fiber count",
     )
     c.set_defaults(func=cmd_slice)
 

@@ -5,13 +5,11 @@ q, ascending; the empty tuple is the zero polynomial.  This module is the
 one place that multiplies and evaluates them.  A count series is a list of
 (prime, count) pairs; where no polynomial is known, the growth rate across
 primes, rounded to the nearest integer in exact arithmetic, serves as a
-dimension estimate.  `growth_exponent` is the one estimate that still fits
-floating-point logs.
+dimension estimate.  No float enters.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -82,36 +80,6 @@ def slope_dim(series: CountSeries) -> int:
             f"inconsistent growth estimates {estimates} for counts {series.points}"
         )
     return estimates[0]
-
-
-def growth_exponent(series: CountSeries) -> int:
-    """Dimension estimate robust to bounded multiplicative drift.
-
-    Point counts of the shape kappa(p) * p^d with kappa slowly varying
-    (products of (1 - p^-i) factors) drag consecutive-pair slopes off the
-    integer at small primes.  The least-squares slope across all points
-    absorbs the drift; the endpoint slope must round to the same integer,
-    otherwise the estimate is rejected.
-    """
-    pts = series.points
-    if len(pts) < 2:
-        raise ValueError("need at least two points")
-    if any(c == 0 for _, c in pts):
-        raise ValueError("counts must be positive for slope estimation")
-    xs = [math.log(q) for q, _ in pts]
-    ys = [math.log(c) for _, c in pts]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    fit = round(sxy / sxx)
-    ends = round((ys[-1] - ys[0]) / (xs[-1] - xs[0]))
-    if fit != ends:
-        raise ValueError(
-            f"growth estimates disagree (fit {fit}, endpoints {ends}) "
-            f"for counts {pts}"
-        )
-    return fit
 
 
 def gaussian_int(k: int, q: int) -> int:

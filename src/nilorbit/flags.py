@@ -421,8 +421,7 @@ def slice_count(
     where fiber_s counts the flags adapted to z0.  |O| is mixed_orbit_size
     and fiber_s the fiber recursion restricted to the eigenvalue order
     s_11, ..., s_nn; a nonzero remainder raises RuntimeError.  The budget
-    bounds the memo states of the fiber count and the vectors of each
-    orbit size.
+    bounds the memo states of the fiber count.
     """
     p = field.p
     n = z0.n
@@ -441,13 +440,7 @@ def slice_count(
     target = MixedClassifier(z0.x, p, eigenvalues=diagonal).invariant(z0.v)
     counter = _FiberCounter(budget, order=diagonal)
     fiber = evaluate(counter.count(target.blocks, m), p)
-    try:
-        pairs = mixed_orbit_size(target, field, budget) * fiber
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"{exc}; the fiber count had finished with {counter.states} memo states "
-            f"in {len(counter.tables)} bipartition tables"
-        ) from None
+    pairs = mixed_orbit_size(target, field) * fiber
     count, rem = divmod(pairs, gaussian_factorial(n, p))
     if rem:
         raise RuntimeError(

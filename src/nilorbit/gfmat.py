@@ -186,15 +186,29 @@ def _kernel_of_reduced(rows: Sequence[Sequence[int]], pivots: list[int], ncols: 
     return Subspace.from_vectors(basis, ncols, p)
 
 
+def _require_rows(a: Matrix) -> None:
+    """A matrix with no rows has lost its column count, so its kernel is unknown."""
+    if not a:
+        raise ValueError("a system with no rows does not fix its number of columns")
+
+
 def right_kernel(a: Matrix, p: int) -> "Subspace":
-    """Canonical basis of {w : A w^T = 0} as a subspace of GF(p)^cols."""
+    """Canonical basis of {w : A w^T = 0} as a subspace of GF(p)^cols.
+
+    Raises ValueError when A has no rows.
+    """
+    _require_rows(a)
     rows = list(a)
     _, pivots = _row_reduce(rows, p)
     return _kernel_of_reduced(rows, pivots, shape(a)[1], p)
 
 
 def rref_rank_kernel(a: Matrix, p: int) -> tuple[Matrix, int, "Subspace"]:
-    """RREF of A, its rank, and the right kernel {w : A w = 0}."""
+    """RREF of A, its rank, and the right kernel {w : A w = 0}.
+
+    Raises ValueError when A has no rows.
+    """
+    _require_rows(a)
     r, rk, pivots = rref(a, p)
     return r, rk, _kernel_of_reduced(r, pivots, shape(a)[1], p)
 

@@ -20,6 +20,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from . import gfmat
+from .counting import evaluate, poly_mul
 from .gfmat import (
     BudgetExceededError,
     Matrix,
@@ -90,12 +91,21 @@ class MixedInvariant:
 
 
 def commutant(x: Matrix, p: int) -> list[Matrix]:
-    """Canonical basis of {A : Ax = xA}, via the n^2 x n^2 commutation system."""
+    """Canonical basis of {A : Ax = xA}, via the n^2 x n^2 commutation system.
+
+    The basis is built once per (x, p); every call returns a fresh list.
+    """
+    return list(_commutant_basis(x, p))
+
+
+@lru_cache(maxsize=None)
+def _commutant_basis(x: Matrix, p: int) -> tuple[Matrix, ...]:
+    """The basis behind commutant(x, p), as a tuple the cache can share."""
     n = len(x)
     if any(len(row) != n for row in x):
         raise ValueError("matrix must be square")
     if n == 0:
-        return []
+        return ()
     system = []
     for i in range(n):
         for j in range(n):
@@ -105,9 +115,9 @@ def commutant(x: Matrix, p: int) -> list[Matrix]:
                 row[k * n + j] = (row[k * n + j] - x[i][k]) % p
             system.append(tuple(row))
     kernel = right_kernel(tuple(system), p)
-    return [
+    return tuple(
         tuple(flat[i * n : (i + 1) * n] for i in range(n)) for flat in kernel.basis
-    ]
+    )
 
 
 def krylov_basis(x: Matrix, v: Vector, p: int) -> list[Vector]:
@@ -159,13 +169,16 @@ def _classify_nilpotent(
 ) -> Bipartition:
     """Bipartition of (x, v) given the profile of x from _nilpotent_profile.
 
-    On V/K with K = F[x]v, x^k has rank dim(im x^k + K) - dim K.
+    On V/K with K = F[x]v, x^k has rank dim(im x^k + K) - dim K.  A cyclic
+    v (K = V, so lam = (n)) needs no rank: the quotient is 0.
     """
     lam, images = profile
     krylov = tuple(krylov_basis(x, v, p))
     if not krylov:
         return ((), lam)
     k = len(krylov)
+    if k == len(x):
+        return (lam, ())
     ranks = [len(x) - k]
     ranks += [rank(space.basis + krylov, p) - k for space in images[1:-1]]
     ranks.append(0)
@@ -196,6 +209,8 @@ def split_eigenspaces(
     characteristic polynomial has roots outside GF(p).
     """
     n = len(x)
+    if n == 0:
+        return []
     out = []
     found = 0
     candidates = range(p) if eigenvalues is None else sorted(set(eigenvalues))
@@ -257,9 +272,13 @@ def orbit_representative(bla: Bipartition, p: int) -> EnhancedPair:
     x is the Jordan matrix of the componentwise sum; in each block i with
     first-component part h = first_i > 0 the vector picks up the basis
     vector at height h of that block.  The result is self-checked through
-    classify.
+    classify, once per (bla, p): the pair is frozen, so the cache shares it.
     """
-    bla = as_bipartition(bla)
+    return _normal_form(as_bipartition(bla), p)
+
+
+@lru_cache(maxsize=None)
+def _normal_form(bla: Bipartition, p: int) -> EnhancedPair:
     first, second = bla
     nu = partition_sum(first, second)
     n = sum(nu)
@@ -325,41 +344,71 @@ def centralizer_order(lam: Partition, p: int) -> int:
     return p**exponent * math.prod(gl_order(m, p) for m in mults)
 
 
-@lru_cache(maxsize=None)
-def _vector_class_counts(lam: Partition, p: int) -> Mapping[Bipartition, int]:
-    """{bipartition: number of v in GF(p)^n with (J_lam, v) in its class}.
+def _commutant_spans(lam: Partition, p: int) -> dict[Bipartition, tuple[int, frozenset]]:
+    """{beta: (dim W_beta, the classes gamma != beta below beta)} over J_lam at p.
 
-    v and cv (c != 0) span the same Krylov space, so they share a class:
-    the zero vector and one monic vector per line of GF(p)^n are classified
-    against one profile of J_lam, each line weighted by its p - 1 nonzero
-    vectors.  The mapping is read-only because the cache hands it to every
-    caller.
+    W_beta = C(x)v_beta is the span of the normal-form vector under the
+    commutant, and gamma lies below beta when v_gamma is in W_beta.
     """
-    x = jordan_matrix(lam, p)
-    n = len(x)
-    profile = _nilpotent_profile(x, p)
-    counts = Counter({_classify_nilpotent(x, (0,) * n, p, profile): 1})
-    for line in Subspace.full(n, p).lines():
-        counts[_classify_nilpotent(x, line, p, profile)] += p - 1
-    return MappingProxyType(dict(counts))
+    n = sum(lam)
+    basis = commutant(jordan_matrix(lam, p), p)
+    vectors = {
+        bla: orbit_representative(bla, p).v
+        for bla in enumerate_bipartitions(n)
+        if partition_sum(*bla) == lam
+    }
+    out = {}
+    for bla, v in vectors.items():
+        span = Subspace.from_vectors([apply(v, a, p) for a in basis], n, p)
+        below = frozenset(g for g, w in vectors.items() if g != bla and span.contains(w))
+        out[bla] = (span.dim, below)
+    return out
 
 
-def orbit_size(bla: Bipartition, field: PrimeField, budget: int = 2_000_000) -> int:
+@lru_cache(maxsize=None)
+def _class_polynomials(lam: Partition) -> Mapping[Bipartition, tuple[int, ...]]:
+    """{beta: c_beta in Z[q]} over the classes beta with partition_sum(*beta) == lam.
+
+    c_beta(q) is the number of v in GF(q)^n with (J_lam, v) in the class of
+    beta.  For g in Z(J_lam), C(x)gv = C(x)v, so W_beta is the same for every
+    vector of the class, and W_beta is the union of the classes below beta.
+    So the sum of c_gamma over gamma <= beta is q^dim W_beta, which Moebius
+    inversion solves from the smallest spans up:
+    c_beta = sum over gamma <= beta of mu(gamma, beta) q^dim W_gamma.  The
+    dimensions and the order do not depend on the prime, so they are
+    computed at 2 and at 3, and a difference raises.  The mapping is
+    read-only because the cache hands it to every caller.
+    """
+    spans = _commutant_spans(lam, 2)
+    if _commutant_spans(lam, 3) != spans:
+        raise RuntimeError(f"the commutant spans over J_{lam} differ between p=2 and p=3")
+    out: dict[Bipartition, tuple[int, ...]] = {}
+    for bla, (dim, below) in sorted(spans.items(), key=lambda item: item[1][0]):
+        if any(spans[g][0] == dim for g in below):
+            raise RuntimeError(f"two classes over J_{lam} share the span of {bla}")
+        poly = [0] * dim + [1]
+        for g in below:
+            poly_mul(out[g], (-1,), poly)  # poly -= c_gamma
+        out[bla] = tuple(poly)
+    return MappingProxyType(out)
+
+
+def class_polynomial(bla: Bipartition) -> tuple[int, ...]:
+    """c_beta in Z[q], ascending: the number of v with (J_lam, v) in the class
+    of beta = (mu, nu), lam = mu + nu, as a polynomial in the field size q."""
+    bla = as_bipartition(bla)
+    return _class_polynomials(partition_sum(*bla))[bla]
+
+
+def orbit_size(bla: Bipartition, field: PrimeField) -> int:
     """Number of GF(p)-points of the orbit of the bipartition (mu, nu).
 
     With lam = mu + nu the orbit maps onto the conjugacy class of J_lam, and
     its fiber over J_lam is the set of v with (J_lam, v) in the orbit, so the
-    size is |GL_n| / |Z(J_lam)| times that number of vectors.  The vector
-    counts are cached per (lam, p); the budget bounds the p^n vectors one
-    count classifies and is checked before the cache is read.
+    size is |GL_n| / |Z(J_lam)| times class_polynomial(bla) at p.
     """
     bla = as_bipartition(bla)
     n, p = total(bla), field.p
-    if p**n > budget:
-        raise BudgetExceededError(
-            f"orbit size at n={n}, p={p} needs {p**n} points (vectors to classify), "
-            f"budget is {budget}"
-        )
     lam = partition_sum(*bla)
     group, cent = gl_order(n, p), centralizer_order(lam, p)
     conjugates, rem = divmod(group, cent)
@@ -367,22 +416,21 @@ def orbit_size(bla: Bipartition, field: PrimeField, budget: int = 2_000_000) -> 
         raise RuntimeError(
             f"orbit-stabilizer division is not exact: |GL|={group}, |Z|={cent}"
         )
-    return conjugates * _vector_class_counts(lam, p)[bla]
+    return conjugates * evaluate(_class_polynomials(lam)[bla], p)
 
 
-def mixed_orbit_size(inv: MixedInvariant, field: PrimeField, budget: int = 2_000_000) -> int:
+def mixed_orbit_size(inv: MixedInvariant, field: PrimeField) -> int:
     """Number of GF(p)-points of the orbit of a split pair with invariant inv.
 
     The stabilizer of a split pair is the product of the stabilizers of its
     blocks on the generalized eigenspaces, so the size is |GL_n| times the
-    product over the blocks of orbit_size(beta_a) / |GL_{n_a}|.  The budget
-    is passed to every orbit_size call.
+    product over the blocks of orbit_size(beta_a) / |GL_{n_a}|.
     """
     p = field.p
     numerator = gl_order(inv.total, p)
     denominator = 1
     for _, bla in inv.blocks:
-        numerator *= orbit_size(bla, field, budget)
+        numerator *= orbit_size(bla, field)
         denominator *= gl_order(total(bla), p)
     size, rem = divmod(numerator, denominator)
     if rem:

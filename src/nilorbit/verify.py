@@ -24,7 +24,6 @@ from .counting import (
     degree,
     first_primes,
     gaussian_factorial_poly,
-    growth_exponent,
     poly_mul,
     slope_dim,
     slope_estimates,
@@ -42,6 +41,7 @@ from .partitions import (
     ah_leq,
     as_bipartition,
     bipartition_to_json,
+    conjugate,
     dominance_leq,
     enumerate_bipartitions,
     enumerate_partitions,
@@ -202,14 +202,15 @@ def stabilizer_dimension_failures(n_max: int, primes: Sequence[int]) -> list[dic
 
 
 def classify_conjugation_failures(n_max: int, seed: int) -> list[dict]:
-    """classify is constant on GL_n orbits, for three seeded g per pair."""
+    """classify is constant on GL_n orbits, for three seeded g per (n, p),
+    each applied to every pair."""
     out = []
     for n in range(1, n_max + 1):
         for p in (2, 3):
+            gs = [random_invertible(n, p, seed * 977 + s) for s in range(3)]
             for bla in enumerate_bipartitions(n):
                 z = pairs_mod.orbit_representative(bla, p)
-                for s in range(3):
-                    g = random_invertible(n, p, seed * 977 + s)
+                for g in gs:
                     got = pairs_mod.classify(pairs_mod.EnhancedPair(*_conjugate(z, g, p), p))
                     if got != bla:
                         out.append(_case(bla, p=p, got=bipartition_to_json(got)))
@@ -243,17 +244,21 @@ def orbit_size_census_failures(n_max: int) -> list[dict]:
 
 
 def orbit_dimension_growth_failures(n_max: int, primes: Sequence[int]) -> list[dict]:
-    """Orbit sizes grow like p^(n^2 - a(beta)); the zero orbit is one point."""
+    """Orbits have dimension n^2 - a(beta): the size |GL_n| / |Z(J_lam)| times
+    c_beta(q) has degree n^2 - sum lam'_i^2 + deg c_beta.  A failing case
+    carries the orbit sizes at the primes."""
     out = []
     for n in range(1, n_max + 1):
         for bla in enumerate_bipartitions(n):
-            counts = [pairs_mod.orbit_size(bla, PrimeField(p)) for p in primes]
             expected = n * n - a_stat(bla)
-            if expected == 0:
-                got = 0 if set(counts) == {1} else None
-            else:
-                got = growth_exponent(CountSeries.of(list(zip(primes, counts))))
+            lam = partition_sum(*bla)
+            got = (
+                n * n
+                - sum(c * c for c in conjugate(lam))
+                + degree(pairs_mod.class_polynomial(bla))
+            )
             if got != expected:
+                counts = [pairs_mod.orbit_size(bla, PrimeField(p)) for p in primes]
                 out.append(_case(bla, counts=counts, expected=expected, got=got))
     return out
 

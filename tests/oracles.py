@@ -2,20 +2,33 @@
 
 Each one checks a fast path of ``nilorbit.pairs`` from an independent
 definition: stabilizers by enumeration of the solution space of the
-stabilizer equations, and orbit equality through the invariant itself.
+stabilizer equations, vector classes by classifying every line, and orbit
+equality through the invariant itself.
 """
+
+from collections import Counter
+from functools import lru_cache
 
 from nilorbit.gfmat import (
     BudgetExceededError,
     Matrix,
+    Subspace,
     all_vectors,
     apply,
     identity,
+    jordan_matrix,
     rank,
     right_kernel,
     transpose,
 )
-from nilorbit.pairs import EnhancedPair, commutant, mixed_invariant
+from nilorbit.pairs import (
+    EnhancedPair,
+    _classify_nilpotent,
+    _nilpotent_profile,
+    commutant,
+    mixed_invariant,
+)
+from nilorbit.partitions import Bipartition, Partition
 
 
 def stabilizer_space(z: EnhancedPair) -> list[Matrix]:
@@ -71,3 +84,21 @@ def stabilizer_group_order(z: EnhancedPair, budget: int = 50_000_000) -> int:
         if rank(tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)), p) == n:
             count += 1
     return count
+
+
+@lru_cache(maxsize=None)
+def vector_class_counts(lam: Partition, p: int) -> dict[Bipartition, int]:
+    """{bipartition: number of v in GF(p)^n with (J_lam, v) in its class}.
+
+    v and cv (c != 0) span the same Krylov space, so they share a class:
+    the zero vector and one monic vector per line of GF(p)^n are classified
+    against one profile of J_lam, each line weighted by its p - 1 nonzero
+    vectors.  This is the oracle of pairs.class_polynomial.
+    """
+    x = jordan_matrix(lam, p)
+    n = len(x)
+    profile = _nilpotent_profile(x, p)
+    counts = Counter({_classify_nilpotent(x, (0,) * n, p, profile): 1})
+    for line in Subspace.full(n, p).lines():
+        counts[_classify_nilpotent(x, line, p, profile)] += p - 1
+    return dict(counts)

@@ -1,10 +1,13 @@
 """Polynomials in Z[q], growth estimates and Gaussian factorials."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import nilorbit
 from nilorbit.counting import (
     CountSeries,
     degree,
@@ -13,7 +16,6 @@ from nilorbit.counting import (
     gaussian_factorial,
     gaussian_factorial_poly,
     gaussian_int,
-    growth_exponent,
     poly_mul,
     slope_dim,
     slope_estimates,
@@ -72,17 +74,6 @@ def test_slope_estimates_agree_with_float_rounding_off_the_halves():
             assert got == [round(rate)], (q1, c1, q2, c2)
 
 
-def test_growth_exponent_handles_drift():
-    # |GL_2(F_p)| = p^4 (1 - 1/p)(1 - 1/p^2): consecutive pairs disagree
-    series = CountSeries.of([(3, 48), (5, 480), (7, 2016)])
-    with pytest.raises(ValueError):
-        slope_dim(series)
-    assert growth_exponent(series) == 4
-    assert growth_exponent(CountSeries.of([(3, 12), (5, 30), (7, 56)])) == 2
-    with pytest.raises(ValueError):
-        growth_exponent(CountSeries.of([(3, 1), (5, 1), (7, 0)]))
-
-
 def test_gaussian_values():
     assert gaussian_int(1, 5) == 1
     assert gaussian_int(3, 2) == 7
@@ -114,3 +105,62 @@ def test_first_primes():
     assert first_primes(2, minimum=4) == [5, 7]
     assert first_primes(1, minimum=8) == [11]
     assert first_primes(5, 10) == [11, 13, 17, 19, 23]
+
+
+def float_uses(source: str) -> list[str]:
+    """Float literals, true divisions, float()/round() calls and math.log*
+    uses in the source, one "line: what" entry each."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        what = None
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            what = f"literal {node.value!r}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            what = "true division"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "round")
+        ):
+            what = f"{node.func.id}() call"
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr.startswith("log")
+        ):
+            what = f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            logs = [a.name for a in node.names if a.name.startswith("log")]
+            what = f"from math import {', '.join(logs)}" if logs else None
+        if what:
+            found.append((node.lineno, what))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_float_guard_sees_each_kind_of_use():
+    source = (
+        "import math\nfrom math import log2\n"
+        "a = 0.5\nb = 1 / 2\nb /= 3\nc = float(2)\nd = round(7, 1)\ne = math.log(3)\n"
+        "f = 7 // 2\ng = math.prod([2])\n"
+    )
+    assert float_uses(source) == [
+        "2: from math import log2",
+        "3: literal 0.5",
+        "4: true division",
+        "5: true division",
+        "6: float() call",
+        "7: round() call",
+        "8: math.log",
+    ]
+
+
+def test_library_arithmetic_is_exact():
+    """Every count in the library is an integer or a polynomial in Z[q]."""
+    package = Path(nilorbit.__file__).parent
+    found = {
+        path.name: uses
+        for path in sorted(package.glob("*.py"))
+        if (uses := float_uses(path.read_text()))
+    }
+    assert found == {}

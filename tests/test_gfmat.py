@@ -48,6 +48,13 @@ def test_rref_examples():
     assert rk == 1 and ker.dim == 1
 
 
+@pytest.mark.parametrize("kernel", [right_kernel, rref_rank_kernel])
+def test_kernels_reject_a_system_with_no_rows(kernel):
+    # () could have any number of columns, so its kernel is not defined
+    with pytest.raises(ValueError, match="no rows"):
+        kernel((), 5)
+
+
 def test_kernel_vectors_annihilate():
     rng = random.Random(11)
     for p in (2, 3, 5):

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from nilorbit.counting import evaluate
 from nilorbit.gfmat import (
     BudgetExceededError,
     PrimeField,
@@ -20,24 +21,29 @@ from nilorbit.gfmat import (
     mat_inv,
     mat_mul,
     random_invertible,
-    rank,
     zeros,
 )
 from nilorbit.pairs import (
     EnhancedPair,
     MixedClassifier,
+    MixedInvariant,
     NonSplitError,
+    _class_polynomials,
     _classify_nilpotent,
+    _commutant_basis,
     _nilpotent_profile,
+    _normal_form,
     bipartition_from_types,
     census,
     centralizer_order,
+    class_polynomial,
     classify,
     commutant,
     mixed_invariant,
     mixed_orbit_size,
     orbit_representative,
     orbit_size,
+    split_eigenspaces,
     stab_dim,
 )
 from nilorbit.partitions import (
@@ -46,8 +52,8 @@ from nilorbit.partitions import (
     enumerate_partitions,
     partition_sum,
 )
-from nilorbit.verify import CENSUS_POINTS
-from oracles import same_orbit, stabilizer_group_order, stabilizer_space
+from nilorbit.verify import CENSUS_POINTS, orbit_dimension_growth_failures
+from oracles import same_orbit, stabilizer_group_order, vector_class_counts
 
 
 def conjugate_pair(z: EnhancedPair, seed: int) -> EnhancedPair:
@@ -295,11 +301,9 @@ def test_orbit_size_examples():
 
 
 def test_orbit_size_matches_census():
-    for n in (1, 2):
-        for p in (2, 3):
-            table = census(n, PrimeField(p))
-            for bla, count in table.items():
-                assert orbit_size(bla, PrimeField(p)) == count, (bla, p)
+    for n, p in CENSUS_POINTS:  # up to (3, 2)
+        for bla, count in census(n, PrimeField(p)).items():
+            assert orbit_size(bla, PrimeField(p)) == count, (bla, p)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -308,16 +312,86 @@ def test_orbit_size_of_the_empty_bipartition(p):
 
 
 def test_orbit_size_budget():
-    with pytest.raises(BudgetExceededError):
+    # orbit_size enumerates no vectors, so it has no budget: 211^3 = 9,393,931
+    # vectors, past the old 2M default, still give the closed form
+    p = 211
+    with pytest.raises(TypeError):
         orbit_size(((), (1, 1, 1)), PrimeField(7), budget=100)
+    assert orbit_size(((3,), ()), PrimeField(p)) == gl_order(3, p)  # free orbit
+    assert orbit_size(((), (1, 1, 1)), PrimeField(p)) == 1
+    total = sum(orbit_size(bla, PrimeField(p)) for bla in enumerate_bipartitions(3))
+    assert total == p**9
 
 
 def test_orbit_size_budget_is_checked_before_the_cache():
+    # the cache holds c_beta per lambda, not vector counts per (lambda, p), so
+    # a new prime is served from it without a rebuild
     bla = ((1,), (1, 1))
-    orbit_size(bla, PrimeField(7))  # fills the (lambda, p) vector-count cache
-    with pytest.raises(BudgetExceededError, match=r"n=3, p=7 needs 343 points .*, budget is 342"):
-        orbit_size(bla, PrimeField(7), budget=342)
-    assert orbit_size(bla, PrimeField(7), budget=343) > 0
+    orbit_size(bla, PrimeField(7))  # fills the lambda = (2, 1) cache entry
+    misses = _class_polynomials.cache_info().misses
+    p = 211
+    total = sum(
+        orbit_size(b, PrimeField(p))
+        for b in enumerate_bipartitions(3)
+        if partition_sum(*b) == (2, 1)
+    )
+    assert _class_polynomials.cache_info().misses == misses
+    assert total == gl_order(3, p) // centralizer_order((2, 1), p) * p**3
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_class_polynomials_match_vector_counts(n):
+    """c_beta at p against classifying every line of GF(p)^n, p^n <= 20,000."""
+    for lam in enumerate_partitions(n):
+        for p in (2, 3, 5, 7):
+            if p**n > 20_000:
+                continue
+            got = {
+                bla: evaluate(class_polynomial(bla), p)
+                for bla in enumerate_bipartitions(n)
+                if partition_sum(*bla) == lam
+            }
+            assert got == vector_class_counts(lam, p), (lam, p)
+
+
+def test_class_polynomial_examples():
+    assert class_polynomial(((), ())) == (1,)
+    assert class_polynomial(((), (1,))) == (1,)  # v = 0
+    assert class_polynomial(((1,), ())) == (-1, 1)  # v != 0
+    assert class_polynomial(((2,), ())) == (0, -1, 1)  # v outside ker J_2
+    assert class_polynomial(((1, 1), ())) == (-1, 0, 1)  # x = 0, v != 0
+
+
+def test_orbit_dimension_is_an_exact_degree():
+    """n^2 - sum lam'_i^2 + deg c_beta = n^2 - a(beta) for every beta, n <= 6."""
+    assert orbit_dimension_growth_failures(6, (3, 5, 7)) == []
+
+
+def test_normal_form_cache_matches_a_fresh_build():
+    for p in (2, 3):
+        for n in range(4):
+            for bla in enumerate_bipartitions(n):
+                assert orbit_representative(bla, p) == _normal_form.__wrapped__(bla, p)
+    assert orbit_representative([[2], [1]], 3) is orbit_representative(((2,), (1,)), 3)
+
+
+def test_commutant_returns_a_fresh_list():
+    x, p = jordan_matrix((2, 1), 5), 5
+    basis = commutant(x, p)
+    expected = list(basis)
+    basis.pop()
+    basis.append(zeros(3, 3))
+    assert commutant(x, p) == expected == list(_commutant_basis.__wrapped__(x, p))
+    assert commutant(x, p) is not commutant(x, p)
+
+
+def test_commutant_of_the_empty_matrix():
+    assert commutant((), 5) == []
+
+
+def test_split_eigenspaces_of_the_empty_matrix():
+    assert split_eigenspaces((), 5) == []
+    assert MixedClassifier((), 5).invariant(()) == MixedInvariant(())
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for n in range(4) for p in (2, 3)] + [(4, 2)])
@@ -328,7 +402,9 @@ def test_orbit_size_matches_stabilizer_oracle(n, p):
         assert orbit_size(bla, PrimeField(p)) * stab == gl_order(n, p), (bla, p)
 
 
-@pytest.mark.parametrize("n,p", [(n, p) for n in range(6) for p in (2, 3)])
+@pytest.mark.parametrize(
+    "n,p", [(n, p) for n in range(6) for p in (2, 3, 5, 7, 11, 101)]
+)
 def test_orbit_sizes_sum_to_all_pairs(n, p):
     """Fine-Herstein: p^(n^2 - n) nilpotents times p^n vectors."""
     total = sum(orbit_size(bla, PrimeField(p)) for bla in enumerate_bipartitions(n))
@@ -341,26 +417,6 @@ def test_centralizer_order_matches_stabilizer_of_zero_vector():
         for lam in enumerate_partitions(n):
             z = orbit_representative(((), lam), p)
             assert centralizer_order(lam, p) == stabilizer_group_order(z), lam
-
-
-def test_stabilizer_group_order_python_fallback():
-    # the oracle against a direct count of the invertible points of I + S0
-    z = orbit_representative(((1,), (1,)), 3)
-    fast = stabilizer_group_order(z)
-    slow_z = EnhancedPair(z.x, z.v, z.p)
-    basis = stabilizer_space(slow_z)
-    count = 0
-    for coeffs in all_vectors(len(basis), 3):
-        rows = [
-            [
-                (identity(2)[i][j] + sum(c * b[i][j] for c, b in zip(coeffs, basis))) % 3
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-        if rank(tuple(tuple(r) for r in rows), 3) == 2:
-            count += 1
-    assert fast == count
 
 
 def test_mixed_classifier_batches():

@@ -9,6 +9,7 @@ import pytest
 from nilorbit.counting import CountSeries, slope_dim
 from nilorbit.gfmat import (
     BudgetExceededError,
+    Subspace,
     all_matrices,
     all_vectors,
     apply,
@@ -279,6 +280,16 @@ def test_isotropic_flags_budget_reports_progress():
 
 def test_isotropic_flags_n1_p3_count_is_4():
     assert len(isotropic_flags(SymplecticSpace(1, 3))) == 4
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_isotropic_flags_start_from_the_perp_of_the_zero_space(p):
+    # the perp of the zero space is the whole space, not the kernel of an
+    # empty system: at n = 1 every one of the p + 1 lines is a flag
+    flags = isotropic_flags(SymplecticSpace(1, p))
+    assert sorted(flag[0].basis for flag in flags) == sorted(
+        (line,) for line in Subspace.full(2, p).lines()
+    )
 
 
 def test_symplectic_transitions_move_standard_flag():
