@@ -60,8 +60,8 @@ from .symplectic import (  # noqa: F401
     SignedPermutation,
     SymplecticSpace,
     exotic_fiber_count,
+    exotic_orbit_size,
     exotic_slice_count,
-    h_orbit,
     iotheta_set,
     isotropic_flags,
     root_identity_check,

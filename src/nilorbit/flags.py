@@ -30,15 +30,12 @@ from .gfmat import (
     Subspace,
     Vector,
     apply,
-    identity,
     induced_maps,
     mat_mul,
-    mat_sub,
     partition_from_ranks,
     power_images,
     rank,
     right_kernel,
-    scal_mul,
     transpose,
 )
 from . import gfmat
@@ -80,42 +77,6 @@ class FlagCondition:
             raise ValueError("dimension mismatch")
         if not 0 <= self.m <= n:
             raise ValueError(f"step index must lie in [0, {n}], got {self.m}")
-
-
-def _count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int = _FIBER_BUDGET) -> int:
-    """Depth-first enumeration of stable flags with pruning at step m; the
-    budget bounds the flag nodes it visits."""
-    n = len(x)
-    nodes = 0
-    flags = 0
-
-    def recurse(space: Subspace, depth: int) -> int:
-        nonlocal nodes, flags
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"flag enumeration exceeded {budget} nodes; visited {nodes - 1} nodes "
-                f"and found {flags} complete flags, stopped at depth {depth} of {n}"
-            )
-        if depth == m and not space.contains(v):
-            return 0
-        if depth == n:
-            flags += 1
-            return 1
-        _, quotient = induced_maps(x, space, p)
-        complement = [c for c in range(n) if c not in space.pivots]
-        found = 0
-        for a in range(p):
-            shifted = mat_sub(quotient, scal_mul(a, identity(len(quotient)), p), p)
-            for line in right_kernel(transpose(shifted), p).lines():
-                lift = [0] * n
-                for j, c in enumerate(complement):
-                    lift[c] = line[j]
-                found += recurse(space.sum(Subspace.from_vectors([tuple(lift)], n, p)),
-                                 depth + 1)
-        return found
-
-    return recurse(Subspace.zero(n, p), 0)
 
 
 _Table = Mapping[Bipartition, tuple[int, ...]]
@@ -284,8 +245,8 @@ def count_fiber(condition: FlagCondition, budget: int = _FIBER_BUDGET) -> int:
 
     A stable complete flag triangularizes x, so when the characteristic
     polynomial of x does not split over GF(p) the count is 0.  The depth
-    first enumeration `_count_plain` is the tests' oracle.  The budget
-    bounds the memo states of the recursion.
+    first enumeration `count_plain` in `tests/oracles.py` is its oracle.
+    The budget bounds the memo states of the recursion.
     """
     x, v, m, p = condition.x, condition.v, condition.m, condition.p
     try:

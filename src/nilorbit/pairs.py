@@ -93,12 +93,19 @@ class MixedInvariant:
 def commutant(x: Matrix, p: int) -> list[Matrix]:
     """Canonical basis of {A : Ax = xA}, via the n^2 x n^2 commutation system.
 
-    The basis is built once per (x, p); every call returns a fresh list.
+    The basis is built once per (x, p) while it stays among the last
+    COMMUTANT_CACHE_SIZE matrices asked for; every call returns a fresh list.
     """
     return list(_commutant_basis(x, p))
 
 
-@lru_cache(maxsize=None)
+# Commutant bases kept per process.  The library asks only for Jordan
+# matrices J_lam, a few dozen of them per run; the bound keeps a caller that
+# passes many distinct matrices from holding every basis.
+COMMUTANT_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=COMMUTANT_CACHE_SIZE)
 def _commutant_basis(x: Matrix, p: int) -> tuple[Matrix, ...]:
     """The basis behind commutant(x, p), as a tuple the cache can share."""
     n = len(x)

@@ -4,8 +4,8 @@ V = GF(p)^{2n} carries the standard symplectic form in the basis
 e_1..e_n, f_1..f_n.  The involution theta(g) = J (g^T)^{-1} J^{-1} fixes
 exactly the symplectic group, and the twisted set {g : theta(g) = g^{-1}}
 models the quotient of GL_{2n} by it.  Pairs (x, v) with x in the twisted
-set are acted on by Sp_{2n}(F_p); orbits are explored by breadth-first
-closure under symplectic transvections, with no invariant shortcuts.
+set are acted on by Sp_{2n}(F_p); an orbit's size is read off the
+blockwise classifier of pairs and the class polynomials of `pairs`.
 
 The flag-stabilizing Borel subgroup is taken in the theta-stable flag
 order e_1, ..., e_n, f_n, ..., f_1; with the row-vector action its
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -34,6 +36,9 @@ from .gfmat import (
     rank,
     transpose,
 )
+from .counting import evaluate
+from .pairs import MixedClassifier, class_polynomial
+from .partitions import conjugate, partition_sum
 
 
 @dataclass(frozen=True)
@@ -173,15 +178,6 @@ def identity_scaled(space: SymplecticSpace, c: int) -> Matrix:
     )
 
 
-def flag_unipotent_elements(space: SymplecticSpace) -> Iterator[Matrix]:
-    """All elements of the unipotent radical of the flag-stabilizing Borel.
-
-    p^{n(2n-1)} of them; the library's twisted cosets and pattern subgroups
-    avoid this walk, which stays as the tests' oracle.
-    """
-    return gfmat.unitriangular_elements(space.flag_order, space.p)
-
-
 def in_flag_borel_coset(space: SymplecticSpace, y: Matrix, s: Matrix) -> bool:
     """Whether y lies in s U for the flag Borel, i.e. is flag-triangular
     with the diagonal pattern of the diagonal matrix s."""
@@ -205,102 +201,6 @@ def transvection(space: SymplecticSpace, u: Vector, c: int) -> Matrix:
     return tuple(
         tuple((int(i == j) + c * ju[i] * u[j]) % p for j in range(dim)) for i in range(dim)
     )
-
-
-def _generator_data(space: SymplecticSpace) -> list[tuple[Vector, int]]:
-    """(direction u, coefficient c) of each transvection generator, in order."""
-    n, p = space.n, space.p
-    dirs: list[Vector] = []
-    for i in range(n):
-        dirs.append(tuple(1 if k == i else 0 for k in range(2 * n)))
-        dirs.append(tuple(1 if k == n + i else 0 for k in range(2 * n)))
-    for i in range(n - 1):
-        dirs.append(tuple(1 if k in (i + 1, n + i) else 0 for k in range(2 * n)))
-    return [(u, c) for u in dirs for c in (1, p - 1)]
-
-
-def sp_generators(space: SymplecticSpace) -> list[Matrix]:
-    """Transvection generators of Sp_{2n}(F_p).
-
-    Directions e_i, f_i and the cross terms e_{i+1} + f_i connecting
-    consecutive hyperbolic planes; coefficients +-1.  Generation is
-    exercised directly in the tests.
-    """
-    return [transvection(space, u, c) for u, c in _generator_data(space)]
-
-
-def _encode(x: Matrix, v: Vector) -> bytes:
-    return bytes(c for row in x for c in row) + bytes(v)
-
-
-def _transvect(state: bytes, d: int, sa, sb, c: int, p: int) -> bytes:
-    """The encoded pair (g^-1 x g, v g) for g = I + c a b, a rank-one update.
-
-    `sa` and `sb` list the nonzero (index, entry) of the column a and the
-    row b.  Since b a = 0, g^-1 = I - c a b and
-    g^-1 x g = x + c (x a) b - c a (b x) - c^2 (b x a) a b, v g = v + c (v a) b,
-    which changes only the columns of x in supp(b) and its rows in supp(a).
-    """
-    dd = d * d
-    out = list(state)
-    xa = [0] * d
-    for k, ak in sa:
-        xa = [t + ak * e for t, e in zip(xa, state[k:dd:d])]
-    bx = [0] * d
-    for k, bk in sb:
-        bx = [t + bk * e for t, e in zip(bx, state[k * d : (k + 1) * d])]
-    bxa = sum(bk * xa[k] for k, bk in sb)
-    va = sum(ak * state[dd + k] for k, ak in sa)
-    for j, bj in sb:
-        bx[j] += c * bxa * bj  # folds the c^2 term into the row update
-        f = c * bj
-        out[j:dd:d] = [(o + f * e) % p for o, e in zip(out[j:dd:d], xa)]
-        out[dd + j] = (out[dd + j] + f * va) % p
-    for i, ai in sa:
-        f = c * ai
-        row = slice(i * d, (i + 1) * d)
-        out[row] = [(o - f * e) % p for o, e in zip(out[row], bx)]
-    return bytes(out)
-
-
-def h_orbit(
-    space: SymplecticSpace, x: Matrix, v: Vector, budget: int = 500_000
-) -> frozenset[bytes]:
-    """Closure of {(x, v)} under (x, v) -> (g^-1 x g, v g) over generators,
-    as the set of `_encode`d pairs.
-
-    The generator w -> w + c <w, u> u is g = I + c a b with a = J u^T and
-    b = u, and each step is applied to the encoded state by `_transvect`.
-    """
-    p, d = space.p, space.dim
-    if space.p >= 256:
-        raise ValueError("state encoding assumes p < 256")
-    steps = []
-    for u, c in _generator_data(space):
-        a = apply(u, transpose(space.gram), p)
-        sa = [(i, ai) for i, ai in enumerate(a) if ai]
-        sb = [(j, bj) for j, bj in enumerate(u) if bj]
-        steps.append((sa, sb, c))
-    start = _encode(x, v)
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        fresh = []
-        for state in frontier:
-            for sa, sb, c in steps:
-                key = _transvect(state, d, sa, sb, c, p)
-                if key not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetExceededError(
-                            f"orbit exceeded budget of {budget} states; reached "
-                            f"{len(seen)} states while building BFS depth {depth}"
-                        )
-                    seen.add(key)
-                    fresh.append(key)
-        frontier = fresh
-    return frozenset(seen)
 
 
 def iotheta_set(space: SymplecticSpace, budget: int = 100_000) -> tuple[set, set]:
@@ -385,36 +285,6 @@ def _solve_affine(rows: list[Vector], rhs: list[int], dim: int, p: int) -> Vecto
     return tuple(c)
 
 
-def symplectic_transition(space: SymplecticSpace, flag: Sequence[Subspace]) -> Matrix:
-    """An element of Sp mapping the standard isotropic flag onto the given one.
-
-    Rows 1..n are a flag-adapted basis b_i of the isotropic steps; rows
-    n+1..2n are a dual family c_i with <b_i, c_j> = delta_ij and <c_i, c_j> = 0,
-    found by solving the pairing equations step by step.  The library no
-    longer needs it; it stays for the tests' flag-by-flag fiber oracle.
-    """
-    n, p, dim = space.n, space.p, space.dim
-    gram = space.gram
-    bs: list[Vector] = []
-    prev = Subspace.zero(dim, p)
-    for step in flag:
-        pick = next(b for b in step.basis if not prev.contains(b))
-        bs.append(pick)
-        prev = step
-    cs: list[Vector] = []
-    for j in range(n):
-        rows = [apply(b, gram, p) for b in bs]
-        rhs = [1 if i == j else 0 for i in range(n)]
-        for built in cs:
-            rows.append(apply(built, gram, p))
-            rhs.append(0)
-        cs.append(_solve_affine(rows, rhs, dim, p))
-    h = tuple(bs + cs)
-    if not space.is_symplectic(h):
-        raise RuntimeError("transition completion failed the symplectic check")
-    return h
-
-
 def twisted_coset_set(space: SymplecticSpace, s: Matrix) -> list[Matrix]:
     """The intersection (sU)^{iota theta} of the coset s U with the twisted
     set, by a linear solve.
@@ -489,6 +359,57 @@ def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) 
     return count(Subspace.zero(dim, p))
 
 
+def sp_order(m: int, p: int) -> int:
+    """|Sp_2m(GF(p))| = p^(m^2) times the product of p^(2i) - 1 over i <= m."""
+    return p ** (m * m) * math.prod(p ** (2 * i) - 1 for i in range(1, m + 1))
+
+
+def exotic_orbit_size(space: SymplecticSpace, x: Matrix, v: Vector) -> int:
+    """Number of points of the Sp-orbit of the twisted pair (x, v).
+
+    Twisted x is self-adjoint for the form (J x = x^T J), so its generalized
+    eigenspaces V_a are nondegenerate and orthogonal, and on V_a the
+    nilpotent x - a has a Jordan type lam cup lam, every part of lam twice.
+    With n_a = |lam| and m_i the multiplicities of the parts of lam, the
+    centralizer of x in Sp(V_a) has order
+
+        |Z_a| = p^(n_a + 2 sum lam'_i^2 - sum (2 m_i^2 + m_i)) prod |Sp_2m_i|.
+
+    `MixedClassifier` separates the Sp-orbits of the pairs (x, v'), and the
+    v' in the class of (x, v) number the product of the class polynomials
+    c_beta_a(p) of its blocks beta_a, so
+
+        |O| = |Sp_2n| prod c_beta_a(p) / prod |Z_a|.
+
+    Raises ValueError unless x is twisted, NonSplitError when x has an
+    eigenvalue outside GF(p), and RuntimeError on a block type that is not
+    lam cup lam or on an inexact division.
+    """
+    p = space.p
+    if not space.in_twisted_set(x):
+        raise ValueError("x does not lie in the twisted set")
+    numerator, denominator = sp_order(space.n, p), 1
+    for _, bla in MixedClassifier(x, p).invariant(v).blocks:
+        doubled = partition_sum(*bla)
+        lam = doubled[::2]
+        if doubled[1::2] != lam:
+            raise RuntimeError(f"block type {doubled} is not of the form lam cup lam")
+        mults = Counter(lam).values()
+        exponent = (
+            sum(lam)
+            + 2 * sum(c * c for c in conjugate(lam))
+            - sum(2 * m * m + m for m in mults)
+        )
+        numerator *= evaluate(class_polynomial(bla), p)
+        denominator *= p**exponent * math.prod(sp_order(m, p) for m in mults)
+    size, rem = divmod(numerator, denominator)
+    if rem:
+        raise RuntimeError(
+            f"exotic orbit-size division is not exact: {numerator} / {denominator}"
+        )
+    return size
+
+
 def exotic_slice_count(
     space: SymplecticSpace, s: Matrix, u: Matrix, v: Vector
 ) -> tuple[int, int, int]:
@@ -502,17 +423,18 @@ def exotic_slice_count(
 
         |O cap (X x M_n)| * type_c_poincare(n, p) = |O| * fiber(s u, v),
 
-    fiber being `exotic_fiber_count`, which is constant on O.  |O| is the
-    size of the `h_orbit` closure; a nonzero remainder raises RuntimeError.
-    Raises ValueError unless s u is twisted, s = diag(t, t) and v lies in
-    the Lagrangian M_n.
+    fiber being `exotic_fiber_count`, which is constant on O.  |O| is
+    `exotic_orbit_size`; a nonzero remainder raises RuntimeError.  Raises
+    ValueError unless s u is twisted, s = diag(t, t) and v lies in the
+    Lagrangian M_n, and then NonSplitError (a ValueError) when s u has an
+    eigenvalue outside GF(p): such an s u lies in no conjugate of X.
     """
     p = space.p
     if not space.in_lagrangian(v):
         raise ValueError("v must lie in the Lagrangian coordinate span")
     x0 = mat_mul(s, u, p)
     fiber = exotic_fiber_count(space, s, x0, v)
-    orbit_size = len(h_orbit(space, x0, v))
+    orbit_size = exotic_orbit_size(space, x0, v)
     pairs = orbit_size * fiber
     flags = type_c_poincare(space.n, p)
     count, rem = divmod(pairs, flags)

@@ -1,24 +1,33 @@
-"""Slow oracles for enhanced pairs that no library path calls.
+"""Slow oracles that no library path calls.
 
-Each one checks a fast path of ``nilorbit.pairs`` from an independent
+Each one checks a fast path of ``nilorbit`` from an independent
 definition: stabilizers by enumeration of the solution space of the
-stabilizer equations, vector classes by classifying every line, and orbit
-equality through the invariant itself.
+stabilizer equations, vector classes by classifying every line, orbit
+equality through the invariant itself, stable flags by depth-first
+enumeration, and symplectic orbits by breadth-first closure under
+transvections.
 """
 
 from collections import Counter
 from functools import lru_cache
+from typing import Iterator, Sequence
 
+from nilorbit import gfmat
+from nilorbit.flags import _FIBER_BUDGET
 from nilorbit.gfmat import (
     BudgetExceededError,
     Matrix,
     Subspace,
+    Vector,
     all_vectors,
     apply,
     identity,
+    induced_maps,
     jordan_matrix,
+    mat_sub,
     rank,
     right_kernel,
+    scal_mul,
     transpose,
 )
 from nilorbit.pairs import (
@@ -29,6 +38,7 @@ from nilorbit.pairs import (
     mixed_invariant,
 )
 from nilorbit.partitions import Bipartition, Partition
+from nilorbit.symplectic import SymplecticSpace, _solve_affine, transvection
 
 
 def stabilizer_space(z: EnhancedPair) -> list[Matrix]:
@@ -102,3 +112,175 @@ def vector_class_counts(lam: Partition, p: int) -> dict[Bipartition, int]:
     for line in Subspace.full(n, p).lines():
         counts[_classify_nilpotent(x, line, p, profile)] += p - 1
     return dict(counts)
+
+
+def count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int = _FIBER_BUDGET) -> int:
+    """Depth-first enumeration of stable flags with pruning at step m; the
+    budget bounds the flag nodes it visits.  The oracle of flags.count_fiber."""
+    n = len(x)
+    nodes = 0
+    flags = 0
+
+    def recurse(space: Subspace, depth: int) -> int:
+        nonlocal nodes, flags
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"flag enumeration exceeded {budget} nodes; visited {nodes - 1} nodes "
+                f"and found {flags} complete flags, stopped at depth {depth} of {n}"
+            )
+        if depth == m and not space.contains(v):
+            return 0
+        if depth == n:
+            flags += 1
+            return 1
+        _, quotient = induced_maps(x, space, p)
+        complement = [c for c in range(n) if c not in space.pivots]
+        found = 0
+        for a in range(p):
+            shifted = mat_sub(quotient, scal_mul(a, identity(len(quotient)), p), p)
+            for line in right_kernel(transpose(shifted), p).lines():
+                lift = [0] * n
+                for j, c in enumerate(complement):
+                    lift[c] = line[j]
+                found += recurse(space.sum(Subspace.from_vectors([tuple(lift)], n, p)),
+                                 depth + 1)
+        return found
+
+    return recurse(Subspace.zero(n, p), 0)
+
+
+def flag_unipotent_elements(space: SymplecticSpace) -> Iterator[Matrix]:
+    """All elements of the unipotent radical of the flag-stabilizing Borel.
+
+    p^{n(2n-1)} of them; the library's twisted cosets and pattern subgroups
+    avoid this walk.
+    """
+    return gfmat.unitriangular_elements(space.flag_order, space.p)
+
+
+def symplectic_transition(space: SymplecticSpace, flag: Sequence[Subspace]) -> Matrix:
+    """An element of Sp mapping the standard isotropic flag onto the given one.
+
+    Rows 1..n are a flag-adapted basis b_i of the isotropic steps; rows
+    n+1..2n are a dual family c_i with <b_i, c_j> = delta_ij and <c_i, c_j> = 0,
+    found by solving the pairing equations step by step.  It serves the
+    flag-by-flag fiber oracle.
+    """
+    n, p, dim = space.n, space.p, space.dim
+    gram = space.gram
+    bs: list[Vector] = []
+    prev = Subspace.zero(dim, p)
+    for step in flag:
+        pick = next(b for b in step.basis if not prev.contains(b))
+        bs.append(pick)
+        prev = step
+    cs: list[Vector] = []
+    for j in range(n):
+        rows = [apply(b, gram, p) for b in bs]
+        rhs = [1 if i == j else 0 for i in range(n)]
+        for built in cs:
+            rows.append(apply(built, gram, p))
+            rhs.append(0)
+        cs.append(_solve_affine(rows, rhs, dim, p))
+    h = tuple(bs + cs)
+    if not space.is_symplectic(h):
+        raise RuntimeError("transition completion failed the symplectic check")
+    return h
+
+
+def _generator_data(space: SymplecticSpace) -> list[tuple[Vector, int]]:
+    """(direction u, coefficient c) of each transvection generator, in order."""
+    n, p = space.n, space.p
+    dirs: list[Vector] = []
+    for i in range(n):
+        dirs.append(tuple(1 if k == i else 0 for k in range(2 * n)))
+        dirs.append(tuple(1 if k == n + i else 0 for k in range(2 * n)))
+    for i in range(n - 1):
+        dirs.append(tuple(1 if k in (i + 1, n + i) else 0 for k in range(2 * n)))
+    return [(u, c) for u in dirs for c in (1, p - 1)]
+
+
+def sp_generators(space: SymplecticSpace) -> list[Matrix]:
+    """Transvection generators of Sp_{2n}(F_p).
+
+    Directions e_i, f_i and the cross terms e_{i+1} + f_i connecting
+    consecutive hyperbolic planes; coefficients +-1.  Generation is
+    exercised directly in the tests.
+    """
+    return [transvection(space, u, c) for u, c in _generator_data(space)]
+
+
+def encode(x: Matrix, v: Vector) -> bytes:
+    """The pair (x, v) as one flat byte string, the state of `h_orbit`."""
+    return bytes(c for row in x for c in row) + bytes(v)
+
+
+def _transvect(state: bytes, d: int, sa, sb, c: int, p: int) -> bytes:
+    """The encoded pair (g^-1 x g, v g) for g = I + c a b, a rank-one update.
+
+    `sa` and `sb` list the nonzero (index, entry) of the column a and the
+    row b.  Since b a = 0, g^-1 = I - c a b and
+    g^-1 x g = x + c (x a) b - c a (b x) - c^2 (b x a) a b, v g = v + c (v a) b,
+    which changes only the columns of x in supp(b) and its rows in supp(a).
+    """
+    dd = d * d
+    out = list(state)
+    xa = [0] * d
+    for k, ak in sa:
+        xa = [t + ak * e for t, e in zip(xa, state[k:dd:d])]
+    bx = [0] * d
+    for k, bk in sb:
+        bx = [t + bk * e for t, e in zip(bx, state[k * d : (k + 1) * d])]
+    bxa = sum(bk * xa[k] for k, bk in sb)
+    va = sum(ak * state[dd + k] for k, ak in sa)
+    for j, bj in sb:
+        bx[j] += c * bxa * bj  # folds the c^2 term into the row update
+        f = c * bj
+        out[j:dd:d] = [(o + f * e) % p for o, e in zip(out[j:dd:d], xa)]
+        out[dd + j] = (out[dd + j] + f * va) % p
+    for i, ai in sa:
+        f = c * ai
+        row = slice(i * d, (i + 1) * d)
+        out[row] = [(o - f * e) % p for o, e in zip(out[row], bx)]
+    return bytes(out)
+
+
+def h_orbit(
+    space: SymplecticSpace, x: Matrix, v: Vector, budget: int = 500_000
+) -> frozenset[bytes]:
+    """Closure of {(x, v)} under (x, v) -> (g^-1 x g, v g) over generators,
+    as the set of `encode`d pairs: the oracle of symplectic.exotic_orbit_size.
+
+    The generator w -> w + c <w, u> u is g = I + c a b with a = J u^T and
+    b = u, and each step is applied to the encoded state by `_transvect`.
+    """
+    p, d = space.p, space.dim
+    if space.p >= 256:
+        raise ValueError("state encoding assumes p < 256")
+    steps = []
+    for u, c in _generator_data(space):
+        a = apply(u, transpose(space.gram), p)
+        sa = [(i, ai) for i, ai in enumerate(a) if ai]
+        sb = [(j, bj) for j, bj in enumerate(u) if bj]
+        steps.append((sa, sb, c))
+    start = encode(x, v)
+    seen = {start}
+    frontier = [start]
+    depth = 0
+    while frontier:
+        depth += 1
+        fresh = []
+        for state in frontier:
+            for sa, sb, c in steps:
+                key = _transvect(state, d, sa, sb, c, p)
+                if key not in seen:
+                    if len(seen) >= budget:
+                        raise BudgetExceededError(
+                            f"orbit exceeded budget of {budget} states; reached "
+                            f"{len(seen)} states while building BFS depth {depth}"
+                        )
+                    seen.add(key)
+                    fresh.append(key)
+        frontier = fresh
+    return frozenset(seen)

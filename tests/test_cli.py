@@ -198,6 +198,7 @@ PINNED_REPORTS = {
     "verify --suite springer --n-max 3": "190e7ae66d603fe84c9742f66e8363e28cf18554e639a1c320c1affdab4b7e02",
     "verify --suite exotic --n-max 1": "9a2155d8eff23b06373f4b00c5fba6add65ed1b0a960707106315aa23244598c",
     "verify --suite exotic --n-max 3": "f8492895088d57b4a066704ced9f4e35793aa1e5ae1cebd8477e10c4d7dcdebd",
+    "exotic --n 2": "388e6a5267043fdbb1d9a2f83cdda42abecf94a76ad79b57b3f49a87e0899fc0",
     "exotic --n 2 --checks roots twisted-set z-bound": "819aa224462d0d08a50dec8f8c9c23ccc580708062b82c7a9ebd787875827bd7",
     "springer --n 4 --m 4": "803b698238893a32049c46969d97700108e725ec62297eca31ecbf17ae848af0",
     "springer --n 5": "e4a3c80dec2d4b3c6fc735ccf01b25e472fe5846822dccc6ed5458d7ffb038aa",

@@ -1,5 +1,6 @@
 """Orbit classification of enhanced pairs: invariants and exact censuses."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -24,6 +25,7 @@ from nilorbit.gfmat import (
     zeros,
 )
 from nilorbit.pairs import (
+    COMMUTANT_CACHE_SIZE,
     EnhancedPair,
     MixedClassifier,
     MixedInvariant,
@@ -383,6 +385,21 @@ def test_commutant_returns_a_fresh_list():
     basis.append(zeros(3, 3))
     assert commutant(x, p) == expected == list(_commutant_basis.__wrapped__(x, p))
     assert commutant(x, p) is not commutant(x, p)
+
+
+def test_commutant_cache_is_bounded():
+    # the library's runs ask for a few dozen Jordan matrices; a caller that
+    # passes more distinct matrices than the bound leaves the cache full, not
+    # larger, and an evicted basis is rebuilt unchanged
+    p = 5
+    matrices = list(itertools.islice(all_matrices(2, p), COMMUTANT_CACHE_SIZE + 50))
+    first = commutant(matrices[0], p)
+    for x in matrices:
+        commutant(x, p)
+    info = _commutant_basis.cache_info()
+    assert info.maxsize == COMMUTANT_CACHE_SIZE >= 100
+    assert info.currsize == COMMUTANT_CACHE_SIZE
+    assert commutant(matrices[0], p) == first
 
 
 def test_commutant_of_the_empty_matrix():

@@ -1,6 +1,5 @@
 """Symplectic side: involution, twisted sets, flags, orbits, root identities."""
 
-import functools
 import itertools
 import random
 
@@ -22,15 +21,14 @@ from nilorbit.gfmat import (
     transpose,
 )
 from nilorbit import symplectic
+from nilorbit.pairs import MixedClassifier, MixedInvariant, NonSplitError
 from nilorbit.symplectic import (
     SignedPermutation,
     SymplecticSpace,
-    _encode,
     b_stat,
     exotic_fiber_count,
+    exotic_orbit_size,
     exotic_slice_count,
-    flag_unipotent_elements,
-    h_orbit,
     identity_scaled,
     in_flag_borel_coset,
     iotheta_set,
@@ -42,14 +40,19 @@ from nilorbit.symplectic import (
     signed_conjugate,
     signed_permutations,
     signed_rows,
-    sp_generators,
-    symplectic_transition,
     twisted_coset_set,
     type_c_poincare,
     unipotent_meet,
     z_variety_count,
 )
 from nilorbit.verify import EXOTIC_FIBER_PRIMES, _exotic_case_data, exotic_orbit_cases
+from oracles import (
+    encode,
+    flag_unipotent_elements,
+    h_orbit,
+    sp_generators,
+    symplectic_transition,
+)
 
 
 def rank_one_factors(g, p):
@@ -343,7 +346,7 @@ def test_h_orbit_closure_and_divisibility():
                     gi = mat_inv(g, p)
                     moved_x = mat_mul(mat_mul(gi, xm, p), g, p)
                     moved_v = apply(vm, g, p)
-                    assert _encode(moved_x, moved_v) in orbit
+                    assert encode(moved_x, moved_v) in orbit
 
 
 def matrix_bfs_orbit(space, x, v):
@@ -374,7 +377,7 @@ def test_h_orbit_matches_matrix_bfs():
                 orbit = h_orbit(space, x, v)
                 oracle = matrix_bfs_orbit(space, x, v)
                 assert len(orbit) == len(oracle), (n, p, case["name"])
-                assert all(_encode(y, w) in orbit for y, w in oracle)
+                assert all(encode(y, w) in orbit for y, w in oracle)
 
 
 def test_h_orbit_budget_reports_progress():
@@ -408,27 +411,22 @@ def test_exotic_slice_examples_n1():
     assert slope_dim(CountSeries.of(counts)) == 1
 
 
-@pytest.fixture
-def shared_orbits(monkeypatch):
-    """Build each h_orbit closure once, for exotic_slice_count and its oracle."""
-    monkeypatch.setattr(symplectic, "h_orbit", functools.lru_cache(maxsize=None)(h_orbit))
-
-
 def lookup_slice_count(space, s, u, v):
     """Independent oracle: look up every pair of (sU)^{iota theta} x M_n in
     the BFS closure of (s u, v); returns (slice_count, orbit_size)."""
     p, n = space.p, space.n
-    orbit = symplectic.h_orbit(space, mat_mul(s, u, p), v)
+    orbit = h_orbit(space, mat_mul(s, u, p), v)
     count = sum(
-        _encode(y, tail + (0,) * n) in orbit
+        encode(y, tail + (0,) * n) in orbit
         for y in twisted_coset_set(space, s)
         for tail in all_vectors(n, p)
     )
     return count, len(orbit)
 
 
-def test_exotic_slice_count_matches_lookup_on_report_cases(shared_orbits):
-    # the slow case's BFS at p = 7 is left to criterion 7
+def test_exotic_slice_count_matches_lookup_on_report_cases():
+    # the slow case's lookup at p = 7 is a BFS of 115,200 states and is left
+    # out; the exotic --n 2 pin in tests/test_cli.py holds its orbit size there
     for n, primes in ((1, (3, 5, 7)), (2, (3, 5))):
         for case in exotic_orbit_cases(n):
             for p in (5,) if case.get("slow") else primes:
@@ -440,7 +438,7 @@ def test_exotic_slice_count_matches_lookup_on_report_cases(shared_orbits):
                 assert fiber == exotic_fiber_count(space, s, mat_mul(s, u, p), v)
 
 
-def test_exotic_slice_count_matches_lookup_on_random_twisted_pairs(shared_orbits):
+def test_exotic_slice_count_matches_lookup_on_random_twisted_pairs():
     rng = random.Random(5)
     nonzero = 0
     for n, p, count in ((1, 3, 8), (1, 5, 8), (2, 3, 1)):
@@ -461,9 +459,9 @@ def test_exotic_slice_count_matches_lookup_on_random_twisted_pairs(shared_orbits
 
 def test_exotic_slice_count_rejects_bad_input_before_the_orbit(monkeypatch):
     def no_orbit(*args):
-        raise AssertionError("h_orbit reached")
+        raise AssertionError("exotic_orbit_size reached")
 
-    monkeypatch.setattr(symplectic, "h_orbit", no_orbit)
+    monkeypatch.setattr(symplectic, "exotic_orbit_size", no_orbit)
     space = SymplecticSpace(1, 3)
     s = space.torus_twisted([1])
     with pytest.raises(ValueError, match="Lagrangian"):
@@ -490,6 +488,86 @@ def test_exotic_slice_count_raises_on_a_nonzero_remainder(monkeypatch):
         "double count is not exact: |O| * fiber = 5 is not divisible by the 4 "
         "isotropic flags"
     )
+
+
+# x = diag(A, A^T) with A of characteristic polynomial t^2 + 1, irreducible
+# over F_3: x is twisted (J x = x^T J), and no eigenvalue of x lies in GF(3)
+NON_SPLIT_TWISTED = ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 0))
+
+
+def test_exotic_slice_count_raises_on_a_non_split_x():
+    p = 3
+    space = SymplecticSpace(2, p)
+    x = NON_SPLIT_TWISTED
+    s = space.torus_twisted([1, 1])
+    assert space.in_twisted_set(x)
+    for v in ((0, 0, 0, 0), (1, 0, 0, 0)):
+        # no conjugate of X holds x: no stable flag, and no pair in the slice
+        assert exotic_fiber_count(space, s, x, v) == 0
+        assert lookup_slice_count(space, s, x, v)[0] == 0
+        with pytest.raises(NonSplitError):
+            exotic_slice_count(space, s, x, v)
+        with pytest.raises(NonSplitError):
+            exotic_orbit_size(space, x, v)
+
+
+def decode(state, d):
+    """The pair (x, v) of an encoded BFS state of a d-dimensional space."""
+    x = tuple(tuple(state[i * d : (i + 1) * d]) for i in range(d))
+    return x, tuple(state[d * d :])
+
+
+@pytest.mark.parametrize("p, pairs, orbits", [(3, 18, 4), (5, 100, 8)])
+def test_classifier_separates_the_bfs_orbits_and_sizes_them_n1(p, pairs, orbits):
+    # every split twisted pair (x, v), v in all of V: the invariant that
+    # exotic_orbit_size reads is constant on each BFS orbit, differs between
+    # orbits, and the closed form is each orbit's size
+    space = SymplecticSpace(1, p)
+    solution, _ = iotheta_set(space)
+    split = {encode(x, v) for x in solution for v in all_vectors(2, p)}
+    assert len(split) == pairs
+    unvisited = set(split)
+    invariants = []
+    while unvisited:
+        x, v = decode(min(unvisited), 2)
+        orbit = h_orbit(space, x, v)
+        found = {MixedClassifier(y, p).invariant(w) for y, w in (decode(z, 2) for z in orbit)}
+        assert len(found) == 1, (x, v)
+        invariants += found
+        assert exotic_orbit_size(space, x, v) == len(orbit), (x, v)
+        assert orbit <= unvisited
+        unvisited -= orbit
+    assert len(invariants) == len(set(invariants)) == orbits
+
+
+def test_exotic_orbit_size_rejects_what_it_cannot_size(monkeypatch):
+    space = SymplecticSpace(2, 3)
+    with pytest.raises(ValueError, match="twisted set"):
+        exotic_orbit_size(space, ((1, 1, 0, 0),) + identity(4)[1:], (0, 0, 0, 0))
+    x = space.torus_twisted([1, 2])
+    assert exotic_orbit_size(space, x, (0, 0, 0, 0)) == 90
+    # a Sp_2 order off by one leaves the division inexact
+    order = symplectic.sp_order
+    with monkeypatch.context() as m:
+        m.setattr(symplectic, "sp_order", lambda k, p: order(k, p) + (k == 1))
+        with pytest.raises(RuntimeError, match="division is not exact"):
+            exotic_orbit_size(space, x, (0, 0, 0, 0))
+
+    class OddBlock:
+        def __init__(self, x, p):
+            pass
+
+        def invariant(self, v):
+            return MixedInvariant(((1, ((2, 1), (1,))),))
+
+    monkeypatch.setattr(symplectic, "MixedClassifier", OddBlock)
+    with pytest.raises(RuntimeError, match=r"\(3, 1\) is not of the form lam cup lam"):
+        exotic_orbit_size(space, x, (0, 0, 0, 0))
+
+
+def test_sp_order():
+    assert [symplectic.sp_order(m, 3) for m in (0, 1, 2)] == [1, 24, 51840]
+    assert all(symplectic.sp_order(n, p) == sp_order(n, p) for n in (1, 2, 3) for p in (2, 5))
 
 
 def test_exotic_fiber_examples_n1():
