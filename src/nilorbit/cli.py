@@ -153,6 +153,8 @@ def cmd_closure(args) -> int:
 
 def cmd_galois(args) -> int:
     n = args.n
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     prime = args.prime if args.prime else first_primes(1, minimum=n + 1)[0]
     steps = [args.m] if args.m is not None else list(range(n + 1))
     rows = []
@@ -169,7 +171,7 @@ def cmd_galois(args) -> int:
 
 def cmd_slice(args) -> int:
     primes = args.primes or [3, 5, 7]
-    rows = verify_mod.slice_report(args.n, primes=tuple(primes), budget=args.budget)
+    rows = verify_mod.slice_report(args.n, primes=tuple(primes))
     ok = all(row["ok"] for row in rows)
     _emit(args, {"n": args.n, "rows": rows, "ok": ok}, "slice")
     return 0 if ok else 1
@@ -180,12 +182,14 @@ EXOTIC_CHECKS = ("roots", "slice-dim", "fiber-dim", "z-bound", "twisted-set")
 
 def cmd_exotic(args) -> int:
     n = args.n
+    if n < 1:
+        raise ValueError(f"the exotic checks need n >= 1, got {n}")
     selected = args.checks or list(EXOTIC_CHECKS)
     rows = []
     if "roots" in selected:
         cap = min(n, 4)
         rows.append(verify_mod.check_row("roots", verify_mod.root_identity_failures(cap), n=cap))
-    if "twisted-set" in selected and n >= 1:
+    if "twisted-set" in selected:
         failures = verify_mod.twisted_set_failures(args.primes or [3])
         rows.append(verify_mod.check_row("twisted-set", failures, n=1))
     if "slice-dim" in selected or "fiber-dim" in selected:
@@ -198,6 +202,8 @@ def cmd_exotic(args) -> int:
                 "z-bound", failures, n=2, counts=counts, dim_estimate=estimate, expected=bound
             )
         )
+    if not rows:
+        raise ValueError(f"none of the selected checks runs at n={n}")
     ok = all(row["ok"] for row in rows)
     _emit(args, {"n": n, "rows": rows, "ok": ok}, "exotic")
     return 0 if ok else 1
@@ -251,12 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("slice", parents=[common], help="slice dimension checks for mixed pairs")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--primes", type=int, nargs="+")
-    c.add_argument(
-        "--budget",
-        type=int,
-        default=2_000_000,
-        help="bound on the memo states of each fiber count",
-    )
     c.set_defaults(func=cmd_slice)
 
     c = sub.add_parser("exotic", parents=[common], help="symplectic-side dimension checks")

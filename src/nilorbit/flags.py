@@ -24,7 +24,6 @@ from .counting import (
     poly_mul,
 )
 from .gfmat import (
-    BudgetExceededError,
     Matrix,
     PrimeField,
     Subspace,
@@ -57,9 +56,6 @@ from .partitions import (
     size,
     total,
 )
-
-
-_FIBER_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -176,84 +172,58 @@ def _poly_table(bla: Bipartition) -> _Table:
     return MappingProxyType({key: tuple(lines) for key, lines in out.items()})
 
 
-class _FiberCounter:
-    """Stable-flag counts in Z[q] over orbit keys, driven by line-transition tables.
+@lru_cache(maxsize=None)
+def _fiber_polynomial(
+    blocks: tuple[tuple[int, Bipartition], ...], m: int, order: tuple[int, ...] = ()
+) -> tuple[int, ...]:
+    """Coefficients in q, ascending, of the stable-flag count of the pair with these blocks.
 
     A first step V_1 of a stable flag is a line L in ker(x - a) for an
     eigenvalue a, and the count from there on depends only on the orbit
     of the pair induced on V/L and on the remaining step index.  That orbit
     differs from the orbit of (x, v) only in the block of a, whose
     bipartition beta becomes the class of the quotient of the normal form
-    of beta by a line of ker x.  The table {class: number of lines} is a
-    polynomial in q cached per beta, so the recursion runs on (blocks, m)
-    keys alone, once for every prime: a count polynomial evaluated at p is
-    the count over GF(p).  The budget bounds the memo states one counter
-    enters.
+    of beta by a line of ker x.  `_poly_table(beta)` counts those lines per
+    class in Z[q], so the recursion runs on orbit keys alone, once for
+    every prime: a count polynomial evaluated at p is the count over GF(p).
+    The cache is process-wide, so one count's sub-states serve every later
+    count.
 
-    With an eigenvalue order (s_1, ..., s_n), only flags on whose k-th
-    quotient x acts by s_k are counted: a state with r dimensions left
-    extends only blocks of eigenvalue s_(n - r + 1).  The step is fixed by
-    the blocks, so the memo key stays (blocks, m).
+    A non-empty order (s_1, ..., s_r), r the dimension left, counts only
+    the flags on whose k-th quotient x acts by s_k: the first step extends
+    only blocks of eigenvalue s_1, and the rest of the flag follows
+    (s_2, ..., s_r).
     """
-
-    def __init__(self, budget: int, order: Optional[Sequence[int]] = None):
-        self.budget = budget
-        self.order = None if order is None else tuple(order)
-        self.tables: dict[Bipartition, _Table] = {}
-        self.memo: dict = {}
-        self.states = 0
-
-    def table(self, bla: Bipartition) -> _Table:
-        """Quotient classes of the lines in ker x for the normal form of bla."""
-        if bla not in self.tables:
-            self.tables[bla] = _poly_table(bla)
-        return self.tables[bla]
-
-    def count(self, blocks: tuple[tuple[int, Bipartition], ...], m: int) -> tuple[int, ...]:
-        """Coefficients in q, ascending, of the flag count of the pair with these blocks."""
-        if m == 0 and any(bla[0] for _, bla in blocks):
-            return ()
-        if not blocks:
-            return (1,)
-        key = (blocks, m)
-        if key in self.memo:
-            return self.memo[key]
-        if self.states >= self.budget:
-            raise BudgetExceededError(
-                f"flag fiber recursion needs more than {self.budget} memo states; "
-                f"reached {self.states} memo states, {len(self.memo)} of them finished, "
-                f"in {len(self.tables)} bipartition tables"
+    if m == 0 and any(bla[0] for _, bla in blocks):
+        return ()
+    if not blocks:
+        return (1,)
+    found: list[int] = []
+    for i, (a, bla) in enumerate(blocks):
+        if order and a != order[0]:
+            continue
+        for quotient, lines in _poly_table(bla).items():
+            kept = ((a, quotient),) if total(quotient) else ()
+            rest = _fiber_polynomial(
+                blocks[:i] + kept + blocks[i + 1 :], max(m - 1, 0), order[1:]
             )
-        self.states += 1
-        found: list[int] = []
-        wanted = None
-        if self.order is not None:
-            wanted = self.order[len(self.order) - sum(total(bla) for _, bla in blocks)]
-        for i, (a, bla) in enumerate(blocks):
-            if wanted is not None and a != wanted:
-                continue
-            for quotient, lines in self.table(bla).items():
-                kept = ((a, quotient),) if total(quotient) else ()
-                rest = self.count(blocks[:i] + kept + blocks[i + 1 :], max(m - 1, 0))
-                poly_mul(lines, rest, found)
-        self.memo[key] = tuple(found)
-        return self.memo[key]
+            poly_mul(lines, rest, found)
+    return tuple(found)
 
 
-def count_fiber(condition: FlagCondition, budget: int = _FIBER_BUDGET) -> int:
+def count_fiber(condition: FlagCondition) -> int:
     """Exact number of x-stable complete flags with v in step m.
 
     A stable complete flag triangularizes x, so when the characteristic
     polynomial of x does not split over GF(p) the count is 0.  The depth
     first enumeration `count_plain` in `tests/oracles.py` is its oracle.
-    The budget bounds the memo states of the recursion.
     """
     x, v, m, p = condition.x, condition.v, condition.m, condition.p
     try:
         classifier = MixedClassifier(x, p)
     except NonSplitError:
         return 0
-    return evaluate(_FiberCounter(budget).count(classifier.invariant(v).blocks, m), p)
+    return evaluate(_fiber_polynomial(classifier.invariant(v).blocks, m), p)
 
 
 @dataclass(frozen=True)
@@ -317,7 +287,7 @@ def springer_report(
     primes = tuple(primes)
     for p in primes:
         PrimeField(p)
-    fiber = _FiberCounter(_FIBER_BUDGET).count(((0, bmu),) if n else (), m)
+    fiber = _fiber_polynomial(((0, bmu),) if n else (), m)
     # the series rejects primes that are not distinct and increasing
     series = CountSeries.of([(p, evaluate(fiber, p)) for p in primes])
     if len(primes) < d + 1:
@@ -361,13 +331,7 @@ def in_standard_flag_step(v: Vector, m: int) -> bool:
     return all(c == 0 for c in v[m:])
 
 
-def slice_count(
-    s: Matrix,
-    z0: EnhancedPair,
-    m: int,
-    field: PrimeField,
-    budget: int = _FIBER_BUDGET,
-) -> int:
+def slice_count(s: Matrix, z0: EnhancedPair, m: int, field: PrimeField) -> int:
     """Points of the orbit O of z0 inside sU x M_m, by double counting.
 
     s must be diagonal, z0 = (s u, v0) with u flag-unipotent and v0 in M_m.
@@ -381,8 +345,7 @@ def slice_count(
 
     where fiber_s counts the flags adapted to z0.  |O| is mixed_orbit_size
     and fiber_s the fiber recursion restricted to the eigenvalue order
-    s_11, ..., s_nn; a nonzero remainder raises RuntimeError.  The budget
-    bounds the memo states of the fiber count.
+    s_11, ..., s_nn; a nonzero remainder raises RuntimeError.
     """
     p = field.p
     n = z0.n
@@ -397,10 +360,9 @@ def slice_count(
         raise ValueError("z0 is not of the form (s u, v0) with flag-unipotent u")
     if not in_standard_flag_step(z0.v, m):
         raise ValueError(f"v0 must lie in the span of the first {m} coordinates")
-    diagonal = [s[i][i] for i in range(n)]
+    diagonal = tuple(s[i][i] for i in range(n))
     target = MixedClassifier(z0.x, p, eigenvalues=diagonal).invariant(z0.v)
-    counter = _FiberCounter(budget, order=diagonal)
-    fiber = evaluate(counter.count(target.blocks, m), p)
+    fiber = evaluate(_fiber_polynomial(target.blocks, m, diagonal), p)
     pairs = mixed_orbit_size(target, field) * fiber
     count, rem = divmod(pairs, gaussian_factorial(n, p))
     if rem:

@@ -410,38 +410,32 @@ def class_polynomial(bla: Bipartition) -> tuple[int, ...]:
 def orbit_size(bla: Bipartition, field: PrimeField) -> int:
     """Number of GF(p)-points of the orbit of the bipartition (mu, nu).
 
-    With lam = mu + nu the orbit maps onto the conjugacy class of J_lam, and
-    its fiber over J_lam is the set of v with (J_lam, v) in the orbit, so the
-    size is |GL_n| / |Z(J_lam)| times class_polynomial(bla) at p.
+    The one-block case of mixed_orbit_size: the size is |GL_n| / |Z(J_lam)|
+    times class_polynomial(bla) at p, with lam = mu + nu.
     """
-    bla = as_bipartition(bla)
-    n, p = total(bla), field.p
-    lam = partition_sum(*bla)
-    group, cent = gl_order(n, p), centralizer_order(lam, p)
-    conjugates, rem = divmod(group, cent)
-    if rem:
-        raise RuntimeError(
-            f"orbit-stabilizer division is not exact: |GL|={group}, |Z|={cent}"
-        )
-    return conjugates * evaluate(_class_polynomials(lam)[bla], p)
+    return mixed_orbit_size(MixedInvariant(((0, as_bipartition(bla)),)), field)
 
 
 def mixed_orbit_size(inv: MixedInvariant, field: PrimeField) -> int:
     """Number of GF(p)-points of the orbit of a split pair with invariant inv.
 
-    The stabilizer of a split pair is the product of the stabilizers of its
-    blocks on the generalized eigenspaces, so the size is |GL_n| times the
-    product over the blocks of orbit_size(beta_a) / |GL_{n_a}|.
+    The orbit maps onto the conjugacy class of x, whose centralizer is the
+    product of the centralizers of the nilpotent parts J_lam_a of its blocks,
+    lam_a = mu_a + nu_a.  The fiber over x is the set of v whose component
+    in each generalized eigenspace lies in the class of beta_a, and those
+    number class_polynomial(beta_a) at p, so
+
+        |O| = |GL_n| prod c_beta_a(p) / prod |Z(J_lam_a)|.
+
+    An inexact division raises RuntimeError.
     """
     p = field.p
-    numerator = gl_order(inv.total, p)
-    denominator = 1
+    numerator, denominator = gl_order(inv.total, p), 1
     for _, bla in inv.blocks:
-        numerator *= orbit_size(bla, field)
-        denominator *= gl_order(total(bla), p)
+        lam = partition_sum(*bla)
+        numerator *= evaluate(_class_polynomials(lam)[bla], p)
+        denominator *= centralizer_order(lam, p)
     size, rem = divmod(numerator, denominator)
     if rem:
-        raise RuntimeError(
-            f"blockwise orbit-size division is not exact: {numerator} / {denominator}"
-        )
+        raise RuntimeError(f"orbit-size division is not exact: {numerator} / {denominator}")
     return size

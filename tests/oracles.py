@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from nilorbit import gfmat
-from nilorbit.flags import _FIBER_BUDGET
 from nilorbit.gfmat import (
     BudgetExceededError,
     Matrix,
@@ -114,7 +113,11 @@ def vector_class_counts(lam: Partition, p: int) -> dict[Bipartition, int]:
     return dict(counts)
 
 
-def count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int = _FIBER_BUDGET) -> int:
+# flag nodes count_plain visits before it gives up
+PLAIN_BUDGET = 2_000_000
+
+
+def count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int = PLAIN_BUDGET) -> int:
     """Depth-first enumeration of stable flags with pruning at step m; the
     budget bounds the flag nodes it visits.  The oracle of flags.count_fiber."""
     n = len(x)

@@ -79,7 +79,7 @@ def test_criterion_5_covering_degree():
 
 
 def test_criterion_6_slice_dimensions():
-    rows = [row for n in (1, 2, 3) for row in slice_report(n, primes=(3, 5, 7), budget=2_000_000)]
+    rows = [row for n in (1, 2, 3) for row in slice_report(n, primes=(3, 5, 7))]
     equalities = [r for r in rows if r["equality"]]
     bounds = [r for r in rows if not r["equality"]]
     ok = all(r["ok"] for r in rows) and equalities and bounds

@@ -180,6 +180,43 @@ def test_exotic_twisted_set_and_z_bound_rows(tmp_path):
     ]
 
 
+def test_exotic_primes_reach_the_twisted_set_and_z_bound_rows(tmp_path):
+    argv = ["exotic", "--n", "2", "--checks", "twisted-set", "z-bound", "--primes", "3", "5", "7"]
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert rows[0] == {"check": "twisted-set", "n": 1, "ok": True}
+    assert rows[1]["counts"] == [103680, 4680000, 61465600]
+    assert rows[1]["dim_estimate"] == 8
+
+
+def test_commands_that_would_check_nothing_are_invalid_input(capsys):
+    """Out-of-range sizes exit 2 instead of passing on empty or vacuous rows."""
+    messages = {
+        "slice --n 4": "slice cases are tabulated for n in {1, 2, 3}",
+        "slice --n 0": "slice cases are tabulated for n in {1, 2, 3}",
+        "exotic --n -1": "the exotic checks need n >= 1, got -1",
+        "exotic --n 0": "the exotic checks need n >= 1, got 0",
+        "exotic --n 1 --checks z-bound": "none of the selected checks runs at n=1",
+        "exotic --checks twisted-set --primes 2": (
+            "the twisted-set coincidence holds for odd primes only, got p=2"
+        ),
+        "galois --n -1": "n must be nonnegative, got -1",
+        "verify --suite all --n-max -1": "n_max must be nonnegative, got -1",
+    }
+    for command, message in messages.items():
+        assert main(command.split()) == 2, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"invalid input: {message}\n"), command
+
+
+def test_size_zero_commands_with_cases_stay_valid(tmp_path):
+    for command in ("verify --suite all --n-max 0", "galois --n 0"):
+        code, text = run_cli(command.split(), tmp_path)
+        assert code == 0, command
+        assert json.loads(text)["ok"] is True, command
+
+
 def test_verify_partitions_deterministic(tmp_path):
     code1, text1 = run_cli(["verify", "--suite", "partitions", "--n-max", "4"], tmp_path)
     code2, text2 = run_cli(["verify", "--suite", "partitions", "--n-max", "4"], tmp_path)

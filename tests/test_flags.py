@@ -19,7 +19,7 @@ from nilorbit import flags
 from nilorbit.cli import main
 from nilorbit.flags import (
     FlagCondition,
-    _FiberCounter,
+    _fiber_polynomial,
     _poly_table,
     count_fiber,
     fiber_dimension,
@@ -201,10 +201,9 @@ def test_transition_tables_match_line_enumeration(n_max, p):
 
 def test_transition_tables_count_every_line_of_the_kernel():
     for p in (2, 3):
-        counter = _FiberCounter(budget=10**6)
         for n in range(1, 5):
             for bla in enumerate_bipartitions(n):
-                table = {q: evaluate(lines, p) for q, lines in counter.table(bla).items()}
+                table = {q: evaluate(lines, p) for q, lines in _poly_table(bla).items()}
                 ell = len(partition_sum(*bla))
                 assert sum(table.values()) == (p**ell - 1) // (p - 1), (bla, p)
                 assert all(total(quotient) == n - 1 for quotient in table)
@@ -223,31 +222,6 @@ def test_poly_table_rejects_tables_that_differ_between_primes(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         _poly_table(bla)
     assert str(info.value) == "the line patterns of ((1,), (1, 1)) differ between p=2 and p=3"
-
-
-def test_fiber_budget_reports_progress():
-    z = orbit_representative(((1, 1, 1), ()), 5)
-    with pytest.raises(BudgetExceededError) as info:
-        count_fiber(FlagCondition(z.x, z.v, 3, 5), budget=4)
-    assert str(info.value) == (
-        "flag fiber recursion needs more than 4 memo states; reached 4 memo states, "
-        "3 of them finished, in 4 bipartition tables"
-    )
-
-
-def test_fiber_budget_does_not_depend_on_cached_tables():
-    """A counter counts the tables it reads, whether or not they were cached."""
-    z = orbit_representative(((1, 1, 1), ()), 5)
-    condition = FlagCondition(z.x, z.v, 3, 5)
-    _poly_table.cache_clear()
-    messages = []
-    for _ in range(2):
-        with pytest.raises(BudgetExceededError) as info:
-            count_fiber(condition, budget=4)
-        messages.append(str(info.value))
-    cache = _poly_table.cache_info()
-    assert cache.hits == cache.misses == cache.currsize > 0
-    assert messages[0] == messages[1]
 
 
 def test_plain_budget_reports_progress():
@@ -298,10 +272,50 @@ def test_ordered_fibers_add_up_to_the_fiber(p):
             )
             for m in range(n + 1):
                 ordered = sum(
-                    evaluate(_FiberCounter(10**6, order=order).count(blocks, m), p)
+                    evaluate(_fiber_polynomial(blocks, m, order), p)
                     for order in orders
                 )
                 assert ordered == count_fiber(FlagCondition(x, v, m, p)), (blocks, m)
+
+
+def slice_case_fiber_counts(p, ordered_first, cold=False):
+    """Ordered slice counts and unordered fiber counts of the slice cases with
+    n in {2, 3}, from an empty fiber cache; when cold, the cache is emptied
+    before every count."""
+    ordered, unordered = [], []
+    _fiber_polynomial.cache_clear()
+    for n in (2, 3):
+        for case in slice_cases(n):
+            s, z = build_slice_data(case["diag"], case["unip"], case["vtail"], n, p)
+            for m in range(len(case["vtail"]), n + 1):
+                counts = [
+                    (ordered, lambda: slice_count(s, z, m, PrimeField(p))),
+                    (unordered, lambda: count_fiber(FlagCondition(z.x, z.v, m, p))),
+                ]
+                for out, count in counts if ordered_first else counts[::-1]:
+                    if cold:
+                        _fiber_polynomial.cache_clear()
+                    out.append(count())
+    return ordered, unordered
+
+
+@pytest.mark.parametrize("ordered_first", [True, False])
+def test_fiber_cache_gives_the_counts_of_an_empty_cache(ordered_first):
+    """Ordered and unordered counts share the process-wide cache, and neither
+    changes what the other reads from it."""
+    expected = slice_case_fiber_counts(5, True, cold=True)
+    assert slice_case_fiber_counts(5, ordered_first) == expected
+
+
+def test_springer_reports_are_the_same_cold_and_warm():
+    """A warm report reads its polynomial from the cache, one hit each."""
+    _fiber_polynomial.cache_clear()
+    cold = [springer_report(bmu, size(bmu[0])) for bmu in enumerate_bipartitions(4)]
+    before = _fiber_polynomial.cache_info()
+    warm = [springer_report(bmu, size(bmu[0])) for bmu in enumerate_bipartitions(4)]
+    after = _fiber_polynomial.cache_info()
+    assert warm == cold
+    assert (after.hits - before.hits, after.misses) == (len(cold), before.misses)
 
 
 def test_fiber_conjugation_covariant():
@@ -412,11 +426,11 @@ def test_springer_report_keeps_a_polynomial_above_its_degree(monkeypatch, capsys
     bmu = ((1, 1), (1, 1))
     d = fiber_dimension(bmu)
     too_high = (1,) * (d + 1) + (7,)
-    count = flags._FiberCounter.count
+    fiber = flags._fiber_polynomial
     monkeypatch.setattr(
-        flags._FiberCounter,
-        "count",
-        lambda self, blocks, m: too_high if blocks == ((0, bmu),) else count(self, blocks, m),
+        flags,
+        "_fiber_polynomial",
+        lambda blocks, m, order=(): too_high if blocks == ((0, bmu),) else fiber(blocks, m, order),
     )
     rep = springer_report(bmu, 2)
     assert rep.polynomial == too_high
@@ -494,17 +508,9 @@ def test_slice_count_matches_enumeration(n, p):
             assert slice_count(s, z, m, PrimeField(p)) == expected, (case["name"], m)
 
 
-def test_slice_budget_reports_progress():
-    s, z = build_slice_data([1, 1, 1], [], [1], 3, 5)
-    with pytest.raises(BudgetExceededError) as info:
-        slice_count(s, z, 3, PrimeField(5), budget=4)
-    assert str(info.value) == (
-        "flag fiber recursion needs more than 4 memo states; reached 4 memo states, "
-        "3 of them finished, in 4 bipartition tables"
-    )
-    # the budget bounds memo states only: orbit sizes enumerate nothing
+def test_slice_count_of_a_mixed_unipotent_pair_matches_enumeration():
     s, z = build_slice_data([1, 2, 2], [(2, 1)], [1], 3, 5)
-    assert slice_count(s, z, 1, PrimeField(5), budget=4) == enumerated_slice_count(s, z, 1, 5)
+    assert slice_count(s, z, 1, PrimeField(5)) == enumerated_slice_count(s, z, 1, 5)
 
 
 def test_slice_count_identity_case():
@@ -551,6 +557,6 @@ def test_slice_mixed_unipotent_n3_at_stable_primes():
     counts = []
     for p in (5, 7, 11):
         s, z = build_slice_data([1, 2, 2], [(2, 1)], [1], 3, p)
-        counts.append((p, slice_count(s, z, 1, PrimeField(p), budget=5_000_000)))
+        counts.append((p, slice_count(s, z, 1, PrimeField(p))))
     # orbit dimension 7, step 1: slice dimension 4
     assert slope_dim(CountSeries.of(counts)) == 4

@@ -24,6 +24,7 @@ from nilorbit.gfmat import (
     random_invertible,
     zeros,
 )
+from nilorbit import pairs
 from nilorbit.pairs import (
     COMMUTANT_CACHE_SIZE,
     EnhancedPair,
@@ -457,3 +458,9 @@ def test_mixed_orbit_size_matches_tally(n, p):
             tally[classifier.invariant(v)] += 1
     for inv, count in tally.items():
         assert mixed_orbit_size(inv, PrimeField(p)) == count, inv
+
+
+def test_mixed_orbit_size_raises_on_an_inexact_division(monkeypatch):
+    monkeypatch.setattr(pairs, "centralizer_order", lambda lam, p: 7)
+    with pytest.raises(RuntimeError, match=r"^orbit-size division is not exact: 12 / 7$"):
+        orbit_size(((2,), ()), PrimeField(2))  # |GL_2| c(2) = 6 * 2

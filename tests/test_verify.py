@@ -1,5 +1,7 @@
 """Report rows of the verify suites: failing rows name their first witness."""
 
+import pytest
+
 from nilorbit import verify
 
 
@@ -24,3 +26,15 @@ def test_twisted_set_witness_counts_both_sets(monkeypatch):
         {"p": 3, "expected": 2, "got": [2, 3]},
         {"p": 5, "expected": 4, "got": [4, 5]},
     ]
+
+
+def test_twisted_set_coincidence_needs_odd_primes():
+    """Over GF(2) the form is symmetric: 4 fixed points have 1 image."""
+    with pytest.raises(ValueError, match="odd primes only, got p=2"):
+        verify.twisted_set_failures((3, 2))
+
+
+@pytest.mark.parametrize("n", [-1, 0, 4])
+def test_slice_cases_are_tabulated_for_n_up_to_3(n):
+    with pytest.raises(ValueError, match=r"tabulated for n in \{1, 2, 3\}"):
+        verify.slice_cases(n)
