@@ -26,9 +26,7 @@ from .gfmat import (  # noqa: F401
     Subspace,
     induced_maps,
     jordan_matrix,
-    jordan_type,
     random_invertible,
-    rref_rank_kernel,
 )
 from .pairs import (  # noqa: F401
     EnhancedPair,

@@ -203,16 +203,6 @@ def right_kernel(a: Matrix, p: int) -> "Subspace":
     return _kernel_of_reduced(rows, pivots, shape(a)[1], p)
 
 
-def rref_rank_kernel(a: Matrix, p: int) -> tuple[Matrix, int, "Subspace"]:
-    """RREF of A, its rank, and the right kernel {w : A w = 0}.
-
-    Raises ValueError when A has no rows.
-    """
-    _require_rows(a)
-    r, rk, pivots = rref(a, p)
-    return r, rk, _kernel_of_reduced(r, pivots, shape(a)[1], p)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of GF(p)^ambient with canonical RREF basis rows."""
@@ -342,11 +332,6 @@ def partition_from_ranks(ranks: Sequence[int]) -> Partition:
         raise ValueError(f"rank sequence {list(ranks)} does not end at 0")
     columns = [a - b for a, b in zip(ranks, ranks[1:]) if a != b]
     return conjugate(as_partition(columns))
-
-
-def jordan_type(x: Matrix, p: int) -> Partition:
-    """Jordan type of a nilpotent matrix from the ranks of its powers."""
-    return partition_from_ranks([space.dim for space in power_images(x, p)])
 
 
 def induced_maps(x: Matrix, w: Subspace, p: int) -> tuple[Matrix, Matrix]:

@@ -178,21 +178,6 @@ def identity_scaled(space: SymplecticSpace, c: int) -> Matrix:
     )
 
 
-def in_flag_borel_coset(space: SymplecticSpace, y: Matrix, s: Matrix) -> bool:
-    """Whether y lies in s U for the flag Borel, i.e. is flag-triangular
-    with the diagonal pattern of the diagonal matrix s."""
-    order = space.flag_order
-    dim = space.dim
-    for i in range(dim):
-        oi = order[i]
-        if y[oi][oi] != s[oi][oi]:
-            return False
-        for j in range(i + 1, dim):
-            if y[oi][order[j]]:
-                return False
-    return True
-
-
 def transvection(space: SymplecticSpace, u: Vector, c: int) -> Matrix:
     """The symplectic transvection w -> w + c <w, u> u."""
     p = space.p
@@ -273,31 +258,17 @@ def type_c_poincare(n: int, q: int) -> int:
     return out
 
 
-def _solve_affine(rows: list[Vector], rhs: list[int], dim: int, p: int) -> Vector:
-    """One solution c of the system rows . c = rhs; raises if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, _, pivots = gfmat.rref(tuple(tuple(r) for r in aug), p)
-    if dim in pivots:
-        raise ValueError("inconsistent linear system")
-    c = [0] * dim
-    for row, pc in zip(reduced, pivots):
-        c[pc] = row[dim]
-    return tuple(c)
+def _twisted_system(
+    space: SymplecticSpace, s: Matrix, free: Sequence[tuple[int, int]]
+) -> tuple[list[Vector], list[int]]:
+    """The affine system rows . c = rhs whose solutions c make s u twisted,
+    u = I + sum_k c_k E_{a_k b_k} over the positions `free` of U.
 
-
-def twisted_coset_set(space: SymplecticSpace, s: Matrix) -> list[Matrix]:
-    """The intersection (sU)^{iota theta} of the coset s U with the twisted
-    set, by a linear solve.
-
-    Write u = I + sum_k c_k E_{a_k b_k} over the free positions of U.  Then
     J s u = J s + sum_k c_k (J s)[:, a_k] e_{b_k}, so `in_twisted_set`'s
     conditions (J y)_ij + (J y)_ji = 0 (i <= j) on y = s u are affine in c.
-    Their solutions are one solution plus the kernel of the system, and
-    s u is listed for each of them; an inconsistent system gives [].
     """
     p, dim = space.p, space.dim
     js = space.gram_times(s)
-    free = gfmat.unitriangular_positions(space.flag_order)
     rows: list[Vector] = []
     rhs: list[int] = []
     for i in range(dim):
@@ -306,18 +277,7 @@ def twisted_coset_set(space: SymplecticSpace, s: Matrix) -> list[Matrix]:
                 tuple((js[i][a] * (j == b) + js[j][a] * (i == b)) % p for a, b in free)
             )
             rhs.append(-(js[i][j] + js[j][i]) % p)
-    try:
-        base = _solve_affine(rows, rhs, len(free), p)
-    except ValueError:
-        return []
-    kernel = gfmat.right_kernel(tuple(rows), p).basis
-    out = []
-    for t in gfmat.all_vectors(len(kernel), p):
-        u = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        for k, (a, b) in enumerate(free):
-            u[a][b] = (base[k] + sum(tk * vec[k] for tk, vec in zip(t, kernel))) % p
-        out.append(mat_mul(s, tuple(tuple(r) for r in u), p))
-    return out
+    return rows, rhs
 
 
 def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) -> int:
@@ -579,15 +539,31 @@ def z_variety_count(space: SymplecticSpace, s: Matrix) -> int:
     By the Bruhat decomposition the pairs in position w number
     type_c_poincare(n, p) * p^{l(w)}, and the pair (F_0, F_0 w) counts
     |X meet w^{-1} X w| * p^{dim(M_n meet M_n w)}.
+
+    With h the matrix of w, h s u h^{-1} = (h s h^{-1}) (h u h^{-1}) is a
+    diagonal times a unipotent, so it lies in s U only when h s h^{-1} = s
+    and h u h^{-1} is in U.  X meet w^{-1} X w is therefore empty unless h
+    commutes with s, and otherwise is the twisted part of s times the
+    pattern subgroup U meet h^{-1} U h on `_meet_positions(space, w^{-1})`:
+    p^(|free| - rank) points when `_twisted_system` on those positions is
+    consistent, none when it is not.  Raises ValueError unless s is an
+    invertible diagonal matrix.
     """
-    p = space.p
-    base = twisted_coset_set(space, s)
-    members = frozenset(base)
+    p, dim = space.p, space.dim
+    if any(s[i][j] for i in range(dim) for j in range(dim) if i != j) or not all(
+        s[i][i] for i in range(dim)
+    ):
+        raise ValueError("s is not an invertible diagonal matrix")
     total = 0
     for w in signed_permutations(space.n):
-        rows = signed_rows(w.matrix(space))
-        shared = sum(1 for y in base if signed_conjugate(rows, y, p) in members)
-        total += p ** length(w) * shared * p ** lagrangian_meet_dim(space, w)
+        if signed_conjugate(signed_rows(w.matrix(space)), s, p) != s:
+            continue
+        free = _meet_positions(space, w.inverse())
+        rows, rhs = _twisted_system(space, s, free)
+        _, rk, pivots = gfmat.rref(tuple(row + (b,) for row, b in zip(rows, rhs)), p)
+        if len(free) in pivots:  # a pivot in the right-hand side: inconsistent
+            continue
+        total += p ** (length(w) + len(free) - rk + lagrangian_meet_dim(space, w))
     return type_c_poincare(space.n, p) * total
 
 
@@ -613,26 +589,28 @@ class RootIdentityReport:
         }
 
 
-def unipotent_meet(space: SymplecticSpace, w: SignedPermutation) -> Iterator[Matrix]:
-    """The elements of A = U meet w U w^{-1} inside GL_{2n}, U the flag unipotents.
+def _meet_positions(space: SymplecticSpace, w: SignedPermutation) -> list[tuple[int, int]]:
+    """The free positions of the pattern subgroup U meet w U w^{-1}, U the
+    flag unipotents.
 
-    Conjugation by the signed permutation matrix of w sends each E_ab to
-    +-E_a'b', so u = I + sum c_ab E_ab has w^{-1} u w in U exactly when
-    c_ab = 0 wherever w^{-1} (I + E_ab) w falls outside U.  A is the
-    pattern subgroup on the remaining positions, enumerated by
-    `gfmat.unitriangular_elements`.
+    With h the matrix of w and k_a the column of the one nonzero entry in
+    row a of h, h^{-1} E_ab h = h^T E_ab h is +-E at (k_a, k_b).  So
+    u = I + sum c_ab E_ab has h^{-1} u h in U exactly when c_ab = 0
+    wherever k_a does not come after k_b in the flag order.
     """
-    p, dim = space.p, space.dim
-    winv_rows = signed_rows(transpose(w.matrix(space)))
-    unit = identity(dim)
-    free = []
-    for a, b in gfmat.unitriangular_positions(space.flag_order):
-        e_ab = tuple(
-            tuple(int(i == j or (i, j) == (a, b)) for j in range(dim)) for i in range(dim)
-        )
-        if in_flag_borel_coset(space, signed_conjugate(winv_rows, e_ab, p), unit):
-            free.append((a, b))
-    return gfmat.unitriangular_elements(space.flag_order, p, free)
+    order = space.flag_order
+    place = {c: i for i, c in enumerate(order)}
+    cols = [k for k, _ in signed_rows(w.matrix(space))]
+    return [
+        (a, b) for a, b in gfmat.unitriangular_positions(order) if place[cols[a]] > place[cols[b]]
+    ]
+
+
+def unipotent_meet(space: SymplecticSpace, w: SignedPermutation) -> Iterator[Matrix]:
+    """The elements of A = U meet w U w^{-1} inside GL_{2n}: the pattern
+    subgroup on `_meet_positions`, enumerated by
+    `gfmat.unitriangular_elements`."""
+    return gfmat.unitriangular_elements(space.flag_order, space.p, _meet_positions(space, w))
 
 
 # primes of the intersection dimensions, and of the group-level exponents

@@ -723,16 +723,17 @@ def z_bound(primes: Sequence[int]) -> tuple[list[int], int, int, list[dict]]:
 
 
 def exotic_suite(n_max: int, seed: int = 0) -> list[dict]:
+    """The symplectic checks up to n_max; raises ValueError below n_max = 1,
+    where every one of them would pass on no case."""
+    if n_max < 1:
+        raise ValueError(f"the exotic suite needs n_max >= 1, got {n_max}")
     roots, small = min(n_max, 4), min(n_max, 2)
     checks = [
         check_row("root-identity", root_identity_failures(roots), n_max=roots),
         check_row("involution-and-twisting", involution_failures(small, seed)),
+        check_row("twisted-set-coincidence", twisted_set_failures((3, 5)), n=1, primes=[3, 5]),
+        check_row("isotropic-flag-count", isotropic_flag_failures(small)),
     ]
-    if n_max >= 1:
-        checks.append(
-            check_row("twisted-set-coincidence", twisted_set_failures((3, 5)), n=1, primes=[3, 5])
-        )
-    checks.append(check_row("isotropic-flag-count", isotropic_flag_failures(small)))
     rows = [
         row for n in range(1, small + 1) for row in exotic_orbit_report(n, skip_slow=True)
     ]

@@ -4,8 +4,9 @@ Each one checks a fast path of ``nilorbit`` from an independent
 definition: stabilizers by enumeration of the solution space of the
 stabilizer equations, vector classes by classifying every line, orbit
 equality through the invariant itself, stable flags by depth-first
-enumeration, and symplectic orbits by breadth-first closure under
-transvections.
+enumeration, the twisted coset (sU)^{iota theta} and the double-flag
+count by listing the coset, and symplectic orbits by breadth-first
+closure under transvections.
 """
 
 from collections import Counter
@@ -23,6 +24,7 @@ from nilorbit.gfmat import (
     identity,
     induced_maps,
     jordan_matrix,
+    mat_mul,
     mat_sub,
     rank,
     right_kernel,
@@ -37,7 +39,17 @@ from nilorbit.pairs import (
     mixed_invariant,
 )
 from nilorbit.partitions import Bipartition, Partition
-from nilorbit.symplectic import SymplecticSpace, _solve_affine, transvection
+from nilorbit.symplectic import (
+    SymplecticSpace,
+    _twisted_system,
+    lagrangian_meet_dim,
+    length,
+    signed_conjugate,
+    signed_permutations,
+    signed_rows,
+    transvection,
+    type_c_poincare,
+)
 
 
 def stabilizer_space(z: EnhancedPair) -> list[Matrix]:
@@ -160,6 +172,69 @@ def flag_unipotent_elements(space: SymplecticSpace) -> Iterator[Matrix]:
     avoid this walk.
     """
     return gfmat.unitriangular_elements(space.flag_order, space.p)
+
+
+def in_flag_borel_coset(space: SymplecticSpace, y: Matrix, s: Matrix) -> bool:
+    """Whether y lies in s U for the flag Borel, i.e. is flag-triangular
+    with the diagonal pattern of the diagonal matrix s."""
+    order = space.flag_order
+    dim = space.dim
+    for i in range(dim):
+        oi = order[i]
+        if y[oi][oi] != s[oi][oi]:
+            return False
+        for j in range(i + 1, dim):
+            if y[oi][order[j]]:
+                return False
+    return True
+
+
+def _solve_affine(rows: list[Vector], rhs: list[int], dim: int, p: int) -> Vector:
+    """One solution c of the system rows . c = rhs; raises if inconsistent."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    reduced, _, pivots = gfmat.rref(tuple(tuple(r) for r in aug), p)
+    if dim in pivots:
+        raise ValueError("inconsistent linear system")
+    c = [0] * dim
+    for row, pc in zip(reduced, pivots):
+        c[pc] = row[dim]
+    return tuple(c)
+
+
+def twisted_coset_set(space: SymplecticSpace, s: Matrix) -> list[Matrix]:
+    """The intersection (sU)^{iota theta} of the coset s U with the twisted
+    set, listed: s u for one solution of the twistedness system over all
+    free positions of U plus each vector of its kernel.  An inconsistent
+    system gives []."""
+    p, dim = space.p, space.dim
+    free = gfmat.unitriangular_positions(space.flag_order)
+    rows, rhs = _twisted_system(space, s, free)
+    try:
+        base = _solve_affine(rows, rhs, len(free), p)
+    except ValueError:
+        return []
+    kernel = right_kernel(tuple(rows), p).basis
+    out = []
+    for t in all_vectors(len(kernel), p):
+        u = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for k, (a, b) in enumerate(free):
+            u[a][b] = (base[k] + sum(tk * vec[k] for tk, vec in zip(t, kernel))) % p
+        out.append(mat_mul(s, tuple(tuple(r) for r in u), p))
+    return out
+
+
+def listed_z_variety_count(space: SymplecticSpace, s: Matrix) -> int:
+    """`z_variety_count` from the listing: every member of X = (sU)^{iota theta}
+    is conjugated by every w in W_n and looked up in X."""
+    p = space.p
+    base = twisted_coset_set(space, s)
+    members = frozenset(base)
+    total = 0
+    for w in signed_permutations(space.n):
+        rows = signed_rows(w.matrix(space))
+        shared = sum(1 for y in base if signed_conjugate(rows, y, p) in members)
+        total += p ** length(w) * shared * p ** lagrangian_meet_dim(space, w)
+    return type_c_poincare(space.n, p) * total
 
 
 def symplectic_transition(space: SymplecticSpace, flag: Sequence[Subspace]) -> Matrix:

@@ -203,6 +203,7 @@ def test_commands_that_would_check_nothing_are_invalid_input(capsys):
         ),
         "galois --n -1": "n must be nonnegative, got -1",
         "verify --suite all --n-max -1": "n_max must be nonnegative, got -1",
+        "verify --suite exotic --n-max 0": "the exotic suite needs n_max >= 1, got 0",
     }
     for command, message in messages.items():
         assert main(command.split()) == 2, command

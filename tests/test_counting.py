@@ -164,3 +164,50 @@ def test_library_arithmetic_is_exact():
         if (uses := float_uses(path.read_text()))
     }
     assert found == {}
+
+
+ENUMERATORS = ("all_vectors", "all_matrices", "unitriangular_elements", "lines")
+
+
+def enumerating_functions(module: str, source: str) -> set[str]:
+    """"module.function" for each top-level function or class of the source
+    that calls one of the ENUMERATORS, by name or as an attribute."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ENUMERATORS:
+                    found.add(f"{module}.{top.name}")
+    return found
+
+
+def test_enumeration_guard_sees_calls_by_name_and_attribute():
+    source = (
+        "def a(s):\n    return list(s.lines())\n"
+        "def b(p):\n    def inner():\n        return gfmat.all_vectors(2, p)\n    return inner\n"
+        "def c(p):\n    return all_matrices(2, p)\n"
+        "def d(p):\n    return rank(p)\n"
+    )
+    assert enumerating_functions("m", source) == {"m.a", "m.b", "m.c"}
+
+
+def test_library_enumerates_only_check_subjects():
+    """Listing vectors, matrices, unipotents or lines is the subject of a
+    check, never a route to a count: the census, the twisted-set scan, the
+    isotropic flags, U meet wUw^-1 and the exotic fiber walk, plus the
+    enumerators of gfmat built on all_vectors."""
+    package = Path(nilorbit.__file__).parent
+    found = set().union(
+        *(enumerating_functions(path.stem, path.read_text()) for path in package.glob("*.py"))
+    )
+    assert found == {
+        "pairs._census_table",
+        "symplectic.iotheta_set",
+        "symplectic.isotropic_flags",
+        "symplectic.unipotent_meet",
+        "symplectic.exotic_fiber_count",
+        "gfmat.all_matrices",
+        "gfmat.unitriangular_elements",
+    }

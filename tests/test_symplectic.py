@@ -20,7 +20,7 @@ from nilorbit.gfmat import (
     rank,
     transpose,
 )
-from nilorbit import symplectic
+from nilorbit import gfmat, symplectic
 from nilorbit.pairs import MixedClassifier, MixedInvariant, NonSplitError
 from nilorbit.symplectic import (
     SignedPermutation,
@@ -30,7 +30,6 @@ from nilorbit.symplectic import (
     exotic_orbit_size,
     exotic_slice_count,
     identity_scaled,
-    in_flag_borel_coset,
     iotheta_set,
     isotropic_flags,
     lagrangian_meet_dim,
@@ -40,7 +39,6 @@ from nilorbit.symplectic import (
     signed_conjugate,
     signed_permutations,
     signed_rows,
-    twisted_coset_set,
     type_c_poincare,
     unipotent_meet,
     z_variety_count,
@@ -50,8 +48,11 @@ from oracles import (
     encode,
     flag_unipotent_elements,
     h_orbit,
+    in_flag_borel_coset,
+    listed_z_variety_count,
     sp_generators,
     symplectic_transition,
+    twisted_coset_set,
 )
 
 
@@ -838,6 +839,43 @@ def test_z_variety_count_against_pointwise_oracle():
         space = SymplecticSpace(n, p)
         s = space.torus_twisted(torus)
         assert z_variety_count(space, s) == pointwise_z_count(space, s), (n, p, torus)
+
+
+def test_z_variety_count_matches_listed_count():
+    # at n = 2, [1, 2] has Weyl elements that move s; a twisted s solves its
+    # own system, so only the untwisted diag(1, 2, 1, 1) reaches an inconsistent one
+    cases = [
+        (n, p, ([1] * n, list(range(1, n + 1)), [2] * n)) for n in (1, 2) for p in (2, 3, 5, 7)
+    ]
+    cases.append((3, 3, ([1, 1, 1], [1, 1, 2])))
+    for n, p, tori in cases:
+        space = SymplecticSpace(n, p)
+        for torus in tori:
+            if any(t % p == 0 for t in torus):
+                continue
+            s = space.torus_twisted(torus)
+            assert z_variety_count(space, s) == listed_z_variety_count(space, s), (n, p, torus)
+    for p in (3, 5):
+        space = SymplecticSpace(2, p)
+        s = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        assert z_variety_count(space, s) == listed_z_variety_count(space, s) == 0
+
+
+def test_z_variety_count_forms_no_product_and_lists_nothing(monkeypatch):
+    space = SymplecticSpace(2, 5)
+    s = space.torus_twisted([1, 2])
+    expected = z_variety_count(space, s)  # also builds every Weyl matrix once
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("z_variety_count multiplied or listed")
+
+    for name in ("mat_mul", "mat_inv", "all_vectors", "all_matrices", "unitriangular_elements"):
+        monkeypatch.setattr(gfmat, name, refuse)
+        if hasattr(symplectic, name):
+            monkeypatch.setattr(symplectic, name, refuse)
+    assert z_variety_count(space, s) == expected
+    with pytest.raises(ValueError, match="invertible diagonal"):
+        z_variety_count(space, ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 
 
 def test_z_variety_bound():
