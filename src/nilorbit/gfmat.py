@@ -14,6 +14,7 @@ two spanning sets of the same subspace produce identical bases.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -376,13 +377,9 @@ def gl_order(n: int, p: int) -> int:
 
 
 def all_vectors(n: int, p: int) -> Iterator[Vector]:
-    for idx in range(p**n):
-        v = []
-        k = idx
-        for _ in range(n):
-            v.append(k % p)
-            k //= p
-        yield tuple(v)
+    """All of GF(p)^n, the first coordinate changing fastest."""
+    for digits in itertools.product(range(p), repeat=n):
+        yield digits[::-1]
 
 
 def all_matrices(n: int, p: int) -> Iterator[Matrix]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +31,6 @@ from .gfmat import (
     Subspace,
     Vector,
     apply,
-    identity,
     mat_inv,
     mat_mul,
     rank,
@@ -613,6 +613,30 @@ def unipotent_meet(space: SymplecticSpace, w: SignedPermutation) -> Iterator[Mat
     return gfmat.unitriangular_elements(space.flag_order, space.p, _meet_positions(space, w))
 
 
+def _root_group_counts(space: SymplecticSpace, w: SignedPermutation) -> tuple[int, int, int]:
+    """(|A|, |A^theta|, |{u theta(u)^{-1}}|) for A = U meet w U w^{-1}.
+
+    u theta(u)^{-1} = u J u^T J^{-1}, so it is y = G(u) J^{-1} with
+    G(u) = u J u^T, and y -> y J is a bijection: the images number the
+    distinct G(u), and u is theta-fixed exactly when G(u) = J.  G(u) is
+    skew with a zero diagonal (x J x^T = 0 for every row x), so its entries
+    above the diagonal determine it: one dot product of u J's row i with
+    u's row j per pair i < j.  Every u of A is visited, so |A| is counted.
+    """
+    p, dim = space.p, space.dim
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    j_upper = tuple(space.gram[i][j] for i, j in pairs)
+    size = fixed = 0
+    image = set()
+    for u in unipotent_meet(space, w):
+        uj = space.times_gram(u)
+        gram = tuple([sum(map(operator.mul, uj[i], u[j])) % p for i, j in pairs])
+        size += 1
+        fixed += gram == j_upper
+        image.add(gram)
+    return size, fixed, len(image)
+
+
 # primes of the intersection dimensions, and of the group-level exponents
 # checked for rank up to ROOT_GROUP_MAX_N
 ROOT_GROUP_PRIMES = (2, 3)
@@ -626,8 +650,8 @@ def root_identity_check(w: SignedPermutation) -> RootIdentityReport:
     linear algebra over each prime.  For small n the group-level exponents
     are verified as well: with A = U meet wUw^{-1} inside GL_{2n},
     |A| = p^D, |A^theta| = p^d, |{u theta(u)^{-1}}| = p^{D-d}, and the
-    bookkeeping d = (D - d) + b_w must hold.  Each u in A gives
-    y = u theta(u)^{-1} once, and u is theta-fixed exactly when y = I.
+    bookkeeping d = (D - d) + b_w must hold.  The three counts come from
+    `_root_group_counts`, one skew Gram matrix u J u^T per u in A.
     """
     n = w.n
     bw = b_stat(w)
@@ -639,18 +663,10 @@ def root_identity_check(w: SignedPermutation) -> RootIdentityReport:
     overall = combinatorial_ok
     if n <= ROOT_GROUP_MAX_N:
         for p in ROOT_GROUP_PRIMES:
-            space = SymplecticSpace(n, p)
-            unit = identity(space.dim)
-            size = fixed = 0
-            image = set()
-            for u in unipotent_meet(space, w):
-                y = mat_mul(u, space.theta_inv_of(u), p)
-                size += 1
-                fixed += y == unit
-                image.add(y)
+            size, fixed, image = _root_group_counts(SymplecticSpace(n, p), w)
             big_d = _exact_log(size, p)
             small_d = _exact_log(fixed, p)
-            image_exp = _exact_log(len(image), p)
+            image_exp = _exact_log(image, p)
             ok = (
                 big_d is not None
                 and small_d is not None

@@ -5,8 +5,9 @@ definition: stabilizers by enumeration of the solution space of the
 stabilizer equations, vector classes by classifying every line, orbit
 equality through the invariant itself, stable flags by depth-first
 enumeration, the twisted coset (sU)^{iota theta} and the double-flag
-count by listing the coset, and symplectic orbits by breadth-first
-closure under transvections.
+count by listing the coset, the root-group counts by forming
+u theta(u)^{-1}, and symplectic orbits by breadth-first closure under
+transvections.
 """
 
 from collections import Counter
@@ -40,6 +41,7 @@ from nilorbit.pairs import (
 )
 from nilorbit.partitions import Bipartition, Partition
 from nilorbit.symplectic import (
+    SignedPermutation,
     SymplecticSpace,
     _twisted_system,
     lagrangian_meet_dim,
@@ -49,6 +51,7 @@ from nilorbit.symplectic import (
     signed_rows,
     transvection,
     type_c_poincare,
+    unipotent_meet,
 )
 
 
@@ -235,6 +238,21 @@ def listed_z_variety_count(space: SymplecticSpace, s: Matrix) -> int:
         shared = sum(1 for y in base if signed_conjugate(rows, y, p) in members)
         total += p ** length(w) * shared * p ** lagrangian_meet_dim(space, w)
     return type_c_poincare(space.n, p) * total
+
+
+def product_root_group_counts(space: SymplecticSpace, w: SignedPermutation) -> tuple[int, int, int]:
+    """`_root_group_counts` by forming y = u theta(u)^{-1} for each u in
+    A = U meet w U w^{-1}: (|A|, the u with y = I, the distinct y)."""
+    p = space.p
+    unit = identity(space.dim)
+    size = fixed = 0
+    image = set()
+    for u in unipotent_meet(space, w):
+        y = mat_mul(u, space.theta_inv_of(u), p)
+        size += 1
+        fixed += y == unit
+        image.add(y)
+    return size, fixed, len(image)
 
 
 def symplectic_transition(space: SymplecticSpace, flag: Sequence[Subspace]) -> Matrix:

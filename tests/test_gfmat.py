@@ -9,6 +9,7 @@ from nilorbit.gfmat import (
     PrimeField,
     Subspace,
     all_matrices,
+    all_vectors,
     apply,
     identity,
     induced_maps,
@@ -187,6 +188,24 @@ def test_random_invertible():
     assert random_invertible(3, 5, 7) == g  # determinism
     assert random_invertible(3, 5, 8) != g or True  # distinct seeds may differ
     assert rank(random_invertible(3, 5, 8), 5) == 3
+
+
+def digit_loop_vectors(n, p):
+    """GF(p)^n by a digit loop over 0..p^n - 1, first coordinate fastest."""
+    for idx in range(p**n):
+        v = []
+        k = idx
+        for _ in range(n):
+            v.append(k % p)
+            k //= p
+        yield tuple(v)
+
+
+def test_all_vectors_order_matches_digit_loop():
+    assert list(all_vectors(0, 3)) == [()]
+    for p in (2, 3, 5):
+        for n in range(5):
+            assert list(all_vectors(n, p)) == list(digit_loop_vectors(n, p)), (n, p)
 
 
 def test_subspace_membership_and_coords():

@@ -25,6 +25,7 @@ from nilorbit.pairs import MixedClassifier, MixedInvariant, NonSplitError
 from nilorbit.symplectic import (
     SignedPermutation,
     SymplecticSpace,
+    _root_group_counts,
     b_stat,
     exotic_fiber_count,
     exotic_orbit_size,
@@ -50,6 +51,7 @@ from oracles import (
     h_orbit,
     in_flag_borel_coset,
     listed_z_variety_count,
+    product_root_group_counts,
     sp_generators,
     symplectic_transition,
     twisted_coset_set,
@@ -803,6 +805,56 @@ def test_unipotent_meet_matches_conjugation_filter():
                     1 for u in direct if mat_mul(u, space.theta_inv_of(u), p) == unit
                 )
                 assert by_image == sum(1 for u in filtered if space.theta(u) == u)
+
+
+def test_root_group_counts_match_product_oracle():
+    for n in (1, 2):
+        for p in (2, 3, 5):
+            space = SymplecticSpace(n, p)
+            for w in signed_permutations(n):
+                assert _root_group_counts(space, w) == product_root_group_counts(space, w), (
+                    n,
+                    p,
+                    w.image,
+                )
+
+
+def skew_gram(space, g):
+    return mat_mul(mat_mul(g, space.gram, space.p), transpose(g), space.p)
+
+
+def test_twisted_image_times_j_is_the_skew_gram_matrix():
+    for n in (1, 2, 3):
+        for p in (2, 3, 5):
+            space = SymplecticSpace(n, p)
+            for seed in range(5):
+                g = random_invertible(2 * n, p, seed)
+                gram = skew_gram(space, g)
+                y = mat_mul(g, space.theta_inv_of(g), p)
+                assert mat_mul(y, space.gram, p) == gram, (n, p, seed)
+                assert all(gram[i][i] == 0 for i in range(2 * n))
+                assert all(
+                    (gram[i][j] + gram[j][i]) % p == 0 for i in range(2 * n) for j in range(i)
+                )
+    for n in (1, 2):
+        for p in (2, 3):
+            space = SymplecticSpace(n, p)
+            for w in signed_permutations(n):
+                for u in unipotent_meet(space, w):
+                    assert (skew_gram(space, u) == space.gram) == (space.theta(u) == u)
+
+
+def test_root_identity_check_forms_no_product_per_element(monkeypatch):
+    w = SignedPermutation((1, -2))
+    expected = root_identity_check(w)  # also builds the Weyl matrices once
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("root_identity_check formed u theta(u)^-1")
+
+    monkeypatch.setattr(gfmat, "mat_mul", refuse)
+    monkeypatch.setattr(symplectic, "mat_mul", refuse)
+    monkeypatch.setattr(SymplecticSpace, "theta_inv_of", refuse)
+    assert root_identity_check(w) == expected
 
 
 def test_root_identity_example_sign_flip():
