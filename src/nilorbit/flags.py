@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .counting import (
     CountSeries,
@@ -78,26 +78,47 @@ class FlagCondition:
 _Table = Mapping[Bipartition, tuple[int, ...]]
 
 
-def _pattern_dimensions(
-    bla: Bipartition, p: int
-) -> tuple[tuple[Bipartition, tuple[int, int, int, int]], ...]:
-    """(quotient class, dimensions) of each non-empty line pattern of bla over GF(p).
+def _nonempty_patterns(dims: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(a, b, corners) of each non-empty pattern, given dims[a][b] = dim(A_a cap B_b)
+    for two decreasing chains closed by the zero space.
+
+    The vectors of A_a cap B_b in neither A_(a + 1) nor B_(b + 1) number
+    q^c1 - q^c2 - q^c3 + q^c4 for the corners (c1, c2, c3, c4) = (d(a, b),
+    d(a + 1, b), d(a, b + 1), d(a + 1, b + 1)), none when {c1, c4} = {c2, c3}.
+    """
+    for a in range(len(dims) - 1):
+        for b in range(len(dims[a]) - 1):
+            corners = (dims[a][b], dims[a + 1][b], dims[a][b + 1], dims[a + 1][b + 1])
+            if sorted(corners[::3]) != sorted(corners[1:3]):
+                yield a, b, corners
+
+
+def _kernel_meets(x: Matrix, images: Sequence[Subspace], p: int, normals: Matrix = ()) -> list[Matrix]:
+    """Bases of A_a = I_a cap ker x, cut down to w . f = 0 for each normal f,
+    for the row spaces I_a = images[a] of the powers of x, closed by ()."""
+    meets = []
+    for space in images[:-1]:
+        # I_a is x-stable: A_a is the kernel of x restricted to I_a.
+        restriction, _ = induced_maps(x, space, p)
+        rows = transpose(restriction) + tuple(apply(f, transpose(space.basis), p) for f in normals)
+        kernel = right_kernel(rows, p)
+        meets.append(tuple(apply(c, space.basis, p) for c in kernel.basis))
+    meets.append(())
+    return meets
+
+
+def _pattern_dimensions(bla: Bipartition, p: int) -> tuple[tuple[Bipartition, tuple[int, ...]], ...]:
+    """(quotient class, corners) of each non-empty line pattern of bla over GF(p).
 
     With I_k the row space of x^k, K the Krylov span of v and J_k = I_k + K,
     the quotient by L = <w> has rank x^k = dim I_k - [w in I_k] on V/L and
     dim J_k + [w not in J_k] - dim(K + L) on V/(K + L).  Both chains
     decrease, so the class of L depends only on a = max{k : w in I_k} and
-    b = max{k : w in J_k}, and b >= a because I_a lies in J_a.  With
-    A_a = I_a cap ker x and d(a, b) = dim(A_a cap J_b), the vectors of
-    ker x with pattern (a, b) number
-
-        q^d(a, b) - q^d(a + 1, b) - q^d(a, b + 1) + q^d(a + 1, b + 1),
-
-    where the zero spaces A_h and J_(h + 1), h the nilpotency index of x,
-    close both chains and exclude the zero vector.  The pattern is empty
-    when its two subspaces of A_a cap J_b cover it, that is when
-    {d(a, b), d(a + 1, b + 1)} = {d(a + 1, b), d(a, b + 1)}.  The dimensions
-    take O(h^2) rank computations at p and enumerate no line.
+    b = max{k : w in J_k}, and b >= a because I_a lies in J_a.  The lines
+    of ker x are counted by `_nonempty_patterns` over A_a = I_a cap ker x
+    and the J_b, closed by the zero spaces A_h and J_(h + 1), h the
+    nilpotency index of x.  The dimensions take O(h^2) rank computations
+    at p and enumerate no line.
     """
     z = orbit_representative(bla, p)
     n = z.n
@@ -105,13 +126,6 @@ def _pattern_dimensions(
     height = len(images) - 1
     krylov = Subspace.from_vectors(krylov_basis(z.x, z.v, p), n, p)
     joined = [space.sum(krylov) for space in images] + [Subspace.zero(n, p)]
-    meets = []
-    for space in images[:-1]:
-        # I_a is x-stable: A_a is the kernel of x restricted to I_a.
-        restriction, _ = induced_maps(z.x, space, p)
-        kernel = right_kernel(transpose(restriction), p)
-        meets.append(tuple(apply(c, space.basis, p) for c in kernel.basis))
-    meets.append(())
     dims = [
         [
             len(meet)
@@ -119,62 +133,55 @@ def _pattern_dimensions(
             else len(meet) + joined[b].dim - rank(meet + joined[b].basis, p)
             for b in range(height + 2)
         ]
-        for a, meet in enumerate(meets)
+        for a, meet in enumerate(_kernel_meets(z.x, images, p))
     ]
     out = []
-    for a in range(height):
-        for b in range(a, height + 1):
-            corners = (dims[a][b], dims[a + 1][b], dims[a][b + 1], dims[a + 1][b + 1])
-            if sorted(corners[::3]) == sorted(corners[1:3]):
-                continue
-            lam = partition_from_ranks(
-                [n - 1] + [images[k].dim - (k <= a) for k in range(1, height)] + [0]
-            )
-            k_and_l = krylov.dim + (b < height)
-            rho = partition_from_ranks(
-                [n - k_and_l]
-                + [joined[k].dim + (k > b) - k_and_l for k in range(1, height + 1)]
-            )
-            out.append((bipartition_from_types(lam, rho), corners))
+    for a, b, corners in _nonempty_patterns(dims):
+        lam = partition_from_ranks(
+            [n - 1] + [images[k].dim - (k <= a) for k in range(1, height)] + [0]
+        )
+        k_and_l = krylov.dim + (b < height)
+        rho = partition_from_ranks(
+            [n - k_and_l]
+            + [joined[k].dim + (k > b) - k_and_l for k in range(1, height + 1)]
+        )
+        out.append((bipartition_from_types(lam, rho), corners))
     return tuple(out)
+
+
+def _line_table(patterns_of: Callable, key: Bipartition, primes: tuple[int, int]) -> _Table:
+    """{quotient class: number of lines, in Z[q]} from the (class, corners)
+    pairs of `patterns_of(key, p)`.
+
+    The subspace dimensions behind a table do not depend on the prime, so
+    they are computed at both primes, and a difference raises.  A pattern
+    with corners (d1, d2, d3, d4) has (q^d1 - q^d2 - q^d3 + q^d4) / (q - 1)
+    lines, and (q^a - q^b) / (q - 1) = q^b + ... + q^(a - 1).  The mapping
+    is read-only because the caches hand it to every caller.
+    """
+    patterns = patterns_of(key, primes[0])
+    if patterns_of(key, primes[1]) != patterns:
+        raise RuntimeError(
+            f"the line patterns of {key} differ between p={primes[0]} and p={primes[1]}"
+        )
+    out: dict[Bipartition, list[int]] = {}
+    for quotient, (d1, d2, d3, d4) in patterns:
+        lines = [(d2 <= k) - (d4 <= k < d3) for k in range(d1)]
+        poly_mul(lines, (1,), out.setdefault(quotient, []))  # out[quotient] += lines
+    return MappingProxyType({quotient: tuple(lines) for quotient, lines in out.items()})
 
 
 @lru_cache(maxsize=None)
 def _poly_table(bla: Bipartition) -> _Table:
-    """{quotient class: number of lines in ker x, in Z[q]} for the normal form of bla.
-
-    The subspace dimensions behind the table do not depend on the prime,
-    so they are computed at 2 and at 3, and a difference raises.  A pattern
-    with dimensions (d1, d2, d3, d4) has (q^d1 - q^d2 - q^d3 + q^d4) / (q - 1)
-    lines.  The mapping is read-only because the cache hands it to every
-    caller.
-    """
-    patterns = _pattern_dimensions(bla, 2)
-    if _pattern_dimensions(bla, 3) != patterns:
-        raise RuntimeError(f"the line patterns of {bla} differ between p=2 and p=3")
-    out: dict[Bipartition, list[int]] = {}
-    for key, corners in patterns:
-        vectors = [0] * (corners[0] + 1)
-        for d, sign in zip(corners, (1, -1, -1, 1)):
-            vectors[d] += sign
-        # synthetic division by q - 1, from the top coefficient down
-        lines = [0] * corners[0]
-        carry = 0
-        for k in range(corners[0], 0, -1):
-            carry += vectors[k]
-            lines[k - 1] = carry
-        if carry + vectors[0]:
-            raise RuntimeError(
-                f"{vectors} (ascending in q) vectors of a pattern in the table of "
-                f"{bla} are not divisible by q - 1"
-            )
-        poly_mul(lines, (1,), out.setdefault(key, []))  # out[key] += lines
-    return MappingProxyType({key: tuple(lines) for key, lines in out.items()})
+    """{quotient class: number of lines in ker x, in Z[q]} for the normal form
+    of bla, from its patterns at 2 and at 3."""
+    return _line_table(_pattern_dimensions, bla, (2, 3))
 
 
 @lru_cache(maxsize=None)
 def _fiber_polynomial(
-    blocks: tuple[tuple[int, Bipartition], ...], m: int, order: tuple[int, ...] = ()
+    blocks: tuple[tuple[int, Bipartition], ...], m: int, order: tuple[int, ...] = (),
+    table: Callable[[Bipartition], _Table] = _poly_table,
 ) -> tuple[int, ...]:
     """Coefficients in q, ascending, of the stable-flag count of the pair with these blocks.
 
@@ -193,6 +200,9 @@ def _fiber_polynomial(
     the flags on whose k-th quotient x acts by s_k: the first step extends
     only blocks of eigenvalue s_1, and the rest of the flag follows
     (s_2, ..., s_r).
+
+    `table` maps a block's key to its lines; the exotic one keeps v's
+    condition in them, and its callers pass m = the dimension left.
     """
     if m == 0 and any(bla[0] for _, bla in blocks):
         return ()
@@ -202,10 +212,10 @@ def _fiber_polynomial(
     for i, (a, bla) in enumerate(blocks):
         if order and a != order[0]:
             continue
-        for quotient, lines in _poly_table(bla).items():
+        for quotient, lines in table(bla).items():
             kept = ((a, quotient),) if total(quotient) else ()
             rest = _fiber_polynomial(
-                blocks[:i] + kept + blocks[i + 1 :], max(m - 1, 0), order[1:]
+                blocks[:i] + kept + blocks[i + 1 :], max(m - 1, 0), order[1:], table
             )
             poly_mul(lines, rest, found)
     return tuple(found)

@@ -31,14 +31,18 @@ from .gfmat import (
     Subspace,
     Vector,
     apply,
+    induced_maps,
     mat_inv,
     mat_mul,
+    power_images,
     rank,
     transpose,
 )
 from .counting import evaluate
-from .pairs import MixedClassifier, class_polynomial
-from .partitions import conjugate, partition_sum
+from .flags import _Table, _fiber_polynomial, _kernel_meets, _line_table, _nonempty_patterns
+from .pairs import EnhancedPair, MixedClassifier, NonSplitError, class_polynomial, classify
+from .pairs import krylov_basis, orbit_representative
+from .partitions import Bipartition, conjugate, partition_sum
 
 
 @dataclass(frozen=True)
@@ -213,6 +217,13 @@ def iotheta_set(space: SymplecticSpace, budget: int = 100_000) -> tuple[set, set
     return solution, image
 
 
+def _perp(space: SymplecticSpace, sub: Subspace) -> Subspace:
+    """The orthogonal complement of sub: the w with w . (u J) = 0 for u in sub."""
+    if not sub.dim:
+        return Subspace.full(space.dim, space.p)
+    return gfmat.right_kernel(space.times_gram(sub.basis), space.p)
+
+
 def isotropic_flags(
     space: SymplecticSpace, budget: int = 1_000_000
 ) -> list[tuple[Subspace, ...]]:
@@ -220,11 +231,6 @@ def isotropic_flags(
     n, p, dim = space.n, space.p, space.dim
     out: list[tuple[Subspace, ...]] = []
     nodes = 0
-
-    def perp(sub: Subspace) -> Subspace:
-        if sub.dim == 0:
-            return Subspace.full(dim, p)
-        return gfmat.right_kernel(space.times_gram(sub.basis), p)
 
     def extend(chain: list[Subspace]):
         nonlocal nodes
@@ -238,7 +244,7 @@ def isotropic_flags(
             out.append(tuple(chain))
             return
         current = chain[-1] if chain else Subspace.zero(dim, p)
-        ambient = perp(current)
+        ambient = _perp(space, current)
         complement = Subspace.from_vectors(
             [current.reduce(b) for b in ambient.basis], dim, p
         )
@@ -280,43 +286,91 @@ def _twisted_system(
     return rows, rhs
 
 
+def _exotic_key(bla: Bipartition) -> Bipartition:
+    """The exotic orbit (mu; nu) of a twisted block keyed (mu cup mu; nu cup nu):
+    every other part, as mu + nu = lam cup lam doubles mu and nu too.
+    Raises RuntimeError on a block type that is not lam cup lam."""
+    doubled = partition_sum(*bla)
+    if doubled[1::2] != doubled[::2]:
+        raise RuntimeError(f"block type {doubled} is not of the form lam cup lam")
+    return (bla[0][::2], bla[1][::2])
+
+
+def _exotic_patterns(key: Bipartition, p: int) -> tuple[tuple[Bipartition, tuple[int, ...]], ...]:
+    """(quotient key, corners) of each non-empty line pattern of the exotic key over GF(p).
+
+    In the normal form x = diag(J, J^T), v = (v_W, 0) on W + W*, with
+    (J, v_W) = `orbit_representative(key)`, the lines <w> of ker x cap v^perp
+    are counted by `flags._nonempty_patterns` over D_d = K^perp x^d + K, K the
+    Krylov span of v, and A_a = V x^a cap ker x cap v^perp.  The pattern fixes
+    the key of the pair induced on <w>^perp / <w>, and one w classifies it: a
+    basis vector of D_d cap A_a or a sum of two, as no space is the union of
+    two proper subspaces.
+    """
+    base = orbit_representative(key, p)
+    k = base.n
+    space = SymplecticSpace(k, p)
+    x = tuple(r + (0,) * k for r in base.x) + tuple((0,) * k + r for r in transpose(base.x))
+    v = base.v + (0,) * k
+    images = power_images(x, p)
+    krylov = Subspace.from_vectors(krylov_basis(x, v, p), space.dim, p)
+    moved, chain = _perp(space, krylov), []
+    for _ in images:
+        chain.append(moved.sum(krylov))
+        moved = Subspace.from_vectors([apply(b, x, p) for b in moved.basis], space.dim, p)
+    chain.append(Subspace.zero(space.dim, p))
+    meets = [  # w lies in D_d exactly when it is orthogonal to D_d^perp
+        _kernel_meets(x, images, p, space.times_gram((v,) + _perp(space, d_space).basis))
+        for d_space in chain
+    ]
+    out = []
+    for d, a, corners in _nonempty_patterns([[len(m) for m in row] for row in meets]):
+        basis = meets[d][a]
+        pool = basis + tuple(map(operator.add, b, c) for b in basis for c in basis)
+        w = next(w for w in pool if not (images[a + 1].contains(w) or chain[d + 1].contains(w)))
+        perp = _perp(space, Subspace.from_vectors([w], space.dim, p))
+        restriction, _ = induced_maps(x, perp, p)
+        line = Subspace.from_vectors([perp.coords(w)], space.dim - 1, p)
+        _, quotient = induced_maps(restriction, line, p)
+        residue = line.reduce(perp.coords(v))
+        v_bar = tuple(c for j, c in enumerate(residue) if j not in line.pivots)
+        out.append((_exotic_key(classify(EnhancedPair(quotient, v_bar, p))), corners))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _exotic_table(key: Bipartition) -> _Table:
+    """{quotient key: lines, in Z[q]}, from the patterns at 3 and at 5."""
+    return _line_table(_exotic_patterns, key, (3, 5))
+
+
 def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) -> int:
     """Isotropic flags F with x in the conjugate of (sU)^{iota theta} and v in F_n.
 
-    Depth first over stable isotropic lines: F_(k+1) = F_k + <w> qualifies
-    exactly when w is in F_k^perp and w (x - s_k) is in F_k, s_k the k-th
-    diagonal entry of s in flag order; one kernel per node.  n steps decide
-    triangularity in all 2n: twisted x is self-adjoint (J x = x^T J), so it
-    keeps F_k^perp when it keeps F_k and acts on F_k^perp / F_(k+1)^perp as
-    on F_(k+1) / F_k, as s = diag(t, t) does in flag order.  F_n is
-    Lagrangian, so v is in F_n exactly when every w is orthogonal to v: the
-    row v J.  Raises ValueError unless x is twisted and s = diag(t, t).
+    Twisted x is self-adjoint (J x = x^T J), so it keeps F_k^perp when it
+    keeps F_k and acts on F_k^perp / F_(k+1)^perp as on F_(k+1) / F_k, as
+    s = diag(t, t) does: n steps decide triangularity.  A first step is a
+    line <w> of ker(x - t_1) orthogonal to v (F_n is Lagrangian), followed
+    by a flag of the pair induced on <w>^perp / <w>.  So the count is
+    `flags._fiber_polynomial` over the blocks' exotic keys in the order t,
+    with `_exotic_table`, at p; a non-split x has no stable flag.  The oracle
+    is `stable_line_fiber_count` in `tests/oracles.py`.  Raises ValueError
+    at p = 2 and unless x is twisted and s = diag(t, t).
     """
-    n, p, dim = space.n, space.p, space.dim
+    n, p = space.n, space.p
+    if p == 2:
+        raise ValueError("exotic fiber counts need an odd prime, got p=2")
     if not space.in_twisted_set(x):
         raise ValueError("x does not lie in the twisted set")
-    diag = [s[i][i] for i in range(n)]
-    if s != space.torus_twisted(diag):
+    order = tuple(s[i][i] for i in range(n))
+    if s != space.torus_twisted(order):
         raise ValueError("s is not a twisted torus element diag(t, t)")
-    v_row = space.times_gram((v,))
-
-    def count(current: Subspace) -> int:
-        k = current.dim
-        # w (x - s_k) lies in F_k exactly when w annihilates the columns of
-        # the residues mod F_k of the rows of x - s_k
-        residues = [
-            current.reduce(r[:i] + (r[i] - diag[k],) + r[i + 1 :]) for i, r in enumerate(x)
-        ]
-        rows = transpose(residues) + space.times_gram(current.basis) + v_row
-        allowed = gfmat.right_kernel(rows, p)
-        if k == n - 1:  # the last step's lines, counted in closed form
-            return (p ** (allowed.dim - k) - 1) // (p - 1)
-        fresh = Subspace.from_vectors([current.reduce(b) for b in allowed.basis], dim, p)
-        return sum(
-            count(Subspace.from_vectors(current.basis + (w,), dim, p)) for w in fresh.lines()
-        )
-
-    return count(Subspace.zero(dim, p))
+    try:
+        classifier = MixedClassifier(x, p)
+    except NonSplitError:
+        return 0
+    blocks = tuple((a, _exotic_key(bla)) for a, bla in classifier.invariant(v).blocks)
+    return evaluate(_fiber_polynomial(blocks, n, order, _exotic_table), p)
 
 
 def sp_order(m: int, p: int) -> int:
@@ -350,10 +404,7 @@ def exotic_orbit_size(space: SymplecticSpace, x: Matrix, v: Vector) -> int:
         raise ValueError("x does not lie in the twisted set")
     numerator, denominator = sp_order(space.n, p), 1
     for _, bla in MixedClassifier(x, p).invariant(v).blocks:
-        doubled = partition_sum(*bla)
-        lam = doubled[::2]
-        if doubled[1::2] != lam:
-            raise RuntimeError(f"block type {doubled} is not of the form lam cup lam")
+        lam = partition_sum(*_exotic_key(bla))
         mults = Counter(lam).values()
         exponent = (
             sum(lam)

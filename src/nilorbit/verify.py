@@ -578,11 +578,10 @@ def exotic_orbit_report(n: int, skip_slow: bool = False) -> list[dict]:
         slice_primes = case.get("slice_primes", EXOTIC_SLICE_PRIMES)
         orbit_counts = []
         slice_counts = []
-        fibers = {}
         for p in slice_primes:
             space = symp.SymplecticSpace(n, p)
             s, u, v = _exotic_case_data(case, space)
-            slc, orb, fibers[p] = symp.exotic_slice_count(space, s, u, v)
+            slc, orb, _ = symp.exotic_slice_count(space, s, u, v)
             orbit_counts.append((p, orb))
             slice_counts.append((p, slc))
         c = slope_dim(CountSeries.of(orbit_counts))
@@ -594,12 +593,11 @@ def exotic_orbit_report(n: int, skip_slow: bool = False) -> list[dict]:
         else:
             slice_est = slope_dim(slice_series)
             slice_ok = 2 * slice_est == c
+        fiber_counts = []
         for p in fiber_primes:
-            if p not in fibers:
-                space = symp.SymplecticSpace(n, p)
-                s, u, v = _exotic_case_data(case, space)
-                fibers[p] = symp.exotic_fiber_count(space, s, mat_mul(s, u, p), v)
-        fiber_counts = [(p, fibers[p]) for p in fiber_primes]
+            space = symp.SymplecticSpace(n, p)
+            s, u, v = _exotic_case_data(case, space)
+            fiber_counts.append((p, symp.exotic_fiber_count(space, s, mat_mul(s, u, p), v)))
         fiber_series = CountSeries.of(fiber_counts)
         fiber_est = slope_dim(fiber_series)
         fiber_ok = fiber_est == nu_h - c // 2

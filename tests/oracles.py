@@ -3,11 +3,11 @@
 Each one checks a fast path of ``nilorbit`` from an independent
 definition: stabilizers by enumeration of the solution space of the
 stabilizer equations, vector classes by classifying every line, orbit
-equality through the invariant itself, stable flags by depth-first
-enumeration, the twisted coset (sU)^{iota theta} and the double-flag
-count by listing the coset, the root-group counts by forming
-u theta(u)^{-1}, and symplectic orbits by breadth-first closure under
-transvections.
+equality through the invariant itself, stable flags and stable
+isotropic flags by depth-first enumeration, the twisted coset
+(sU)^{iota theta} and the double-flag count by listing the coset, the
+root-group counts by forming u theta(u)^{-1}, and symplectic orbits by
+breadth-first closure under transvections.
 """
 
 from collections import Counter
@@ -166,6 +166,38 @@ def count_plain(x: Matrix, v: Vector, m: int, p: int, budget: int = PLAIN_BUDGET
         return found
 
     return recurse(Subspace.zero(n, p), 0)
+
+
+def stable_line_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) -> int:
+    """Depth first over stable isotropic lines: the oracle of
+    symplectic.exotic_fiber_count, for twisted x and s = diag(t, t).
+
+    F_(k+1) = F_k + <w> qualifies exactly when w is in F_k^perp and
+    w (x - s_k) is in F_k, s_k the k-th diagonal entry of s in flag order;
+    one kernel per node.  v is in the Lagrangian F_n exactly when every w is
+    orthogonal to v: the row v J.
+    """
+    n, p, dim = space.n, space.p, space.dim
+    diag = [s[i][i] for i in range(n)]
+    v_row = space.times_gram((v,))
+
+    def count(current: Subspace) -> int:
+        k = current.dim
+        # w (x - s_k) lies in F_k exactly when w annihilates the columns of
+        # the residues mod F_k of the rows of x - s_k
+        residues = [
+            current.reduce(r[:i] + (r[i] - diag[k],) + r[i + 1 :]) for i, r in enumerate(x)
+        ]
+        rows = transpose(residues) + space.times_gram(current.basis) + v_row
+        allowed = right_kernel(rows, p)
+        if k == n - 1:  # the last step's lines, counted in closed form
+            return (p ** (allowed.dim - k) - 1) // (p - 1)
+        fresh = Subspace.from_vectors([current.reduce(b) for b in allowed.basis], dim, p)
+        return sum(
+            count(Subspace.from_vectors(current.basis + (w,), dim, p)) for w in fresh.lines()
+        )
+
+    return count(Subspace.zero(dim, p))
 
 
 def flag_unipotent_elements(space: SymplecticSpace) -> Iterator[Matrix]:

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from nilorbit.counting import CountSeries, slope_dim
+from nilorbit.counting import CountSeries, evaluate, poly_mul, slope_dim
 from nilorbit.gfmat import (
     BudgetExceededError,
     Subspace,
@@ -18,10 +19,19 @@ from nilorbit.gfmat import (
     random_invertible,
     random_matrix,
     rank,
+    right_kernel,
     transpose,
 )
-from nilorbit import gfmat, symplectic
-from nilorbit.pairs import MixedClassifier, MixedInvariant, NonSplitError
+from nilorbit import flags, gfmat, symplectic
+from nilorbit.pairs import (
+    EnhancedPair,
+    MixedClassifier,
+    MixedInvariant,
+    NonSplitError,
+    classify,
+    orbit_representative,
+)
+from nilorbit.partitions import enumerate_bipartitions
 from nilorbit.symplectic import (
     SignedPermutation,
     SymplecticSpace,
@@ -53,6 +63,7 @@ from oracles import (
     listed_z_variety_count,
     product_root_group_counts,
     sp_generators,
+    stable_line_fiber_count,
     symplectic_transition,
     twisted_coset_set,
 )
@@ -733,6 +744,153 @@ def test_exotic_fiber_count_rejects_s_outside_the_twisted_torus():
     for s in (mirrored, off_diagonal):
         with pytest.raises(ValueError, match="twisted torus"):
             exotic_fiber_count(space, s, x, (0, 0, 0, 0))
+
+
+def test_exotic_fiber_count_rejects_p2():
+    # over GF(2) the form is symmetric, and the exotic line tables are
+    # computed in odd characteristic
+    space = SymplecticSpace(1, 2)
+    s = space.torus_twisted([1])
+    with pytest.raises(ValueError, match="odd prime"):
+        exotic_fiber_count(space, s, s, (0, 0))
+
+
+def doubled_normal_form(key, p):
+    """The twisted pair (diag(J, J^T), (v_W, 0)) on W + W* built from the
+    type-A normal form (J, v_W) of the exotic key."""
+    base = orbit_representative(key, p)
+    k = base.n
+    x = tuple(row + (0,) * k for row in base.x) + tuple(
+        (0,) * k + row for row in transpose(base.x)
+    )
+    return x, base.v + (0,) * k
+
+
+def enumerated_exotic_table(key, p):
+    """{quotient key: lines} by classifying the quotient L^perp / L of every
+    line L of ker x orthogonal to v in the doubled normal form."""
+    x, v = doubled_normal_form(key, p)
+    space = SymplecticSpace(len(x) // 2, p)
+    dim = space.dim
+    found = Counter()
+    for w in right_kernel(transpose(x) + space.times_gram((v,)), p).lines():
+        perp = right_kernel(space.times_gram((w,)), p)
+        restriction, _ = gfmat.induced_maps(x, perp, p)
+        line = Subspace.from_vectors([perp.coords(w)], dim - 1, p)
+        _, quotient = gfmat.induced_maps(restriction, line, p)
+        residue = line.reduce(perp.coords(v))
+        v_bar = tuple(c for j, c in enumerate(residue) if j not in line.pivots)
+        found[symplectic._exotic_key(classify(EnhancedPair(quotient, v_bar, p)))] += 1
+    return dict(found)
+
+
+EXOTIC_TABLE_CASES = [
+    (key, p) for k in (1, 2, 3) for key in enumerate_bipartitions(k) for p in (3, 5)
+] + [
+    # at this key an (a, b) pattern with b = max{b : w in I_b + K} holds lines
+    # of two quotient classes; the (a, d) pattern separates them
+    (((1, 1), (1, 1)), 3)
+]
+
+
+@pytest.mark.parametrize(
+    "key, p", EXOTIC_TABLE_CASES, ids=[f"{key}-{p}" for key, p in EXOTIC_TABLE_CASES]
+)
+def test_exotic_tables_match_line_enumeration(key, p):
+    table = {q: evaluate(lines, p) for q, lines in symplectic._exotic_table(key).items()}
+    assert table == enumerated_exotic_table(key, p)
+
+
+def test_exotic_table_rejects_tables_that_differ_between_primes(monkeypatch):
+    key = ((1,), (1,))
+    patterns = symplectic._exotic_patterns
+
+    def skewed(beta, p):
+        found = patterns(beta, p)
+        return found if p == 3 else found[1:]
+
+    symplectic._exotic_table.cache_clear()
+    monkeypatch.setattr(symplectic, "_exotic_patterns", skewed)
+    with pytest.raises(RuntimeError) as info:
+        symplectic._exotic_table(key)
+    assert str(info.value) == "the line patterns of ((1,), (1,)) differ between p=3 and p=5"
+
+
+def test_exotic_fiber_count_matches_stable_line_walk():
+    for n, primes in ((1, (3, 5, 7, 11)), (2, (3, 5, 7, 11))):
+        for p in primes:
+            space = SymplecticSpace(n, p)
+            for case in exotic_orbit_cases(n):
+                s, u, v = _exotic_case_data(case, space)
+                x = mat_mul(s, u, p)
+                expected = stable_line_fiber_count(space, s, x, v)
+                assert exotic_fiber_count(space, s, x, v) == expected, (n, p, case["name"])
+    # every doubled normal form at n = 3, shifted to the central torus
+    p = 3
+    space = SymplecticSpace(3, p)
+    s = space.torus_twisted([1, 1, 1])
+    for key in enumerate_bipartitions(3):
+        x, v = doubled_normal_form(key, p)
+        x = tuple(tuple((c + (i == j)) % p for j, c in enumerate(row)) for i, row in enumerate(x))
+        assert exotic_fiber_count(space, s, x, v) == stable_line_fiber_count(space, s, x, v), key
+
+
+def test_central_zero_fiber_is_the_type_c_poincare_polynomial():
+    # (1, 0): every isotropic flag is stable, so the fiber polynomial is the
+    # Poincare polynomial of W_k, the product of 1 + q + ... + q^(2i - 1)
+    for k in range(1, 5):
+        poincare = (1,)
+        for i in range(1, k + 1):
+            product = []
+            poly_mul(poincare, (1,) * (2 * i), product)
+            poincare = tuple(product)
+        blocks = ((1, ((), (1,) * k)),)
+        fiber = flags._fiber_polynomial(blocks, k, (1,) * k, symplectic._exotic_table)
+        assert fiber == poincare
+        assert evaluate(poincare, 7) == type_c_poincare(k, 7)
+    for n in (1, 2):
+        for p in (3, 5):
+            space = SymplecticSpace(n, p)
+            s = identity_scaled(space, 1)
+            count = exotic_fiber_count(space, s, s, (0,) * space.dim)
+            assert count == len(isotropic_flags(space)), (n, p)
+
+
+def test_classifier_sizes_every_twisted_pair_n2_p3():
+    # the twisted set is {J^-1 S : S skew and invertible}, since J x is skew
+    # exactly for twisted x; every split one with every v falls into 14
+    # classifier classes, and each class holds exotic_orbit_size pairs
+    p = 3
+    space = SymplecticSpace(2, p)
+    j_inv = mat_inv(space.gram, p)
+    upper = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    twisted = []
+    for entries in itertools.product(range(p), repeat=len(upper)):
+        skew = [[0] * 4 for _ in range(4)]
+        for (i, j), c in zip(upper, entries):
+            skew[i][j], skew[j][i] = c, -c % p
+        if rank(skew, p) == 4:
+            twisted.append(mat_mul(j_inv, tuple(map(tuple, skew)), p))
+    assert len(twisted) == 468
+    assert all(space.in_twisted_set(x) for x in twisted)
+    classes = Counter()
+    first = {}
+    split = 0
+    for x in twisted:
+        try:
+            classifier = MixedClassifier(x, p)
+        except NonSplitError:
+            continue
+        split += 1
+        for v in all_vectors(4, p):
+            key = classifier.invariant(v)
+            classes[key] += 1
+            first.setdefault(key, (x, v))
+    assert split == 252
+    assert sum(classes.values()) == 20_412
+    assert len(classes) == 14
+    for key, size in classes.items():
+        assert exotic_orbit_size(space, *first[key]) == size, key
 
 
 def test_signed_permutation_basics():
