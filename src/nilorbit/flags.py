@@ -23,29 +23,14 @@ from .counting import (
     gaussian_factorial,
     poly_mul,
 )
-from .gfmat import (
-    Matrix,
-    PrimeField,
-    Subspace,
-    Vector,
-    apply,
-    induced_maps,
-    mat_mul,
-    partition_from_ranks,
-    power_images,
-    rank,
-    right_kernel,
-    transpose,
-)
+from .gfmat import Matrix, PrimeField, Vector, mat_mul, partition_from_ranks
 from . import gfmat
 from .pairs import (
     EnhancedPair,
     MixedClassifier,
     NonSplitError,
     bipartition_from_types,
-    krylov_basis,
     mixed_orbit_size,
-    orbit_representative,
 )
 from .partitions import (
     Bipartition,
@@ -53,6 +38,7 @@ from .partitions import (
     bipartition_to_json,
     irr_dim,
     orbit_dim,
+    partition_sum,
     size,
     total,
 )
@@ -93,77 +79,87 @@ def _nonempty_patterns(dims: Sequence[Sequence[int]]) -> Iterator[tuple[int, int
                 yield a, b, corners
 
 
-def _kernel_meets(x: Matrix, images: Sequence[Subspace], p: int, normals: Matrix = ()) -> list[Matrix]:
-    """Bases of A_a = I_a cap ker x, cut down to w . f = 0 for each normal f,
-    for the row spaces I_a = images[a] of the powers of x, closed by ()."""
-    meets = []
-    for space in images[:-1]:
-        # I_a is x-stable: A_a is the kernel of x restricted to I_a.
-        restriction, _ = induced_maps(x, space, p)
-        rows = transpose(restriction) + tuple(apply(f, transpose(space.basis), p) for f in normals)
-        kernel = right_kernel(rows, p)
-        meets.append(tuple(apply(c, space.basis, p) for c in kernel.basis))
-    meets.append(())
-    return meets
+def _line_patterns(bla: Bipartition) -> tuple[tuple[Bipartition, tuple[int, ...]], ...]:
+    """(quotient class, corners) of each non-empty line pattern of bla, from
+    the partitions alone.
 
+    The quotient by a line L = <w> of ker x has rank x^k = dim I_k - [w in I_k]
+    on V/L and dim J_k + [w not in J_k] - dim(K + L) on V/(K + L), with I_k
+    the row space of x^k, K the Krylov span of v and J_k = I_k + K.  Both
+    chains decrease, so the class of L depends only on a = max{k : w in I_k}
+    and b = max{k : w in J_k}, and b >= a because I_a lies in J_a.  The lines
+    are counted by `_nonempty_patterns` over A_a = I_a cap ker x and the J_b,
+    closed by the zero spaces A_h and J_(h + 1), h = lam_1.
 
-def _pattern_dimensions(bla: Bipartition, p: int) -> tuple[tuple[Bipartition, tuple[int, ...]], ...]:
-    """(quotient class, corners) of each non-empty line pattern of bla over GF(p).
+    Every dimension is read off the normal form (Achar-Henderson, Orbit
+    closures in the enhanced nilpotent cone, Adv. Math. 219 (2008), sec. 2-3):
+    lam = mu + nu, e_(i,k) the height-k vector of block i, x sends e_(i,k)
+    to e_(i,k-1) and v = sum of the e_(i,mu_i), so v x^j = sum over mu_i > j
+    of e_(i,mu_i-j), and e_(i,k) lies in I_b exactly when k <= lam_i - b.
+    With t = mu_1 and S_j(b) = {i : mu_i > j and nu_i + j < b}, the residue
+    of v x^j mod I_b is the sum of the e_(i,mu_i-j) over S_j(b); the
+    residues have disjoint supports, so the non-zero ones are independent.
 
-    With I_k the row space of x^k, K the Krylov span of v and J_k = I_k + K,
-    the quotient by L = <w> has rank x^k = dim I_k - [w in I_k] on V/L and
-    dim J_k + [w not in J_k] - dim(K + L) on V/(K + L).  Both chains
-    decrease, so the class of L depends only on a = max{k : w in I_k} and
-    b = max{k : w in J_k}, and b >= a because I_a lies in J_a.  The lines
-    of ker x are counted by `_nonempty_patterns` over A_a = I_a cap ker x
-    and the J_b, closed by the zero spaces A_h and J_(h + 1), h the
-    nilpotency index of x.  The dimensions take O(h^2) rank computations
-    at p and enumerate no line.
+    - dim I_k = sum of max(lam_i - k, 0), and dim K = t.
+    - dim J_k = dim I_k + #{j < t : S_j(k) non-empty}.
+    - For b <= a, dim(A_a cap J_b) = dim A_a = #{i : lam_i > a}.
+    - For b > a, dim(A_a cap J_b) = #{i : lam_i > b} plus the number of
+      j < t with S_j(b) non-empty and mu_i = j + 1, lam_i > a for every i
+      in S_j(b).  Write w in J_b as y + sum of c_j r_j, with y in I_b and
+      r_j the residues.  r_j x is the sum of the e_(i,mu_i-j-1) over
+      S_j(b) (e_(i,0) = 0), none of them in I_(b + 1), with disjoint
+      supports, while y x lies in I_(b + 1).  So w x = 0 forces y into A_b
+      and c_j = 0 unless r_j x = 0, that is mu_i = j + 1 on S_j(b), when
+      r_j is a sum of bottom vectors e_(i,1); such an r_j lies in I_a
+      exactly when lam_i > a on S_j(b).
     """
-    z = orbit_representative(bla, p)
-    n = z.n
-    images = power_images(z.x, p)
-    height = len(images) - 1
-    krylov = Subspace.from_vectors(krylov_basis(z.x, z.v, p), n, p)
-    joined = [space.sum(krylov) for space in images] + [Subspace.zero(n, p)]
+    mu, nu = bla
+    lam = partition_sum(mu, nu)
+    n, rows = sum(lam), len(lam)
+    mu = mu + (0,) * (rows - len(mu))
+    nu = nu + (0,) * (rows - len(nu))
+    height, t = (lam[0], mu[0]) if lam else (0, 0)
+    images = [sum(max(la - k, 0) for la in lam) for k in range(height + 1)]
+    kernels = [sum(la > a for la in lam) for a in range(height)] + [0]
+    joined, bottoms = [], []  # dim J_b; min lam_i over each S_j(b) of bottom vectors
+    for b in range(height + 1):
+        residues = [[i for i in range(rows) if mu[i] > j and nu[i] + j < b] for j in range(t)]
+        joined.append(images[b] + sum(1 for s in residues if s))
+        bottoms.append([
+            min(lam[i] for i in s)
+            for j, s in enumerate(residues)
+            if s and all(mu[i] == j + 1 for i in s)
+        ])
+    joined.append(0)
     dims = [
         [
-            len(meet)
-            if b <= a
-            else len(meet) + joined[b].dim - rank(meet + joined[b].basis, p)
+            0 if b > height
+            else kernels[a] if b <= a
+            else kernels[b] + sum(low > a for low in bottoms[b])
             for b in range(height + 2)
         ]
-        for a, meet in enumerate(_kernel_meets(z.x, images, p))
+        for a in range(height + 1)
     ]
     out = []
     for a, b, corners in _nonempty_patterns(dims):
-        lam = partition_from_ranks(
-            [n - 1] + [images[k].dim - (k <= a) for k in range(1, height)] + [0]
+        quotient_lam = partition_from_ranks(
+            [n - 1] + [images[k] - (k <= a) for k in range(1, height)] + [0]
         )
-        k_and_l = krylov.dim + (b < height)
+        k_and_l = t + (b < height)
         rho = partition_from_ranks(
-            [n - k_and_l]
-            + [joined[k].dim + (k > b) - k_and_l for k in range(1, height + 1)]
+            [n - k_and_l] + [joined[k] + (k > b) - k_and_l for k in range(1, height + 1)]
         )
-        out.append((bipartition_from_types(lam, rho), corners))
+        out.append((bipartition_from_types(quotient_lam, rho), corners))
     return tuple(out)
 
 
-def _line_table(patterns_of: Callable, key: Bipartition, primes: tuple[int, int]) -> _Table:
-    """{quotient class: number of lines, in Z[q]} from the (class, corners)
-    pairs of `patterns_of(key, p)`.
+def _lines_in_q(patterns: Sequence[tuple[Bipartition, tuple[int, ...]]]) -> _Table:
+    """{quotient class: number of lines, in Z[q]} from (class, corners) pairs.
 
-    The subspace dimensions behind a table do not depend on the prime, so
-    they are computed at both primes, and a difference raises.  A pattern
-    with corners (d1, d2, d3, d4) has (q^d1 - q^d2 - q^d3 + q^d4) / (q - 1)
-    lines, and (q^a - q^b) / (q - 1) = q^b + ... + q^(a - 1).  The mapping
-    is read-only because the caches hand it to every caller.
+    A pattern with corners (d1, d2, d3, d4) has (q^d1 - q^d2 - q^d3 + q^d4)
+    / (q - 1) lines, and (q^a - q^b) / (q - 1) = q^b + ... + q^(a - 1).  The
+    mapping is read-only because the caches hand it to every caller.
     """
-    patterns = patterns_of(key, primes[0])
-    if patterns_of(key, primes[1]) != patterns:
-        raise RuntimeError(
-            f"the line patterns of {key} differ between p={primes[0]} and p={primes[1]}"
-        )
     out: dict[Bipartition, list[int]] = {}
     for quotient, (d1, d2, d3, d4) in patterns:
         lines = [(d2 <= k) - (d4 <= k < d3) for k in range(d1)]
@@ -171,11 +167,26 @@ def _line_table(patterns_of: Callable, key: Bipartition, primes: tuple[int, int]
     return MappingProxyType({quotient: tuple(lines) for quotient, lines in out.items()})
 
 
+def _line_table(patterns_of: Callable, key: Bipartition, primes: tuple[int, int]) -> _Table:
+    """`_lines_in_q` of the (class, corners) pairs of `patterns_of(key, p)`,
+    for patterns computed over GF(p).
+
+    The subspace dimensions behind a table do not depend on the prime, so
+    they are computed at both primes, and a difference raises.
+    """
+    patterns = patterns_of(key, primes[0])
+    if patterns_of(key, primes[1]) != patterns:
+        raise RuntimeError(
+            f"the line patterns of {key} differ between p={primes[0]} and p={primes[1]}"
+        )
+    return _lines_in_q(patterns)
+
+
 @lru_cache(maxsize=None)
 def _poly_table(bla: Bipartition) -> _Table:
     """{quotient class: number of lines in ker x, in Z[q]} for the normal form
-    of bla, from its patterns at 2 and at 3."""
-    return _line_table(_pattern_dimensions, bla, (2, 3))
+    of bla, from its patterns in closed form."""
+    return _lines_in_q(_line_patterns(bla))
 
 
 @lru_cache(maxsize=None)

@@ -351,25 +351,38 @@ def centralizer_order(lam: Partition, p: int) -> int:
     return p**exponent * math.prod(gl_order(m, p) for m in mults)
 
 
-def _commutant_spans(lam: Partition, p: int) -> dict[Bipartition, tuple[int, frozenset]]:
-    """{beta: (dim W_beta, the classes gamma != beta below beta)} over J_lam at p.
+def _class_spans(lam: Partition) -> dict[Bipartition, tuple[int, frozenset]]:
+    """{beta: (dim W_beta, the classes gamma != beta below beta)} over J_lam.
 
     W_beta = C(x)v_beta is the span of the normal-form vector under the
-    commutant, and gamma lies below beta when v_gamma is in W_beta.
+    commutant, and gamma lies below beta when v_gamma is in W_beta.  In the
+    normal form (Achar-Henderson, Orbit closures in the enhanced nilpotent
+    cone, Adv. Math. 219 (2008), sec. 2-3), v_beta is the sum of the
+    height-mu_i vectors of the blocks i, lam = mu + nu.  A module map from
+    block i to block j sends its height-mu_i vector to any vector of height
+    at most min(mu_i, lam_j - nu_i), and C(x) holds the projections onto the
+    blocks, so W_beta is spanned by the vectors of height at most H_j in
+    each block j, with H_j = max(0, max over mu_i > 0 of min(mu_i, lam_j -
+    nu_i)).  So dim W_beta = sum of the H_j, and gamma lies below beta
+    exactly when mu^gamma_j <= H_j for every j.
     """
-    n = sum(lam)
-    basis = commutant(jordan_matrix(lam, p), p)
-    vectors = {
-        bla: orbit_representative(bla, p).v
-        for bla in enumerate_bipartitions(n)
-        if partition_sum(*bla) == lam
+    heights = {}
+    for bla in enumerate_bipartitions(sum(lam)):
+        if partition_sum(*bla) == lam:
+            mu, nu = bla
+            nu = nu + (0,) * (len(mu) - len(nu))
+            heights[bla] = tuple(
+                max([0] + [min(m_i, la - n_i) for m_i, n_i in zip(mu, nu)]) for la in lam
+            )
+    return {
+        bla: (
+            sum(top),
+            frozenset(
+                g for g in heights if g != bla and all(m <= h for m, h in zip(g[0], top))
+            ),
+        )
+        for bla, top in heights.items()
     }
-    out = {}
-    for bla, v in vectors.items():
-        span = Subspace.from_vectors([apply(v, a, p) for a in basis], n, p)
-        below = frozenset(g for g, w in vectors.items() if g != bla and span.contains(w))
-        out[bla] = (span.dim, below)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -382,13 +395,10 @@ def _class_polynomials(lam: Partition) -> Mapping[Bipartition, tuple[int, ...]]:
     So the sum of c_gamma over gamma <= beta is q^dim W_beta, which Moebius
     inversion solves from the smallest spans up:
     c_beta = sum over gamma <= beta of mu(gamma, beta) q^dim W_gamma.  The
-    dimensions and the order do not depend on the prime, so they are
-    computed at 2 and at 3, and a difference raises.  The mapping is
-    read-only because the cache hands it to every caller.
+    spans and the order come from `_class_spans`.  The mapping is read-only
+    because the cache hands it to every caller.
     """
-    spans = _commutant_spans(lam, 2)
-    if _commutant_spans(lam, 3) != spans:
-        raise RuntimeError(f"the commutant spans over J_{lam} differ between p=2 and p=3")
+    spans = _class_spans(lam)
     out: dict[Bipartition, tuple[int, ...]] = {}
     for bla, (dim, below) in sorted(spans.items(), key=lambda item: item[1][0]):
         if any(spans[g][0] == dim for g in below):

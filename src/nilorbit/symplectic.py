@@ -39,7 +39,7 @@ from .gfmat import (
     transpose,
 )
 from .counting import evaluate
-from .flags import _Table, _fiber_polynomial, _kernel_meets, _line_table, _nonempty_patterns
+from .flags import _Table, _fiber_polynomial, _line_table, _nonempty_patterns
 from .pairs import EnhancedPair, MixedClassifier, NonSplitError, class_polynomial, classify
 from .pairs import krylov_basis, orbit_representative
 from .partitions import Bipartition, conjugate, partition_sum
@@ -294,6 +294,20 @@ def _exotic_key(bla: Bipartition) -> Bipartition:
     if doubled[1::2] != doubled[::2]:
         raise RuntimeError(f"block type {doubled} is not of the form lam cup lam")
     return (bla[0][::2], bla[1][::2])
+
+
+def _kernel_meets(x: Matrix, images: Sequence[Subspace], p: int, normals: Matrix = ()) -> list[Matrix]:
+    """Bases of A_a = I_a cap ker x, cut down to w . f = 0 for each normal f,
+    for the row spaces I_a = images[a] of the powers of x, closed by ()."""
+    meets = []
+    for space in images[:-1]:
+        # I_a is x-stable: A_a is the kernel of x restricted to I_a.
+        restriction, _ = induced_maps(x, space, p)
+        rows = transpose(restriction) + tuple(apply(f, transpose(space.basis), p) for f in normals)
+        kernel = gfmat.right_kernel(rows, p)
+        meets.append(tuple(apply(c, space.basis, p) for c in kernel.basis))
+    meets.append(())
+    return meets
 
 
 def _exotic_patterns(key: Bipartition, p: int) -> tuple[tuple[Bipartition, tuple[int, ...]], ...]:

@@ -21,7 +21,9 @@ from . import symplectic as symp
 from .counting import (
     CountSeries,
     degree,
+    evaluate,
     first_primes,
+    gaussian_factorial,
     gaussian_factorial_poly,
     poly_mul,
     slope_dim,
@@ -468,7 +470,7 @@ def fiber_conjugation_failures(n_max: int, seed: int) -> list[dict]:
     for n in range(1, n_max + 1):
         for p in (2, 3):
             for bmu in enumerate_bipartitions(n):
-                z = flags_mod.orbit_representative(bmu, p)
+                z = pairs_mod.orbit_representative(bmu, p)
                 m = size(bmu[0])
                 expected = flags_mod.count_fiber(flags_mod.FlagCondition(z.x, z.v, m, p))
                 g = random_invertible(n, p, seed * 31 + n * 7 + p)
@@ -489,6 +491,28 @@ def covering_degree_failures(n_max: int) -> list[dict]:
             expected = factorial(m) * factorial(n - m)
             if not good or got != expected:
                 out.append({"n": n, "m": m, "p": p, "expected": expected, "got": got})
+    return out
+
+
+def springer_total_failures(n_max: int, primes: Sequence[int]) -> list[dict]:
+    """Counting the triples (flag F, x nilpotent stabilizing F, v in F_m) two
+    ways: sum over beta |- n of |O_beta| F_(beta,m)(p) = [n]_p! p^(n(n-1)/2 + m)
+    for every m in 0..n, as the x stabilizing F are the strictly triangular
+    matrices and the v in F_m number p^m.  It binds every line table, class
+    polynomial and fiber of size n."""
+    out = []
+    for n in range(1, n_max + 1):
+        for p in primes:
+            field = PrimeField(p)
+            orbits = [(bla, pairs_mod.orbit_size(bla, field)) for bla in enumerate_bipartitions(n)]
+            for m in range(n + 1):
+                expected = gaussian_factorial(n, p) * p ** (n * (n - 1) // 2 + m)
+                got = sum(
+                    count * evaluate(flags_mod._fiber_polynomial(((0, bla),), m), p)
+                    for bla, count in orbits
+                )
+                if got != expected:
+                    out.append({"n": n, "m": m, "p": p, "expected": expected, "got": got})
     return out
 
 

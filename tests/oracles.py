@@ -2,7 +2,9 @@
 
 Each one checks a fast path of ``nilorbit`` from an independent
 definition: stabilizers by enumeration of the solution space of the
-stabilizer equations, vector classes by classifying every line, orbit
+stabilizer equations, vector classes by classifying every line, line
+patterns and commutant spans by GF(p) linear algebra on the normal
+form, orbit
 equality through the invariant itself, stable flags and stable
 isotropic flags by depth-first enumeration, the twisted coset
 (sU)^{iota theta} and the double-flag count by listing the coset, the
@@ -27,22 +29,29 @@ from nilorbit.gfmat import (
     jordan_matrix,
     mat_mul,
     mat_sub,
+    partition_from_ranks,
+    power_images,
     rank,
     right_kernel,
     scal_mul,
     transpose,
 )
+from nilorbit.flags import _nonempty_patterns
 from nilorbit.pairs import (
     EnhancedPair,
     _classify_nilpotent,
     _nilpotent_profile,
+    bipartition_from_types,
     commutant,
+    krylov_basis,
     mixed_invariant,
+    orbit_representative,
 )
-from nilorbit.partitions import Bipartition, Partition
+from nilorbit.partitions import Bipartition, Partition, enumerate_bipartitions, partition_sum
 from nilorbit.symplectic import (
     SignedPermutation,
     SymplecticSpace,
+    _kernel_meets,
     _twisted_system,
     lagrangian_meet_dim,
     length,
@@ -126,6 +135,67 @@ def vector_class_counts(lam: Partition, p: int) -> dict[Bipartition, int]:
     for line in Subspace.full(n, p).lines():
         counts[_classify_nilpotent(x, line, p, profile)] += p - 1
     return dict(counts)
+
+
+def pattern_dimensions(bla: Bipartition, p: int) -> tuple[tuple[Bipartition, tuple[int, ...]], ...]:
+    """(quotient class, corners) of each non-empty line pattern of bla over
+    GF(p), by rank computations on the normal form: the oracle of
+    flags._line_patterns.
+
+    With I_k the row space of x^k, K the Krylov span of v and J_k = I_k + K,
+    the lines of ker x are counted by `_nonempty_patterns` over
+    A_a = I_a cap ker x and the J_b, closed by the zero spaces A_h and
+    J_(h + 1), h the nilpotency index of x.
+    """
+    z = orbit_representative(bla, p)
+    n = z.n
+    images = power_images(z.x, p)
+    height = len(images) - 1
+    krylov = Subspace.from_vectors(krylov_basis(z.x, z.v, p), n, p)
+    joined = [space.sum(krylov) for space in images] + [Subspace.zero(n, p)]
+    dims = [
+        [
+            len(meet)
+            if b <= a
+            else len(meet) + joined[b].dim - rank(meet + joined[b].basis, p)
+            for b in range(height + 2)
+        ]
+        for a, meet in enumerate(_kernel_meets(z.x, images, p))
+    ]
+    out = []
+    for a, b, corners in _nonempty_patterns(dims):
+        lam = partition_from_ranks(
+            [n - 1] + [images[k].dim - (k <= a) for k in range(1, height)] + [0]
+        )
+        k_and_l = krylov.dim + (b < height)
+        rho = partition_from_ranks(
+            [n - k_and_l]
+            + [joined[k].dim + (k > b) - k_and_l for k in range(1, height + 1)]
+        )
+        out.append((bipartition_from_types(lam, rho), corners))
+    return tuple(out)
+
+
+def commutant_spans(lam: Partition, p: int) -> dict[Bipartition, tuple[int, frozenset]]:
+    """{beta: (dim W_beta, the classes gamma != beta below beta)} over J_lam
+    at p, from a commutant basis: the oracle of pairs._class_spans.
+
+    W_beta = C(x)v_beta is the span of the normal-form vector under the
+    commutant, and gamma lies below beta when v_gamma is in W_beta.
+    """
+    n = sum(lam)
+    basis = commutant(jordan_matrix(lam, p), p)
+    vectors = {
+        bla: orbit_representative(bla, p).v
+        for bla in enumerate_bipartitions(n)
+        if partition_sum(*bla) == lam
+    }
+    out = {}
+    for bla, v in vectors.items():
+        span = Subspace.from_vectors([apply(v, a, p) for a in basis], n, p)
+        below = frozenset(g for g, w in vectors.items() if g != bla and span.contains(w))
+        out[bla] = (span.dim, below)
+    return out
 
 
 # flag nodes count_plain visits before it gives up

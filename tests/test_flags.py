@@ -15,7 +15,7 @@ from nilorbit.counting import (
     poly_mul,
     slope_dim,
 )
-from nilorbit import flags
+from nilorbit import flags, gfmat, pairs
 from nilorbit.cli import main
 from nilorbit.flags import (
     FlagCondition,
@@ -56,8 +56,8 @@ from nilorbit.pairs import (
     orbit_representative,
 )
 from nilorbit.partitions import enumerate_bipartitions, partition_sum, size, total
-from nilorbit.verify import slice_cases
-from oracles import count_plain
+from nilorbit.verify import slice_cases, springer_total_failures
+from oracles import count_plain, pattern_dimensions
 
 
 def coset_fiber_count(x, v, m, p):
@@ -209,19 +209,76 @@ def test_transition_tables_count_every_line_of_the_kernel():
                 assert all(total(quotient) == n - 1 for quotient in table)
 
 
-def test_poly_table_rejects_tables_that_differ_between_primes(monkeypatch):
+@pytest.mark.parametrize("p", [2, 3])
+def test_line_patterns_match_rank_oracle(p):
+    """The closed-form patterns against rank computations on the normal form,
+    for every bipartition with n <= 7."""
+    for n in range(1, 8):
+        for bla in enumerate_bipartitions(n):
+            assert flags._line_patterns(bla) == pattern_dimensions(bla, p), (bla, p)
+
+
+def test_line_table_rejects_tables_that_differ_between_primes():
+    """The cross-prime guard of the tables computed over GF(p), which the
+    exotic tables use; the type-A tables have no prime."""
     bla = ((1,), (1, 1))
-    dimensions = flags._pattern_dimensions
 
     def skewed(beta, p):
-        patterns = dimensions(beta, p)
+        patterns = flags._line_patterns(beta)
         return patterns if p == 2 else patterns[1:]
 
-    _poly_table.cache_clear()
-    monkeypatch.setattr(flags, "_pattern_dimensions", skewed)
     with pytest.raises(RuntimeError) as info:
-        _poly_table(bla)
+        flags._line_table(skewed, bla, (2, 3))
     assert str(info.value) == "the line patterns of ((1,), (1, 1)) differ between p=2 and p=3"
+
+
+def test_type_a_counts_do_no_linear_algebra(monkeypatch):
+    """Line tables, class polynomials and fiber polynomials come from the
+    partitions alone: no rank, kernel, image or span is formed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the type-A count path did GF(p) linear algebra")
+
+    _poly_table.cache_clear()
+    _fiber_polynomial.cache_clear()
+    pairs._class_polynomials.cache_clear()
+    for name in ("rank", "right_kernel", "power_images", "induced_maps"):
+        monkeypatch.setattr(gfmat, name, refuse)
+        for module in (flags, pairs):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(Subspace, "from_vectors", staticmethod(refuse))
+    for n in range(1, 6):
+        for bla in enumerate_bipartitions(n):
+            _poly_table(bla)
+            pairs.class_polynomial(bla)
+    for n in range(5):
+        for bla in enumerate_bipartitions(n):
+            springer_report(bla, size(bla[0]))
+
+
+def test_springer_totals_hold():
+    assert springer_total_failures(5, (2, 3, 5)) == []
+
+
+def test_springer_totals_catch_a_broken_table(monkeypatch):
+    """Dropping one line pattern of ((1,), (1, 1)) loses fibers at n = 3,
+    and the double count sees it."""
+    patterns_of = flags._line_patterns
+
+    def broken(bla):
+        patterns = patterns_of(bla)
+        return patterns[1:] if bla == ((1,), (1, 1)) else patterns
+
+    monkeypatch.setattr(flags, "_line_patterns", broken)
+    _poly_table.cache_clear()
+    _fiber_polynomial.cache_clear()
+    try:
+        assert springer_total_failures(2, (2,)) == []
+        assert springer_total_failures(3, (2,)) != []
+    finally:
+        _poly_table.cache_clear()
+        _fiber_polynomial.cache_clear()
 
 
 def test_plain_budget_reports_progress():

@@ -55,7 +55,7 @@ from nilorbit.partitions import (
     partition_sum,
 )
 from nilorbit.verify import CENSUS_POINTS, orbit_dimension_growth_failures
-from oracles import same_orbit, stabilizer_group_order, vector_class_counts
+from oracles import commutant_spans, same_orbit, stabilizer_group_order, vector_class_counts
 
 
 def conjugate_pair(z: EnhancedPair, seed: int) -> EnhancedPair:
@@ -352,6 +352,15 @@ def test_class_polynomials_match_vector_counts(n):
                 if partition_sum(*bla) == lam
             }
             assert got == vector_class_counts(lam, p), (lam, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_class_spans_match_commutant_oracle(p):
+    """The closed-form spans and below-sets against a commutant basis at p,
+    for every partition with n <= 7."""
+    for n in range(8):
+        for lam in enumerate_partitions(n):
+            assert pairs._class_spans(lam) == commutant_spans(lam, p), (lam, p)
 
 
 def test_class_polynomial_examples():
