@@ -79,7 +79,9 @@ def _nonempty_patterns(dims: Sequence[Sequence[int]]) -> Iterator[tuple[int, int
                 yield a, b, corners
 
 
-def _line_patterns(bla: Bipartition) -> tuple[tuple[Bipartition, tuple[int, ...]], ...]:
+def _line_patterns(
+    bla: Bipartition, exotic: bool = False
+) -> tuple[tuple[Bipartition, tuple[int, ...]], ...]:
     """(quotient class, corners) of each non-empty line pattern of bla, from
     the partitions alone.
 
@@ -112,6 +114,11 @@ def _line_patterns(bla: Bipartition) -> tuple[tuple[Bipartition, tuple[int, ...]
       and c_j = 0 unless r_j x = 0, that is mu_i = j + 1 on S_j(b), when
       r_j is a sum of bottom vectors e_(i,1); such an r_j lies in I_a
       exactly when lam_i > a on S_j(b).
+
+    With exotic, bla is an exotic key and the lines are those of its doubled
+    normal form: each dimension gains the W* summand F(a, b), with b read as
+    the exotic index d, and the quotient keys are unchanged.
+    `symplectic._exotic_table` derives both.
     """
     mu, nu = bla
     lam = partition_sum(mu, nu)
@@ -121,7 +128,9 @@ def _line_patterns(bla: Bipartition) -> tuple[tuple[Bipartition, tuple[int, ...]
     height, t = (lam[0], mu[0]) if lam else (0, 0)
     images = [sum(max(la - k, 0) for la in lam) for k in range(height + 1)]
     kernels = [sum(la > a for la in lam) for a in range(height)] + [0]
-    joined, bottoms = [], []  # dim J_b; min lam_i over each S_j(b) of bottom vectors
+    # per b: dim J_b; min lam_i over each S_j(b) of bottom vectors; and, for
+    # each j with S_j(b) empty, max lam_i over the nu_i = b - j (exotic only)
+    joined, bottoms, tops = [], [], []
     for b in range(height + 1):
         residues = [[i for i in range(rows) if mu[i] > j and nu[i] + j < b] for j in range(t)]
         joined.append(images[b] + sum(1 for s in residues if s))
@@ -129,6 +138,11 @@ def _line_patterns(bla: Bipartition) -> tuple[tuple[Bipartition, tuple[int, ...]
             min(lam[i] for i in s)
             for j, s in enumerate(residues)
             if s and all(mu[i] == j + 1 for i in s)
+        ])
+        tops.append([
+            max((lam[i] for i in range(rows) if nu[i] == b - j), default=0)
+            for j, s in enumerate(residues)
+            if not s
         ])
     joined.append(0)
     dims = [
@@ -140,6 +154,11 @@ def _line_patterns(bla: Bipartition) -> tuple[tuple[Bipartition, tuple[int, ...]
         ]
         for a in range(height + 1)
     ]
+    if exotic:
+        for a, row in enumerate(dims):
+            for b in range(height + 1):
+                top = max(a, b)
+                row[b] += kernels[top] - sum(la > top for la in tops[b])
     out = []
     for a, b, corners in _nonempty_patterns(dims):
         quotient_lam = partition_from_ranks(
@@ -165,21 +184,6 @@ def _lines_in_q(patterns: Sequence[tuple[Bipartition, tuple[int, ...]]]) -> _Tab
         lines = [(d2 <= k) - (d4 <= k < d3) for k in range(d1)]
         poly_mul(lines, (1,), out.setdefault(quotient, []))  # out[quotient] += lines
     return MappingProxyType({quotient: tuple(lines) for quotient, lines in out.items()})
-
-
-def _line_table(patterns_of: Callable, key: Bipartition, primes: tuple[int, int]) -> _Table:
-    """`_lines_in_q` of the (class, corners) pairs of `patterns_of(key, p)`,
-    for patterns computed over GF(p).
-
-    The subspace dimensions behind a table do not depend on the prime, so
-    they are computed at both primes, and a difference raises.
-    """
-    patterns = patterns_of(key, primes[0])
-    if patterns_of(key, primes[1]) != patterns:
-        raise RuntimeError(
-            f"the line patterns of {key} differ between p={primes[0]} and p={primes[1]}"
-        )
-    return _lines_in_q(patterns)
 
 
 @lru_cache(maxsize=None)

@@ -31,17 +31,14 @@ from .gfmat import (
     Subspace,
     Vector,
     apply,
-    induced_maps,
     mat_inv,
     mat_mul,
-    power_images,
     rank,
     transpose,
 )
 from .counting import evaluate
-from .flags import _Table, _fiber_polynomial, _line_table, _nonempty_patterns
-from .pairs import EnhancedPair, MixedClassifier, NonSplitError, class_polynomial, classify
-from .pairs import krylov_basis, orbit_representative
+from .flags import _Table, _fiber_polynomial, _line_patterns, _lines_in_q
+from .pairs import MixedClassifier, NonSplitError, class_polynomial
 from .partitions import Bipartition, conjugate, partition_sum
 
 
@@ -296,66 +293,76 @@ def _exotic_key(bla: Bipartition) -> Bipartition:
     return (bla[0][::2], bla[1][::2])
 
 
-def _kernel_meets(x: Matrix, images: Sequence[Subspace], p: int, normals: Matrix = ()) -> list[Matrix]:
-    """Bases of A_a = I_a cap ker x, cut down to w . f = 0 for each normal f,
-    for the row spaces I_a = images[a] of the powers of x, closed by ()."""
-    meets = []
-    for space in images[:-1]:
-        # I_a is x-stable: A_a is the kernel of x restricted to I_a.
-        restriction, _ = induced_maps(x, space, p)
-        rows = transpose(restriction) + tuple(apply(f, transpose(space.basis), p) for f in normals)
-        kernel = gfmat.right_kernel(rows, p)
-        meets.append(tuple(apply(c, space.basis, p) for c in kernel.basis))
-    meets.append(())
-    return meets
-
-
-def _exotic_patterns(key: Bipartition, p: int) -> tuple[tuple[Bipartition, tuple[int, ...]], ...]:
-    """(quotient key, corners) of each non-empty line pattern of the exotic key over GF(p).
-
-    In the normal form x = diag(J, J^T), v = (v_W, 0) on W + W*, with
-    (J, v_W) = `orbit_representative(key)`, the lines <w> of ker x cap v^perp
-    are counted by `flags._nonempty_patterns` over D_d = K^perp x^d + K, K the
-    Krylov span of v, and A_a = V x^a cap ker x cap v^perp.  The pattern fixes
-    the key of the pair induced on <w>^perp / <w>, and one w classifies it: a
-    basis vector of D_d cap A_a or a sum of two, as no space is the union of
-    two proper subspaces.
-    """
-    base = orbit_representative(key, p)
-    k = base.n
-    space = SymplecticSpace(k, p)
-    x = tuple(r + (0,) * k for r in base.x) + tuple((0,) * k + r for r in transpose(base.x))
-    v = base.v + (0,) * k
-    images = power_images(x, p)
-    krylov = Subspace.from_vectors(krylov_basis(x, v, p), space.dim, p)
-    moved, chain = _perp(space, krylov), []
-    for _ in images:
-        chain.append(moved.sum(krylov))
-        moved = Subspace.from_vectors([apply(b, x, p) for b in moved.basis], space.dim, p)
-    chain.append(Subspace.zero(space.dim, p))
-    meets = [  # w lies in D_d exactly when it is orthogonal to D_d^perp
-        _kernel_meets(x, images, p, space.times_gram((v,) + _perp(space, d_space).basis))
-        for d_space in chain
-    ]
-    out = []
-    for d, a, corners in _nonempty_patterns([[len(m) for m in row] for row in meets]):
-        basis = meets[d][a]
-        pool = basis + tuple(map(operator.add, b, c) for b in basis for c in basis)
-        w = next(w for w in pool if not (images[a + 1].contains(w) or chain[d + 1].contains(w)))
-        perp = _perp(space, Subspace.from_vectors([w], space.dim, p))
-        restriction, _ = induced_maps(x, perp, p)
-        line = Subspace.from_vectors([perp.coords(w)], space.dim - 1, p)
-        _, quotient = induced_maps(restriction, line, p)
-        residue = line.reduce(perp.coords(v))
-        v_bar = tuple(c for j, c in enumerate(residue) if j not in line.pivots)
-        out.append((_exotic_key(classify(EnhancedPair(quotient, v_bar, p))), corners))
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
 def _exotic_table(key: Bipartition) -> _Table:
-    """{quotient key: lines, in Z[q]}, from the patterns at 3 and at 5."""
-    return _line_table(_exotic_patterns, key, (3, 5))
+    """{quotient key: lines, in Z[q]} of the exotic key (mu; nu), from the
+    partitions alone: `flags._lines_in_q` of `flags._line_patterns(key, exotic=True)`.
+
+    The normal form is x = diag(J, J^T), v = (v_W, 0) on V = W + W*, with
+    (J, v_W) the type-A normal form of the key on W, in the notation of
+    `flags._line_patterns` (e_(i,k), I_k, K, J_k = I_k + K, t, S_j(b) and
+    h = lam_1, all inside W), and W* paired with W by the form.  x is
+    self-adjoint, and K lies in the Lagrangian W.  A first step is a line
+    L = <w> of ker x orthogonal to v, hence to K, as <w, v x^j> = <w x^j, v>.
+    The pair induced on L^perp / L has the Krylov span (K + L) / L.  The
+    lines are counted by `flags._nonempty_patterns` over A_a = V x^a cap ker x
+    and D_d = K^perp x^d + K, closed by A_h = 0 and D_(h + 1) = 0; the line
+    has a = max{k : w in A_k} and d = max{k : w in D_k}, and D_0 = K^perp.
+
+    - Both chains split along W + W*.  K^perp = W + Ann(K), so
+      D_d = J_d + Ann(K) x^d, and A_a = (I_a cap ker x) + (W* x^a cap ker x).
+      dim(A_a cap D_d) is therefore type A's dim(I_a cap ker x cap J_d)
+      plus F(a, d) = dim(W* x^a cap ker x cap Ann(K) x^d).
+    - With f_(i,k) dual to e_(i,k), x sends f_(i,k) to f_(i,k+1), so
+      W* x^a cap ker x is spanned by the top duals f_(i,lam_i) with lam_i > a.
+      Ann(K) x^d = Ann(P_d) with P_d = {e in W : e x^d in K}.  P_d is ker x^d,
+      which has no top coordinate of a block with lam_i > d, plus a lift of
+      K cap I_d, that is of the v x^j with S_j(d) empty.  The lift of v x^j
+      meets the top coordinate of block i, lam_i > d, exactly when
+      nu_i = d - j, so distinct j meet disjoint top coordinates, and
+
+          F(a, d) = #{i : lam_i > max(a, d)} - #{j < t : S_j(d) is empty and
+                    some i has lam_i > max(a, d) and nu_i = d - j},
+
+      which is 0 for d >= h.
+    - x^k has rank dim V x^k - 2 [k <= a] on L^perp / L.  The perp of
+      L^perp x^k is {y : y x^k in L}: ker x^k, plus z x^(a - k) for k <= a,
+      with z x^a = w.  That z x^(a - k) lies in L^perp, since <z, z x^m> = 0
+      for the alternating form, self-adjoint x and odd p, so w lies in
+      L^perp x^k exactly when k <= a.  x therefore has the type lam' cup lam' there,
+      lam' being type A's quotient type at a.
+    - On L^perp / (K + L), dim(K + L) = t + [d < h], as w lies in K = D_h
+      exactly when d = h.  The image of x^k is N_k = L^perp x^k + K + L, and
+      N_k^perp = {y : y x^k in L} cap K^perp cap w^perp.  Let
+      J'_k = V x^k + K, whose perp is ker x^k cap K^perp.  For k > a the
+      y are ker x^k, and dim N_k = dim J'_k + [w not in J'_k].  For k <= a the y above already
+      lie in w^perp, and dim N_k = dim J'_k - [w in K^perp x^k].
+    - Two facts turn both into [k > d].  (1) For k <= a, w in D_k gives
+      w in K^perp x^k: if w = y x^k + c with y in K^perp and c in K, then
+      c lies in V x^k, as w does, and K cap V x^k = K cap W x^k lies in
+      K^perp x^k, as W does in K^perp.
+      (2) For k > a, w in J'_k gives w in D_k.  The W* part of w lies in
+      W* x^k cap ker x.  The W part lies in J_k cap ker x but not in I_k,
+      since w is not in V x^(a + 1).  By type A's decomposition of
+      ker x cap J_k, some S_j(k) is non-empty with mu_i = j + 1 on it.  Then
+      no i has lam_i > k and nu_i = k - j' for a j' with S_j'(k) empty:
+      j' <= j would put S_j(k) inside S_j'(k), and j' > j would put that i
+      into S_j(k) with mu_i > j + 1.  So every top dual with lam_i > k
+      annihilates P_k, and w lies in D_k.  So, on L^perp / (K + L),
+
+          rank x^k = dim J'_k - t - [d < h] - [k <= a] + [k > d],
+
+      type A's rho formula at (a, b = d) on W plus the ranks of lam' on W*.
+    - The quotient types are lam' cup lam' and rho' cup lam'.  With
+      rho'_i = nu'_i + mu'_(i+1) (Achar-Henderson), rho' cup lam' is
+      (lam'_1, rho'_1, lam'_2, rho'_2, ...), the rho of (mu' cup mu';
+      nu' cup nu'), so the quotient's exotic key is type A's quotient class
+      (mu'; nu') at (a, d).
+
+    The rank computations on the normal form (`exotic_patterns` in
+    `tests/oracles.py`) and the classification of every line are the oracles.
+    """
+    return _lines_in_q(_line_patterns(key, exotic=True))
 
 
 def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) -> int:

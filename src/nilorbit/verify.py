@@ -35,6 +35,7 @@ from .gfmat import (
     mat_inv,
     mat_mul,
     random_invertible,
+    transpose,
 )
 from .partitions import (
     a_stat,
@@ -711,9 +712,15 @@ def twisted_set_failures(primes: Sequence[int]) -> list[dict]:
     return out
 
 
+def _central_fiber(key, n: int, p: int) -> int:
+    """Exotic fiber count at p of the pair 1 + x with x nilpotent of exotic key (mu; nu) |- n."""
+    return evaluate(flags_mod._fiber_polynomial(((1, key),), n, (1,) * n, symp._exotic_table), p)
+
+
 def isotropic_flag_failures(n_max: int) -> list[dict]:
     """There are as many isotropic flags as the type-C Poincare polynomial
-    at p says, and the first one ends in a Lagrangian."""
+    at p says and as the exotic fiber of the central pair (1, 0), which every
+    isotropic flag carries, and the first one ends in a Lagrangian."""
     out = []
     for n in range(1, n_max + 1):
         for p in (3, 5):
@@ -721,9 +728,47 @@ def isotropic_flag_failures(n_max: int) -> list[dict]:
             flags = symp.isotropic_flags(space)
             lag = flags[0][-1]
             expected = symp.type_c_poincare(n, p)
+            fiber = _central_fiber(((), (1,) * n), n, p)
             isotropic = not any(space.form(b1, b2) for b1 in lag.basis for b2 in lag.basis)
-            if len(flags) != expected or not isotropic:
-                out.append({"n": n, "p": p, "expected": expected, "got": len(flags)})
+            if len(flags) != expected or len(flags) != fiber or not isotropic:
+                out.append(
+                    {"n": n, "p": p, "expected": expected, "got": len(flags), "fiber": fiber}
+                )
+    return out
+
+
+def _doubled_normal_form(key, p: int):
+    """The twisted nilpotent pair (diag(J, J^T), (v_W, 0)) on W + W* of the
+    exotic key (mu; nu), with (J, v_W) its type-A normal form on W."""
+    base = pairs_mod.orbit_representative(key, p)
+    k = base.n
+    x = tuple(row + (0,) * k for row in base.x) + tuple(
+        (0,) * k + row for row in transpose(base.x)
+    )
+    return x, base.v + (0,) * k
+
+
+def exotic_total_failures(n_max: int, primes: Sequence[int]) -> list[dict]:
+    """Counting the triples (isotropic flag F, unipotent x in F's conjugate of
+    X = U^{iota theta}, v in F_n) two ways: sum over (mu; nu) |- n of |O| F(p)
+    = type_c_poincare(n, p) p^(n^2), O the Sp-orbit of 1 + the doubled normal
+    form and F its central exotic fiber, as |X| = p^(n^2 - n) and the v in
+    F_n number p^n.  It binds every exotic line table and central fiber of
+    size n."""
+    out = []
+    for n in range(1, n_max + 1):
+        for p in primes:
+            space = symp.SymplecticSpace(n, p)
+            got = 0
+            for key in enumerate_bipartitions(n):
+                x, v = _doubled_normal_form(key, p)
+                unipotent = tuple(
+                    tuple((c + (i == j)) % p for j, c in enumerate(row)) for i, row in enumerate(x)
+                )
+                got += symp.exotic_orbit_size(space, unipotent, v) * _central_fiber(key, n, p)
+            expected = symp.type_c_poincare(n, p) * p ** (n * n)
+            if got != expected:
+                out.append({"n": n, "p": p, "expected": expected, "got": got})
     return out
 
 

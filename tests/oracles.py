@@ -2,11 +2,11 @@
 
 Each one checks a fast path of ``nilorbit`` from an independent
 definition: stabilizers by enumeration of the solution space of the
-stabilizer equations, vector classes by classifying every line, line
-patterns and commutant spans by GF(p) linear algebra on the normal
-form, orbit
-equality through the invariant itself, stable flags and stable
-isotropic flags by depth-first enumeration, the twisted coset
+stabilizer equations, vector classes by classifying every line,
+type-A and exotic line patterns and commutant spans by GF(p) linear
+algebra on the normal forms, orbit equality through the invariant
+itself, stable flags and stable isotropic flags by depth-first
+enumeration, the twisted coset
 (sU)^{iota theta} and the double-flag count by listing the coset, the
 root-group counts by forming u theta(u)^{-1}, and symplectic orbits by
 breadth-first closure under transvections.
@@ -42,6 +42,7 @@ from nilorbit.pairs import (
     _classify_nilpotent,
     _nilpotent_profile,
     bipartition_from_types,
+    classify,
     commutant,
     krylov_basis,
     mixed_invariant,
@@ -51,7 +52,8 @@ from nilorbit.partitions import Bipartition, Partition, enumerate_bipartitions, 
 from nilorbit.symplectic import (
     SignedPermutation,
     SymplecticSpace,
-    _kernel_meets,
+    _exotic_key,
+    _perp,
     _twisted_system,
     lagrangian_meet_dim,
     length,
@@ -62,6 +64,7 @@ from nilorbit.symplectic import (
     type_c_poincare,
     unipotent_meet,
 )
+from nilorbit.verify import _doubled_normal_form
 
 
 def stabilizer_space(z: EnhancedPair) -> list[Matrix]:
@@ -137,6 +140,20 @@ def vector_class_counts(lam: Partition, p: int) -> dict[Bipartition, int]:
     return dict(counts)
 
 
+def _kernel_meets(x: Matrix, images: Sequence[Subspace], p: int, normals: Matrix = ()) -> list[Matrix]:
+    """Bases of A_a = I_a cap ker x, cut down to w . f = 0 for each normal f,
+    for the row spaces I_a = images[a] of the powers of x, closed by ()."""
+    meets = []
+    for space in images[:-1]:
+        # I_a is x-stable: A_a is the kernel of x restricted to I_a.
+        restriction, _ = induced_maps(x, space, p)
+        rows = transpose(restriction) + tuple(apply(f, transpose(space.basis), p) for f in normals)
+        kernel = right_kernel(rows, p)
+        meets.append(tuple(apply(c, space.basis, p) for c in kernel.basis))
+    meets.append(())
+    return meets
+
+
 def pattern_dimensions(bla: Bipartition, p: int) -> tuple[tuple[Bipartition, tuple[int, ...]], ...]:
     """(quotient class, corners) of each non-empty line pattern of bla over
     GF(p), by rank computations on the normal form: the oracle of
@@ -174,6 +191,54 @@ def pattern_dimensions(bla: Bipartition, p: int) -> tuple[tuple[Bipartition, tup
         )
         out.append((bipartition_from_types(lam, rho), corners))
     return tuple(out)
+
+
+def exotic_patterns(key: Bipartition, p: int) -> tuple[tuple[Bipartition, tuple[int, ...]], ...]:
+    """(quotient key, corners) of each non-empty line pattern of the exotic
+    key over GF(p), by rank computations on the doubled normal form: the
+    oracle of flags._line_patterns(key, exotic=True).
+
+    In the normal form x = diag(J, J^T), v = (v_W, 0) on W + W*, the lines
+    <w> of ker x cap v^perp are counted by `_nonempty_patterns` over
+    A_a = V x^a cap ker x cap v^perp and D_d = K^perp x^d + K, K the Krylov
+    span of v.  Each pattern is assumed to fix the key of the pair induced
+    on <w>^perp / <w>, and one w classifies it: a basis vector of
+    A_a cap D_d or a sum of two, as no space is the union of two proper
+    subspaces.
+    """
+    x, v = _doubled_normal_form(key, p)
+    space = SymplecticSpace(len(x) // 2, p)
+    images = power_images(x, p)
+    krylov = Subspace.from_vectors(krylov_basis(x, v, p), space.dim, p)
+    moved, chain = _perp(space, krylov), []
+    for _ in images:
+        chain.append(moved.sum(krylov))
+        moved = Subspace.from_vectors([apply(b, x, p) for b in moved.basis], space.dim, p)
+    chain.append(Subspace.zero(space.dim, p))
+    meets = [  # w lies in D_d exactly when it is orthogonal to D_d^perp
+        _kernel_meets(x, images, p, space.times_gram((v,) + _perp(space, d_space).basis))
+        for d_space in chain
+    ]
+    dims = [[len(row[a]) for row in meets] for a in range(len(images))]
+    out = []
+    for a, d, corners in _nonempty_patterns(dims):
+        basis = meets[d][a]
+        pool = basis + tuple(tuple((i + j) % p for i, j in zip(b, c)) for b in basis for c in basis)
+        w = next(w for w in pool if not (images[a + 1].contains(w) or chain[d + 1].contains(w)))
+        out.append((exotic_quotient_key(space, x, v, w), corners))
+    return tuple(out)
+
+
+def exotic_quotient_key(space: SymplecticSpace, x: Matrix, v: Vector, w: Vector) -> Bipartition:
+    """The exotic key of the pair induced by (x, v) on <w>^perp / <w>."""
+    p = space.p
+    perp = _perp(space, Subspace.from_vectors([w], space.dim, p))
+    restriction, _ = induced_maps(x, perp, p)
+    line = Subspace.from_vectors([perp.coords(w)], space.dim - 1, p)
+    _, quotient = induced_maps(restriction, line, p)
+    residue = line.reduce(perp.coords(v))
+    v_bar = tuple(c for j, c in enumerate(residue) if j not in line.pivots)
+    return _exotic_key(classify(EnhancedPair(quotient, v_bar, p)))
 
 
 def commutant_spans(lam: Partition, p: int) -> dict[Bipartition, tuple[int, frozenset]]:

@@ -15,7 +15,7 @@ from nilorbit.counting import (
     poly_mul,
     slope_dim,
 )
-from nilorbit import flags, gfmat, pairs
+from nilorbit import flags, gfmat, pairs, symplectic
 from nilorbit.cli import main
 from nilorbit.flags import (
     FlagCondition,
@@ -218,33 +218,20 @@ def test_line_patterns_match_rank_oracle(p):
             assert flags._line_patterns(bla) == pattern_dimensions(bla, p), (bla, p)
 
 
-def test_line_table_rejects_tables_that_differ_between_primes():
-    """The cross-prime guard of the tables computed over GF(p), which the
-    exotic tables use; the type-A tables have no prime."""
-    bla = ((1,), (1, 1))
-
-    def skewed(beta, p):
-        patterns = flags._line_patterns(beta)
-        return patterns if p == 2 else patterns[1:]
-
-    with pytest.raises(RuntimeError) as info:
-        flags._line_table(skewed, bla, (2, 3))
-    assert str(info.value) == "the line patterns of ((1,), (1, 1)) differ between p=2 and p=3"
-
-
-def test_type_a_counts_do_no_linear_algebra(monkeypatch):
-    """Line tables, class polynomials and fiber polynomials come from the
-    partitions alone: no rank, kernel, image or span is formed."""
+def test_line_tables_and_counts_do_no_linear_algebra(monkeypatch):
+    """Type-A and exotic line tables, class polynomials and fiber polynomials
+    come from the partitions alone: no rank, kernel, image, span or
+    classification is formed."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the type-A count path did GF(p) linear algebra")
+        raise AssertionError("a count path did GF(p) linear algebra")
 
     _poly_table.cache_clear()
+    symplectic._exotic_table.cache_clear()
     _fiber_polynomial.cache_clear()
     pairs._class_polynomials.cache_clear()
-    for name in ("rank", "right_kernel", "power_images", "induced_maps"):
-        monkeypatch.setattr(gfmat, name, refuse)
-        for module in (flags, pairs):
+    for name in ("rank", "right_kernel", "power_images", "induced_maps", "classify"):
+        for module in (gfmat, flags, pairs, symplectic):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(Subspace, "from_vectors", staticmethod(refuse))
@@ -252,6 +239,8 @@ def test_type_a_counts_do_no_linear_algebra(monkeypatch):
         for bla in enumerate_bipartitions(n):
             _poly_table(bla)
             pairs.class_polynomial(bla)
+            symplectic._exotic_table(bla)
+            _fiber_polynomial(((1, bla),), n, (1,) * n, symplectic._exotic_table)
     for n in range(5):
         for bla in enumerate_bipartitions(n):
             springer_report(bla, size(bla[0]))

@@ -23,14 +23,7 @@ from nilorbit.gfmat import (
     transpose,
 )
 from nilorbit import flags, gfmat, symplectic
-from nilorbit.pairs import (
-    EnhancedPair,
-    MixedClassifier,
-    MixedInvariant,
-    NonSplitError,
-    classify,
-    orbit_representative,
-)
+from nilorbit.pairs import MixedClassifier, MixedInvariant, NonSplitError
 from nilorbit.partitions import enumerate_bipartitions
 from nilorbit.symplectic import (
     SignedPermutation,
@@ -54,9 +47,17 @@ from nilorbit.symplectic import (
     unipotent_meet,
     z_variety_count,
 )
-from nilorbit.verify import EXOTIC_FIBER_PRIMES, _exotic_case_data, exotic_orbit_cases
+from nilorbit.verify import (
+    EXOTIC_FIBER_PRIMES,
+    _doubled_normal_form,
+    _exotic_case_data,
+    exotic_orbit_cases,
+    exotic_total_failures,
+)
 from oracles import (
     encode,
+    exotic_patterns,
+    exotic_quotient_key,
     flag_unipotent_elements,
     h_orbit,
     in_flag_borel_coset,
@@ -747,50 +748,31 @@ def test_exotic_fiber_count_rejects_s_outside_the_twisted_torus():
 
 
 def test_exotic_fiber_count_rejects_p2():
-    # over GF(2) the form is symmetric, and the exotic line tables are
-    # computed in odd characteristic
+    # p = 2 raises because the form is symmetric over GF(2); the exotic
+    # line tables themselves are read off the partitions, with no prime
     space = SymplecticSpace(1, 2)
     s = space.torus_twisted([1])
     with pytest.raises(ValueError, match="odd prime"):
         exotic_fiber_count(space, s, s, (0, 0))
 
 
-def doubled_normal_form(key, p):
-    """The twisted pair (diag(J, J^T), (v_W, 0)) on W + W* built from the
-    type-A normal form (J, v_W) of the exotic key."""
-    base = orbit_representative(key, p)
-    k = base.n
-    x = tuple(row + (0,) * k for row in base.x) + tuple(
-        (0,) * k + row for row in transpose(base.x)
-    )
-    return x, base.v + (0,) * k
-
-
 def enumerated_exotic_table(key, p):
     """{quotient key: lines} by classifying the quotient L^perp / L of every
     line L of ker x orthogonal to v in the doubled normal form."""
-    x, v = doubled_normal_form(key, p)
+    x, v = _doubled_normal_form(key, p)
     space = SymplecticSpace(len(x) // 2, p)
-    dim = space.dim
     found = Counter()
     for w in right_kernel(transpose(x) + space.times_gram((v,)), p).lines():
-        perp = right_kernel(space.times_gram((w,)), p)
-        restriction, _ = gfmat.induced_maps(x, perp, p)
-        line = Subspace.from_vectors([perp.coords(w)], dim - 1, p)
-        _, quotient = gfmat.induced_maps(restriction, line, p)
-        residue = line.reduce(perp.coords(v))
-        v_bar = tuple(c for j, c in enumerate(residue) if j not in line.pivots)
-        found[symplectic._exotic_key(classify(EnhancedPair(quotient, v_bar, p)))] += 1
+        found[exotic_quotient_key(space, x, v, w)] += 1
     return dict(found)
 
 
+# every key with k <= 3 at p = 3 and 5, and every key of size 4 at p = 3;
+# at ((1, 1), (1, 1)) an (a, b) pattern with b = max{b : w in I_b + K} holds
+# lines of two quotient classes, and the (a, d) pattern separates them
 EXOTIC_TABLE_CASES = [
     (key, p) for k in (1, 2, 3) for key in enumerate_bipartitions(k) for p in (3, 5)
-] + [
-    # at this key an (a, b) pattern with b = max{b : w in I_b + K} holds lines
-    # of two quotient classes; the (a, d) pattern separates them
-    (((1, 1), (1, 1)), 3)
-]
+] + [(key, 3) for key in enumerate_bipartitions(4)]
 
 
 @pytest.mark.parametrize(
@@ -801,19 +783,37 @@ def test_exotic_tables_match_line_enumeration(key, p):
     assert table == enumerated_exotic_table(key, p)
 
 
-def test_exotic_table_rejects_tables_that_differ_between_primes(monkeypatch):
-    key = ((1,), (1,))
-    patterns = symplectic._exotic_patterns
+@pytest.mark.parametrize("k_max, p", [(6, 3), (5, 5)])
+def test_exotic_line_patterns_match_rank_oracle(k_max, p):
+    """The closed-form exotic patterns against rank computations on the
+    doubled normal form, pattern by pattern, for every key with k <= k_max."""
+    for k in range(1, k_max + 1):
+        for key in enumerate_bipartitions(k):
+            assert flags._line_patterns(key, exotic=True) == exotic_patterns(key, p), (key, p)
 
-    def skewed(beta, p):
-        found = patterns(beta, p)
-        return found if p == 3 else found[1:]
 
+def test_exotic_totals_hold():
+    assert exotic_total_failures(5, (3, 5, 7)) == []
+
+
+def test_exotic_totals_catch_a_broken_table(monkeypatch):
+    """Dropping one exotic line pattern of ((1,), (1, 1)) loses fibers at
+    n = 3, and the double count sees it."""
+    patterns_of = symplectic._line_patterns
+
+    def broken(key, exotic=False):
+        patterns = patterns_of(key, exotic)
+        return patterns[1:] if key == ((1,), (1, 1)) else patterns
+
+    monkeypatch.setattr(symplectic, "_line_patterns", broken)
     symplectic._exotic_table.cache_clear()
-    monkeypatch.setattr(symplectic, "_exotic_patterns", skewed)
-    with pytest.raises(RuntimeError) as info:
-        symplectic._exotic_table(key)
-    assert str(info.value) == "the line patterns of ((1,), (1,)) differ between p=3 and p=5"
+    flags._fiber_polynomial.cache_clear()
+    try:
+        assert exotic_total_failures(2, (3,)) == []
+        assert [(f["n"], f["p"]) for f in exotic_total_failures(4, (3,))] == [(3, 3), (4, 3)]
+    finally:
+        symplectic._exotic_table.cache_clear()
+        flags._fiber_polynomial.cache_clear()
 
 
 def test_exotic_fiber_count_matches_stable_line_walk():
@@ -830,7 +830,7 @@ def test_exotic_fiber_count_matches_stable_line_walk():
     space = SymplecticSpace(3, p)
     s = space.torus_twisted([1, 1, 1])
     for key in enumerate_bipartitions(3):
-        x, v = doubled_normal_form(key, p)
+        x, v = _doubled_normal_form(key, p)
         x = tuple(tuple((c + (i == j)) % p for j, c in enumerate(row)) for i, row in enumerate(x))
         assert exotic_fiber_count(space, s, x, v) == stable_line_fiber_count(space, s, x, v), key
 
