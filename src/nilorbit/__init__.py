@@ -45,7 +45,6 @@ from .pairs import (  # noqa: F401
 from .counting import (  # noqa: F401
     CountSeries,
     gaussian_factorial,
-    slope_dim,
 )
 from .flags import (  # noqa: F401
     FlagCondition,

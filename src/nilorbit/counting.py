@@ -3,9 +3,9 @@
 A count polynomial is the tuple (or list) of its integer coefficients in
 q, ascending; the empty tuple is the zero polynomial.  This module is the
 one place that multiplies and evaluates them.  A count series is a list of
-(prime, count) pairs; where no polynomial is known, the growth rate across
-primes, rounded to the nearest integer in exact arithmetic, serves as a
-dimension estimate.  No float enters.
+(prime, count) pairs; its growth rate across primes, rounded to the
+nearest integer in exact arithmetic, estimates the one dimension whose
+count has no polynomial yet (the double-flag bound).  No float enters.
 """
 
 from __future__ import annotations
@@ -70,16 +70,6 @@ def slope_estimates(series: CountSeries) -> list[int]:
             )
         out.append(d)
     return out
-
-
-def slope_dim(series: CountSeries) -> int:
-    """Dimension estimate from growth across primes; consensus is mandatory."""
-    estimates = slope_estimates(series)
-    if len(set(estimates)) != 1:
-        raise ValueError(
-            f"inconsistent growth estimates {estimates} for counts {series.points}"
-        )
-    return estimates[0]
 
 
 def gaussian_int(k: int, q: int) -> int:

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from . import gfmat
-from .counting import evaluate, poly_mul
+from .counting import degree, evaluate, poly_mul
 from .gfmat import (
     BudgetExceededError,
     Matrix,
@@ -449,3 +449,14 @@ def mixed_orbit_size(inv: MixedInvariant, field: PrimeField) -> int:
     if rem:
         raise RuntimeError(f"orbit-size division is not exact: {numerator} / {denominator}")
     return size
+
+
+def mixed_orbit_degree(inv: MixedInvariant) -> int:
+    """Degree in p of mixed_orbit_size(inv, GF(p)), factor by factor:
+    |GL_n| has degree n^2, |Z(J_lam)| degree sum lam'_i^2 and c_beta
+    degree deg c_beta."""
+    out = inv.total**2
+    for _, bla in inv.blocks:
+        lam = partition_sum(*bla)
+        out += degree(_class_polynomials(lam)[bla]) - sum(c * c for c in conjugate(lam))
+    return out

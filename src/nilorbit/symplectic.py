@@ -36,10 +36,10 @@ from .gfmat import (
     rank,
     transpose,
 )
-from .counting import evaluate
+from .counting import degree, evaluate
 from .flags import _Table, _fiber_polynomial, _line_patterns, _lines_in_q
 from .pairs import MixedClassifier, NonSplitError, class_polynomial
-from .partitions import Bipartition, conjugate, partition_sum
+from .partitions import Bipartition, conjugate, partition_sum, total
 
 
 @dataclass(frozen=True)
@@ -293,6 +293,12 @@ def _exotic_key(bla: Bipartition) -> Bipartition:
     return (bla[0][::2], bla[1][::2])
 
 
+def _doubled_key(key: Bipartition) -> Bipartition:
+    """The block key (mu cup mu; nu cup nu) of the exotic key (mu; nu), which
+    `_exotic_key` inverts."""
+    return tuple(tuple(part for part in half for _ in range(2)) for half in key)
+
+
 @functools.lru_cache(maxsize=None)
 def _exotic_table(key: Bipartition) -> _Table:
     """{quotient key: lines, in Z[q]} of the exotic key (mu; nu), from the
@@ -365,19 +371,13 @@ def _exotic_table(key: Bipartition) -> _Table:
     return _lines_in_q(_line_patterns(key, exotic=True))
 
 
-def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) -> int:
-    """Isotropic flags F with x in the conjugate of (sU)^{iota theta} and v in F_n.
-
-    Twisted x is self-adjoint (J x = x^T J), so it keeps F_k^perp when it
-    keeps F_k and acts on F_k^perp / F_(k+1)^perp as on F_(k+1) / F_k, as
-    s = diag(t, t) does: n steps decide triangularity.  A first step is a
-    line <w> of ker(x - t_1) orthogonal to v (F_n is Lagrangian), followed
-    by a flag of the pair induced on <w>^perp / <w>.  So the count is
-    `flags._fiber_polynomial` over the blocks' exotic keys in the order t,
-    with `_exotic_table`, at p; a non-split x has no stable flag.  The oracle
-    is `stable_line_fiber_count` in `tests/oracles.py`.  Raises ValueError
-    at p = 2 and unless x is twisted and s = diag(t, t).
-    """
+def _exotic_blocks(
+    space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector
+) -> tuple[tuple[int, ...], tuple[tuple[int, Bipartition], ...]]:
+    """The order t of s = diag(t, t) and the blocks (eigenvalue, exotic key)
+    of the pair (x, v), from one classification.  Raises ValueError at
+    p = 2, then unless x is twisted, then unless s = diag(t, t); and
+    NonSplitError when x has an eigenvalue outside GF(p)."""
     n, p = space.n, space.p
     if p == 2:
         raise ValueError("exotic fiber counts need an odd prime, got p=2")
@@ -386,12 +386,35 @@ def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) 
     order = tuple(s[i][i] for i in range(n))
     if s != space.torus_twisted(order):
         raise ValueError("s is not a twisted torus element diag(t, t)")
+    blocks = MixedClassifier(x, p).invariant(v).blocks
+    return order, tuple((a, _exotic_key(bla)) for a, bla in blocks)
+
+
+def _exotic_fiber(
+    blocks: tuple[tuple[int, Bipartition], ...], order: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The exotic fiber count of these blocks in the eigenvalue order t, in
+    Z[q]: `flags._fiber_polynomial` with `_exotic_table`."""
+    return _fiber_polynomial(blocks, len(order), order, _exotic_table)
+
+
+def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) -> int:
+    """Isotropic flags F with x in the conjugate of (sU)^{iota theta} and v in F_n.
+
+    Twisted x is self-adjoint (J x = x^T J), so it keeps F_k^perp when it
+    keeps F_k and acts on F_k^perp / F_(k+1)^perp as on F_(k+1) / F_k, as
+    s = diag(t, t) does: n steps decide triangularity.  A first step is a
+    line <w> of ker(x - t_1) orthogonal to v (F_n is Lagrangian), followed
+    by a flag of the pair induced on <w>^perp / <w>.  So the count is
+    `_exotic_fiber` of the blocks' exotic keys in the order t, at p; a
+    non-split x has no stable flag.  The oracle is `stable_line_fiber_count`
+    in `tests/oracles.py`.  Raises ValueError as `_exotic_blocks` does.
+    """
     try:
-        classifier = MixedClassifier(x, p)
+        order, blocks = _exotic_blocks(space, s, x, v)
     except NonSplitError:
         return 0
-    blocks = tuple((a, _exotic_key(bla)) for a, bla in classifier.invariant(v).blocks)
-    return evaluate(_fiber_polynomial(blocks, n, order, _exotic_table), p)
+    return evaluate(_exotic_fiber(blocks, order), space.p)
 
 
 def sp_order(m: int, p: int) -> int:
@@ -402,37 +425,49 @@ def sp_order(m: int, p: int) -> int:
 def exotic_orbit_size(space: SymplecticSpace, x: Matrix, v: Vector) -> int:
     """Number of points of the Sp-orbit of the twisted pair (x, v).
 
+    `MixedClassifier` separates the Sp-orbits of the pairs (x, v'), and the
+    exotic keys of its blocks size the orbit (`key_orbit_size`).  Raises
+    ValueError unless x is twisted, NonSplitError when x has an eigenvalue
+    outside GF(p), and RuntimeError on a block type that is not lam cup lam
+    or on an inexact division.
+    """
+    if not space.in_twisted_set(x):
+        raise ValueError("x does not lie in the twisted set")
+    blocks = MixedClassifier(x, space.p).invariant(v).blocks
+    return key_orbit_size([_exotic_key(bla) for _, bla in blocks], space.p)
+
+
+def key_orbit_size(keys: Sequence[Bipartition], p: int) -> int:
+    """Number of points of the Sp_2n-orbit of the twisted pairs whose
+    eigenvalue blocks have the exotic keys (mu_a; nu_a), n their total size.
+
     Twisted x is self-adjoint for the form (J x = x^T J), so its generalized
     eigenspaces V_a are nondegenerate and orthogonal, and on V_a the
-    nilpotent x - a has a Jordan type lam cup lam, every part of lam twice.
-    With n_a = |lam| and m_i the multiplicities of the parts of lam, the
+    nilpotent x - a has a Jordan type lam cup lam, lam = mu_a + nu_a.  With
+    n_a = |lam| and m_i the multiplicities of the parts of lam, the
     centralizer of x in Sp(V_a) has order
 
         |Z_a| = p^(n_a + 2 sum lam'_i^2 - sum (2 m_i^2 + m_i)) prod |Sp_2m_i|.
 
-    `MixedClassifier` separates the Sp-orbits of the pairs (x, v'), and the
-    v' in the class of (x, v) number the product of the class polynomials
-    c_beta_a(p) of its blocks beta_a, so
+    The v' with (x, v') in the orbit number the product of the class
+    polynomials c_beta_a(p) of the block keys beta_a = (mu_a cup mu_a;
+    nu_a cup nu_a), so
 
         |O| = |Sp_2n| prod c_beta_a(p) / prod |Z_a|.
 
-    Raises ValueError unless x is twisted, NonSplitError when x has an
-    eigenvalue outside GF(p), and RuntimeError on a block type that is not
-    lam cup lam or on an inexact division.
+    An inexact division raises RuntimeError.
     """
-    p = space.p
-    if not space.in_twisted_set(x):
-        raise ValueError("x does not lie in the twisted set")
-    numerator, denominator = sp_order(space.n, p), 1
-    for _, bla in MixedClassifier(x, p).invariant(v).blocks:
-        lam = partition_sum(*_exotic_key(bla))
+    n = sum(total(key) for key in keys)
+    numerator, denominator = sp_order(n, p), 1
+    for key in keys:
+        lam = partition_sum(*key)
         mults = Counter(lam).values()
         exponent = (
             sum(lam)
             + 2 * sum(c * c for c in conjugate(lam))
             - sum(2 * m * m + m for m in mults)
         )
-        numerator *= evaluate(class_polynomial(bla), p)
+        numerator *= evaluate(class_polynomial(_doubled_key(key)), p)
         denominator *= p**exponent * math.prod(sp_order(m, p) for m in mults)
     size, rem = divmod(numerator, denominator)
     if rem:
@@ -440,6 +475,22 @@ def exotic_orbit_size(space: SymplecticSpace, x: Matrix, v: Vector) -> int:
             f"exotic orbit-size division is not exact: {numerator} / {denominator}"
         )
     return size
+
+
+def key_orbit_degree(keys: Sequence[Bipartition]) -> int:
+    """Degree in p of `key_orbit_size(keys, p)`, factor by factor: |Sp_2n|
+    has degree 2n^2 + n, |Z_a| degree n_a + 2 sum lam'_i^2, as |Sp_2m| has
+    degree 2m^2 + m, and c_beta_a degree deg c_beta_a."""
+    n = sum(total(key) for key in keys)
+    out = 2 * n * n + n
+    for key in keys:
+        lam = partition_sum(*key)
+        out += (
+            degree(class_polynomial(_doubled_key(key)))
+            - sum(lam)
+            - 2 * sum(c * c for c in conjugate(lam))
+        )
+    return out
 
 
 def exotic_slice_count(
@@ -455,18 +506,20 @@ def exotic_slice_count(
 
         |O cap (X x M_n)| * type_c_poincare(n, p) = |O| * fiber(s u, v),
 
-    fiber being `exotic_fiber_count`, which is constant on O.  |O| is
-    `exotic_orbit_size`; a nonzero remainder raises RuntimeError.  Raises
-    ValueError unless s u is twisted, s = diag(t, t) and v lies in the
-    Lagrangian M_n, and then NonSplitError (a ValueError) when s u has an
-    eigenvalue outside GF(p): such an s u lies in no conjugate of X.
+    fiber being `exotic_fiber_count`, which is constant on O.  |O| and the
+    fiber come from one classification of (s u, v): `key_orbit_size` and
+    `_exotic_fiber` of its exotic keys.  A nonzero remainder raises
+    RuntimeError.  Raises ValueError unless v lies in the Lagrangian M_n,
+    then as `_exotic_blocks` does, and then NonSplitError (a ValueError)
+    when s u has an eigenvalue outside GF(p): such an s u lies in no
+    conjugate of X.
     """
     p = space.p
     if not space.in_lagrangian(v):
         raise ValueError("v must lie in the Lagrangian coordinate span")
-    x0 = mat_mul(s, u, p)
-    fiber = exotic_fiber_count(space, s, x0, v)
-    orbit_size = exotic_orbit_size(space, x0, v)
+    order, blocks = _exotic_blocks(space, s, mat_mul(s, u, p), v)
+    orbit_size = key_orbit_size([key for _, key in blocks], p)
+    fiber = evaluate(_exotic_fiber(blocks, order), p)
     pairs = orbit_size * fiber
     flags = type_c_poincare(space.n, p)
     count, rem = divmod(pairs, flags)

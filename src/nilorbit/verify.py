@@ -26,7 +26,6 @@ from .counting import (
     gaussian_factorial,
     gaussian_factorial_poly,
     poly_mul,
-    slope_dim,
     slope_estimates,
 )
 from .gfmat import (
@@ -35,13 +34,11 @@ from .gfmat import (
     mat_inv,
     mat_mul,
     random_invertible,
-    transpose,
 )
 from .partitions import (
     a_stat,
     ah_leq,
     bipartition_to_json,
-    conjugate,
     dominance_leq,
     enumerate_bipartitions,
     enumerate_partitions,
@@ -245,18 +242,14 @@ def orbit_size_census_failures(n_max: int) -> list[dict]:
 
 def orbit_dimension_growth_failures(n_max: int, primes: Sequence[int]) -> list[dict]:
     """Orbits have dimension n^2 - a(beta): the size |GL_n| / |Z(J_lam)| times
-    c_beta(q) has degree n^2 - sum lam'_i^2 + deg c_beta.  A failing case
-    carries the orbit sizes at the primes."""
+    c_beta(q) has degree n^2 - sum lam'_i^2 + deg c_beta
+    (`pairs.mixed_orbit_degree`).  A failing case carries the orbit sizes at
+    the primes."""
     out = []
     for n in range(1, n_max + 1):
         for bla in enumerate_bipartitions(n):
             expected = n * n - a_stat(bla)
-            lam = partition_sum(*bla)
-            got = (
-                n * n
-                - sum(c * c for c in conjugate(lam))
-                + degree(pairs_mod.class_polynomial(bla))
-            )
+            got = pairs_mod.mixed_orbit_degree(pairs_mod.MixedInvariant(((0, bla),)))
             if got != expected:
                 counts = [pairs_mod.orbit_size(bla, PrimeField(p)) for p in primes]
                 out.append(_case(bla, counts=counts, expected=expected, got=got))
@@ -302,9 +295,8 @@ def slice_cases(n: int) -> list[dict]:
     Each case fixes integer data reduced mod p at run time, so the same
     orbit family is counted at every prime.  The steps list contains the
     m values to test; the natural step gets the equality check, the rest
-    the bound.  Cases whose counts carry several (p-1)-type factors need
-    primes above 3 for the growth estimate to round consistently; those
-    run in the test suite at larger primes instead of here.
+    the bound.  A dimension is the exact degree of the slice count, so it
+    needs no particular prime; more cases are checked in the test suite.
     """
     cases = []
     if n == 1:
@@ -386,14 +378,21 @@ def _slice_case_data(case: dict, n: int, p: int):
 
 
 def slice_report(n: int, primes: Sequence[int] = (3, 5, 7)) -> list[dict]:
-    """Slice counts of the mixed test pairs at and off the natural step index."""
+    """Slice counts of the mixed test pairs at and off the natural step index.
+
+    A row's dimension is the degree of its count |O| fiber_s / [n]_q!:
+    `pairs.mixed_orbit_degree` plus the degree of the ordered fiber
+    polynomial that `flags.slice_count` evaluates, minus n(n - 1)/2; None
+    when the fiber, and so every count, is zero.
+    """
     out = []
     for case in slice_cases(n):
-        p0 = primes[0]
-        s0, z0 = _slice_case_data(case, n, p0)
+        s0, z0 = _slice_case_data(case, n, primes[0])
         inv = pairs_mod.mixed_invariant(z0)
         mu = inv.mu
         dim = n * n - sum(a_stat(bla) for _, bla in inv.blocks)
+        orbit_degree = pairs_mod.mixed_orbit_degree(inv)
+        diagonal = tuple(s0[i][i] for i in range(n))
         for m in case["steps"]:
             if m < mu or len(case["vtail"]) > m:
                 continue
@@ -401,21 +400,16 @@ def slice_report(n: int, primes: Sequence[int] = (3, 5, 7)) -> list[dict]:
             for p in primes:
                 s, z = _slice_case_data(case, n, p)
                 counts.append((p, flags_mod.slice_count(s, z, m, PrimeField(p))))
-            series = CountSeries.of(counts)
+            CountSeries.of(counts)  # rejects primes that are not distinct and increasing
+            fiber = flags_mod._fiber_polynomial(inv.blocks, m, diagonal)
+            got = orbit_degree + degree(fiber) - n * (n - 1) // 2 if any(fiber) else None
             bound = (dim + m) // 2
-            if m == mu:
-                est = slope_dim(series)
-                ok = 2 * est == dim + m
-                expected = bound
+            if got is None:
+                ok = m != mu
+            elif m == mu:
+                ok = 2 * got == dim + m
             else:
-                if all(c == 0 for _, c in series.points):
-                    est = None
-                    ok = True
-                else:
-                    ests = slope_estimates(series)
-                    est = max(ests)
-                    ok = all(e <= bound for e in ests)
-                expected = bound
+                ok = got <= bound
             out.append(
                 {
                     "check": "slice-dimension",
@@ -426,8 +420,8 @@ def slice_report(n: int, primes: Sequence[int] = (3, 5, 7)) -> list[dict]:
                     "orbit_dim": dim,
                     "primes": list(primes),
                     "counts": [c for _, c in counts],
-                    "dim_estimate": est,
-                    "expected": expected,
+                    "dim_estimate": got,
+                    "expected": bound,
                     "equality": m == mu,
                     "ok": ok,
                 }
@@ -558,17 +552,9 @@ def exotic_orbit_cases(n: int) -> list[dict]:
             {"name": "torus-zero", "torus": [1, 2], "gen": [], "vtail": []},
             {"name": "torus-vector", "torus": [1, 2], "gen": [], "vtail": [1]},
             {"name": "unipotent-zero", "torus": [1, 1], "gen": [(1, 0, 1)], "vtail": []},
-            # the slice count (p-1)^2 (2p+1) needs primes past 3 to round
-            # consistently; the exotic suite skips it, so that its report
-            # body stays the one pinned in the tests
-            {
-                "name": "unipotent-vector",
-                "torus": [1, 1],
-                "gen": [(1, 0, 1)],
-                "vtail": [1],
-                "slice_primes": (5, 7),
-                "slow": True,
-            },
+            # slice count (p-1)^2 (2p+1): its degree 3 is exact at every
+            # prime, where growth between 3 and 5 rounds to 4
+            {"name": "unipotent-vector", "torus": [1, 1], "gen": [(1, 0, 1)], "vtail": [1]},
         ]
     raise ValueError("exotic orbit cases are tabulated for n in {1, 2}")
 
@@ -587,73 +573,47 @@ def _exotic_case_data(case: dict, space: symp.SymplecticSpace):
     return s, u, v
 
 
-EXOTIC_SLICE_PRIMES = (3, 5)
-# fiber counts need primes past 3 at n = 2 for the estimates to agree
-EXOTIC_FIBER_PRIMES = {1: (3, 5, 7), 2: (5, 7, 11)}
+EXOTIC_PRIMES = (3, 5, 7)
 
 
-def exotic_orbit_report(n: int, skip_slow: bool = False) -> list[dict]:
-    """Slice equality, slice bound and fiber bound/value for the test orbits."""
-    cases = exotic_orbit_cases(n)
-    fiber_primes = EXOTIC_FIBER_PRIMES[n]
+def exotic_orbit_report(n: int) -> list[dict]:
+    """Slice equality and fiber value for the test orbits, with the counts
+    of `symplectic.exotic_slice_count` at EXOTIC_PRIMES.
+
+    Each dimension is the exact degree of the count its row prints: the
+    orbit's is `symplectic.key_orbit_degree` of its exotic keys, the
+    fiber's that of the fiber polynomial the counts evaluate, and the
+    slice's is their sum minus deg P_C = n^2.
+    """
     rows = []
-    for case in cases:
-        if skip_slow and case.get("slow"):
-            continue
-        slice_primes = case.get("slice_primes", EXOTIC_SLICE_PRIMES)
-        orbit_counts = []
-        slice_counts = []
-        for p in slice_primes:
+    for case in exotic_orbit_cases(n):
+        counts = []
+        for p in EXOTIC_PRIMES:
             space = symp.SymplecticSpace(n, p)
             s, u, v = _exotic_case_data(case, space)
-            slc, orb, _ = symp.exotic_slice_count(space, s, u, v)
-            orbit_counts.append((p, orb))
-            slice_counts.append((p, slc))
-        c = slope_dim(CountSeries.of(orbit_counts))
-        nu_h = n * n
-        slice_series = CountSeries.of(slice_counts)
-        if all(cnt == 0 for _, cnt in slice_series.points):
-            slice_ok = c == 0
-            slice_est = None
-        else:
-            slice_est = slope_dim(slice_series)
-            slice_ok = 2 * slice_est == c
-        fiber_counts = []
-        for p in fiber_primes:
-            space = symp.SymplecticSpace(n, p)
-            s, u, v = _exotic_case_data(case, space)
-            fiber_counts.append((p, symp.exotic_fiber_count(space, s, mat_mul(s, u, p), v)))
-        fiber_series = CountSeries.of(fiber_counts)
-        fiber_est = slope_dim(fiber_series)
-        fiber_ok = fiber_est == nu_h - c // 2
-        common = {
-            "case": case["name"],
-            "n": n,
-            "orbit_sizes": [cnt for _, cnt in orbit_counts],
-            "orbit_dim": c,
-        }
-        rows.append(
-            {
-                "check": "slice-dim",
-                **common,
-                "primes": list(slice_primes),
-                "counts": [cnt for _, cnt in slice_counts],
-                "dim_estimate": slice_est,
-                "expected": c // 2,
-                "ok": bool(slice_ok and c % 2 == 0),
-            }
-        )
-        rows.append(
-            {
-                "check": "fiber-dim",
-                **common,
-                "primes": list(fiber_primes),
-                "counts": [cnt for _, cnt in fiber_counts],
-                "dim_estimate": fiber_est,
-                "expected": nu_h - c // 2,
-                "ok": bool(fiber_ok and c % 2 == 0),
-            }
-        )
+            counts.append(symp.exotic_slice_count(space, s, u, v))
+        slices, orbits, fibers = zip(*counts)
+        # the keys and the order, read at the last prime, are those of every prime
+        order, blocks = symp._exotic_blocks(space, s, mat_mul(s, u, space.p), v)
+        c = symp.key_orbit_degree([key for _, key in blocks])
+        fiber_dim = degree(symp._exotic_fiber(blocks, order))
+        slice_dim = c + fiber_dim - n * n
+        common = {"case": case["name"], "n": n, "orbit_sizes": list(orbits), "orbit_dim": c}
+        for check, row_counts, got, expected in (
+            ("slice-dim", slices, slice_dim, c // 2),
+            ("fiber-dim", fibers, fiber_dim, n * n - c // 2),
+        ):
+            rows.append(
+                {
+                    "check": check,
+                    **common,
+                    "primes": list(EXOTIC_PRIMES),
+                    "counts": list(row_counts),
+                    "dim_estimate": got,
+                    "expected": expected,
+                    "ok": got == expected and c % 2 == 0,
+                }
+            )
     return rows
 
 
@@ -714,7 +674,7 @@ def twisted_set_failures(primes: Sequence[int]) -> list[dict]:
 
 def _central_fiber(key, n: int, p: int) -> int:
     """Exotic fiber count at p of the pair 1 + x with x nilpotent of exotic key (mu; nu) |- n."""
-    return evaluate(flags_mod._fiber_polynomial(((1, key),), n, (1,) * n, symp._exotic_table), p)
+    return evaluate(symp._exotic_fiber(((1, key),), (1,) * n), p)
 
 
 def isotropic_flag_failures(n_max: int) -> list[dict]:
@@ -737,35 +697,20 @@ def isotropic_flag_failures(n_max: int) -> list[dict]:
     return out
 
 
-def _doubled_normal_form(key, p: int):
-    """The twisted nilpotent pair (diag(J, J^T), (v_W, 0)) on W + W* of the
-    exotic key (mu; nu), with (J, v_W) its type-A normal form on W."""
-    base = pairs_mod.orbit_representative(key, p)
-    k = base.n
-    x = tuple(row + (0,) * k for row in base.x) + tuple(
-        (0,) * k + row for row in transpose(base.x)
-    )
-    return x, base.v + (0,) * k
-
-
 def exotic_total_failures(n_max: int, primes: Sequence[int]) -> list[dict]:
     """Counting the triples (isotropic flag F, unipotent x in F's conjugate of
     X = U^{iota theta}, v in F_n) two ways: sum over (mu; nu) |- n of |O| F(p)
-    = type_c_poincare(n, p) p^(n^2), O the Sp-orbit of 1 + the doubled normal
-    form and F its central exotic fiber, as |X| = p^(n^2 - n) and the v in
-    F_n number p^n.  It binds every exotic line table and central fiber of
-    size n."""
+    = type_c_poincare(n, p) p^(n^2), O the Sp-orbit of the unipotent pairs of
+    exotic key (mu; nu), sized from the key, and F its central exotic fiber,
+    as |X| = p^(n^2 - n) and the v in F_n number p^n.  It binds every exotic
+    line table and central fiber of size n."""
     out = []
     for n in range(1, n_max + 1):
         for p in primes:
-            space = symp.SymplecticSpace(n, p)
-            got = 0
-            for key in enumerate_bipartitions(n):
-                x, v = _doubled_normal_form(key, p)
-                unipotent = tuple(
-                    tuple((c + (i == j)) % p for j, c in enumerate(row)) for i, row in enumerate(x)
-                )
-                got += symp.exotic_orbit_size(space, unipotent, v) * _central_fiber(key, n, p)
+            got = sum(
+                symp.key_orbit_size((key,), p) * _central_fiber(key, n, p)
+                for key in enumerate_bipartitions(n)
+            )
             expected = symp.type_c_poincare(n, p) * p ** (n * n)
             if got != expected:
                 out.append({"n": n, "p": p, "expected": expected, "got": got})
@@ -801,9 +746,7 @@ def exotic_suite(n_max: int, seed: int = 0) -> list[dict]:
         check_row("twisted-set-coincidence", twisted_set_failures((3, 5)), n=1, primes=[3, 5]),
         check_row("isotropic-flag-count", isotropic_flag_failures(small)),
     ]
-    rows = [
-        row for n in range(1, small + 1) for row in exotic_orbit_report(n, skip_slow=True)
-    ]
+    rows = [row for n in range(1, small + 1) for row in exotic_orbit_report(n)]
     checks.append(
         check_row("slice-fiber-dimensions", [row for row in rows if not row["ok"]], rows=rows)
     )

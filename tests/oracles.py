@@ -64,7 +64,17 @@ from nilorbit.symplectic import (
     type_c_poincare,
     unipotent_meet,
 )
-from nilorbit.verify import _doubled_normal_form
+
+
+def doubled_normal_form(key: Bipartition, p: int) -> tuple[Matrix, Vector]:
+    """The twisted nilpotent pair (diag(J, J^T), (v_W, 0)) on W + W* of the
+    exotic key (mu; nu), with (J, v_W) its type-A normal form on W."""
+    base = orbit_representative(key, p)
+    k = base.n
+    x = tuple(row + (0,) * k for row in base.x) + tuple(
+        (0,) * k + row for row in transpose(base.x)
+    )
+    return x, base.v + (0,) * k
 
 
 def stabilizer_space(z: EnhancedPair) -> list[Matrix]:
@@ -206,7 +216,7 @@ def exotic_patterns(key: Bipartition, p: int) -> tuple[tuple[Bipartition, tuple[
     A_a cap D_d or a sum of two, as no space is the union of two proper
     subspaces.
     """
-    x, v = _doubled_normal_form(key, p)
+    x, v = doubled_normal_form(key, p)
     space = SymplecticSpace(len(x) // 2, p)
     images = power_images(x, p)
     krylov = Subspace.from_vectors(krylov_basis(x, v, p), space.dim, p)

@@ -138,6 +138,29 @@ def test_slice_command_n1(tmp_path):
     assert all(row["check"] == "slice-dimension" for row in doc["rows"])
 
 
+def test_slice_rejects_prime_lists_it_cannot_use(capsys):
+    for primes, message in (
+        (["4", "5", "7"], "4 is not prime"),
+        (["3", "5", "9"], "9 is not prime"),
+        (["3", "3", "5"], "primes must be distinct and increasing"),
+        (["5", "3"], "primes must be distinct and increasing"),
+    ):
+        assert main(["slice", "--n", "2", "--primes", *primes]) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
+def test_slice_at_a_single_prime_reads_the_same_dimensions(tmp_path):
+    _, text = run_cli(["slice", "--n", "3"], tmp_path)
+    default = json.loads(text)["rows"]
+    code, text = run_cli(["slice", "--n", "3", "--primes", "5"], tmp_path)
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["ok"] is True
+    assert all(row["primes"] == [5] and len(row["counts"]) == 1 for row in doc["rows"])
+    dims = [(row["case"], row["m"], row["dim_estimate"]) for row in doc["rows"]]
+    assert dims == [(row["case"], row["m"], row["dim_estimate"]) for row in default]
+
+
 def test_springer_stratum_command(tmp_path):
     code, text = run_cli(["springer", "--n", "2", "--m", "2"], tmp_path)
     assert code == 0
@@ -234,9 +257,9 @@ PINNED_REPORTS = {
     "verify --suite partitions --n-max 6": "d4ee948bd3c882788ac2979f2475c7e33e0c1b0cb341b798a28316fbb2498cde",
     "verify --suite enhanced --n-max 3": "1568709bfecc6562ce3cb8d2776c08b1be6fef126f83a2c98392475f0964da05",
     "verify --suite springer --n-max 3": "190e7ae66d603fe84c9742f66e8363e28cf18554e639a1c320c1affdab4b7e02",
-    "verify --suite exotic --n-max 1": "9a2155d8eff23b06373f4b00c5fba6add65ed1b0a960707106315aa23244598c",
-    "verify --suite exotic --n-max 3": "f8492895088d57b4a066704ced9f4e35793aa1e5ae1cebd8477e10c4d7dcdebd",
-    "exotic --n 2": "388e6a5267043fdbb1d9a2f83cdda42abecf94a76ad79b57b3f49a87e0899fc0",
+    "verify --suite exotic --n-max 1": "b1b0ddf6ddfde39a763655cf9077abbe2f87ac33878ef8d760d43b08818f25ea",
+    "verify --suite exotic --n-max 3": "fa1fbf367186c729413ae4454919659df9f8f5a19c74e338ed0086e12758f447",
+    "exotic --n 2": "3c3d9828038aad22c04066b53d326718ccac32be0ed7def3284d9237b878c1c6",
     "exotic --n 2 --checks roots twisted-set z-bound": "819aa224462d0d08a50dec8f8c9c23ccc580708062b82c7a9ebd787875827bd7",
     "springer --n 4 --m 4": "803b698238893a32049c46969d97700108e725ec62297eca31ecbf17ae848af0",
     "springer --n 5": "e4a3c80dec2d4b3c6fc735ccf01b25e472fe5846822dccc6ed5458d7ffb038aa",

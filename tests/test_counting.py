@@ -17,7 +17,6 @@ from nilorbit.counting import (
     gaussian_factorial_poly,
     gaussian_int,
     poly_mul,
-    slope_dim,
     slope_estimates,
 )
 
@@ -40,13 +39,12 @@ def test_polynomial_evaluation():
 
 
 def test_slope_examples():
-    assert slope_dim(CountSeries.of([(3, 27), (5, 125), (7, 343)])) == 3
-    assert slope_dim(CountSeries.of([(3, 12), (5, 30), (7, 56)])) == 2
-    with pytest.raises(ValueError):
-        slope_dim(CountSeries.of([(3, 0), (5, 1)]))
-    with pytest.raises(ValueError):
-        # (p-1)^2 growth disagrees between the pairs at these primes
-        slope_dim(CountSeries.of([(3, 4), (5, 16), (7, 36)]))
+    assert slope_estimates(CountSeries.of([(3, 27), (5, 125), (7, 343)])) == [3, 3]
+    assert slope_estimates(CountSeries.of([(3, 12), (5, 30), (7, 56)])) == [2, 2]
+    with pytest.raises(ValueError, match="positive"):
+        slope_estimates(CountSeries.of([(3, 0), (5, 1)]))
+    with pytest.raises(ValueError, match="two points"):
+        slope_estimates(CountSeries.of([(3, 27)]))
 
 
 def test_slope_estimates_values():
@@ -169,16 +167,16 @@ def test_library_arithmetic_is_exact():
 ENUMERATORS = ("all_vectors", "all_matrices", "unitriangular_elements", "lines")
 
 
-def enumerating_functions(module: str, source: str) -> set[str]:
+def functions_calling(module: str, source: str, callees=ENUMERATORS) -> set[str]:
     """"module.function" for each top-level function or class of the source
-    that calls one of the ENUMERATORS, by name or as an attribute."""
+    that calls one of the callees, by name or as an attribute."""
     found = set()
     for top in ast.parse(source).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ENUMERATORS:
+                if name in callees:
                     found.add(f"{module}.{top.name}")
     return found
 
@@ -190,7 +188,7 @@ def test_enumeration_guard_sees_calls_by_name_and_attribute():
         "def c(p):\n    return all_matrices(2, p)\n"
         "def d(p):\n    return rank(p)\n"
     )
-    assert enumerating_functions("m", source) == {"m.a", "m.b", "m.c"}
+    assert functions_calling("m", source) == {"m.a", "m.b", "m.c"}
 
 
 def test_library_enumerates_only_check_subjects():
@@ -200,7 +198,7 @@ def test_library_enumerates_only_check_subjects():
     on all_vectors."""
     package = Path(nilorbit.__file__).parent
     found = set().union(
-        *(enumerating_functions(path.stem, path.read_text()) for path in package.glob("*.py"))
+        *(functions_calling(path.stem, path.read_text()) for path in package.glob("*.py"))
     )
     assert found == {
         "pairs._census_table",
@@ -210,3 +208,17 @@ def test_library_enumerates_only_check_subjects():
         "gfmat.all_matrices",
         "gfmat.unitriangular_elements",
     }
+
+
+def test_library_estimates_growth_only_for_the_double_flag_bound():
+    """Every dimension a check compares is the exact degree of a count.  Growth
+    between primes estimates only the double-flag bound, whose count is not
+    yet a polynomial; everywhere else the estimator is a test oracle."""
+    package = Path(nilorbit.__file__).parent
+    found = set().union(
+        *(
+            functions_calling(path.stem, path.read_text(), ("slope_estimates",))
+            for path in package.glob("*.py")
+        )
+    )
+    assert found == {"verify.z_bound"}

@@ -13,7 +13,7 @@ from nilorbit.counting import (
     evaluate,
     gaussian_factorial_poly,
     poly_mul,
-    slope_dim,
+    slope_estimates,
 )
 from nilorbit import flags, gfmat, pairs, symplectic
 from nilorbit.cli import main
@@ -587,7 +587,7 @@ def test_slice_cyclic_vector_case_at_stable_primes():
         s, z = build_slice_data([1, 1], [(1, 0)], [1], 2, p)
         counts.append((p, slice_count(s, z, 1, PrimeField(p))))
     assert [c for _, c in counts] == [(p - 1) ** 2 for p in (5, 7, 11)]
-    assert slope_dim(CountSeries.of(counts)) == 2
+    assert slope_estimates(CountSeries.of(counts)) == [2, 2]
 
 
 def test_slice_regular_unipotent_n2_at_stable_primes():
@@ -596,7 +596,7 @@ def test_slice_regular_unipotent_n2_at_stable_primes():
         s, z = build_slice_data([1, 1], [(1, 0)], [0, 1], 2, p)
         counts.append((p, slice_count(s, z, 2, PrimeField(p))))
     # orbit dimension 4, step 2: slice dimension 3
-    assert slope_dim(CountSeries.of(counts)) == 3
+    assert slope_estimates(CountSeries.of(counts)) == [3, 3]
 
 
 def test_slice_mixed_unipotent_n3_at_stable_primes():
@@ -605,4 +605,4 @@ def test_slice_mixed_unipotent_n3_at_stable_primes():
         s, z = build_slice_data([1, 2, 2], [(2, 1)], [1], 3, p)
         counts.append((p, slice_count(s, z, 1, PrimeField(p))))
     # orbit dimension 7, step 1: slice dimension 4
-    assert slope_dim(CountSeries.of(counts)) == 4
+    assert slope_estimates(CountSeries.of(counts)) == [4, 4]

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from nilorbit.counting import CountSeries, evaluate, poly_mul, slope_dim
+from nilorbit.counting import CountSeries, evaluate, poly_mul, slope_estimates
 from nilorbit.gfmat import (
     BudgetExceededError,
     Subspace,
@@ -36,6 +36,7 @@ from nilorbit.symplectic import (
     identity_scaled,
     iotheta_set,
     isotropic_flags,
+    key_orbit_size,
     lagrangian_meet_dim,
     length,
     positive_roots_c,
@@ -48,13 +49,12 @@ from nilorbit.symplectic import (
     z_variety_count,
 )
 from nilorbit.verify import (
-    EXOTIC_FIBER_PRIMES,
-    _doubled_normal_form,
     _exotic_case_data,
     exotic_orbit_cases,
     exotic_total_failures,
 )
 from oracles import (
+    doubled_normal_form,
     encode,
     exotic_patterns,
     exotic_quotient_key,
@@ -423,7 +423,7 @@ def test_exotic_slice_examples_n1():
         assert fiber == 1
         counts.append((p, count))
         assert count == p - 1
-    assert slope_dim(CountSeries.of(counts)) == 1
+    assert slope_estimates(CountSeries.of(counts)) == [1, 1]
 
 
 def lookup_slice_count(space, s, u, v):
@@ -440,11 +440,12 @@ def lookup_slice_count(space, s, u, v):
 
 
 def test_exotic_slice_count_matches_lookup_on_report_cases():
-    # the slow case's lookup at p = 7 is a BFS of 115,200 states and is left
-    # out; the exotic --n 2 pin in tests/test_cli.py holds its orbit size there
+    # the unipotent-vector lookup runs at p = 5 only: at p = 7 it is a BFS
+    # of 115,200 states, and the exotic --n 2 pin in tests/test_cli.py holds
+    # its orbit size there
     for n, primes in ((1, (3, 5, 7)), (2, (3, 5))):
         for case in exotic_orbit_cases(n):
-            for p in (5,) if case.get("slow") else primes:
+            for p in (5,) if case["name"] == "unipotent-vector" else primes:
                 space = SymplecticSpace(n, p)
                 s, u, v = _exotic_case_data(case, space)
                 expected = lookup_slice_count(space, s, u, v)
@@ -474,9 +475,9 @@ def test_exotic_slice_count_matches_lookup_on_random_twisted_pairs():
 
 def test_exotic_slice_count_rejects_bad_input_before_the_orbit(monkeypatch):
     def no_orbit(*args):
-        raise AssertionError("exotic_orbit_size reached")
+        raise AssertionError("key_orbit_size reached")
 
-    monkeypatch.setattr(symplectic, "exotic_orbit_size", no_orbit)
+    monkeypatch.setattr(symplectic, "key_orbit_size", no_orbit)
     space = SymplecticSpace(1, 3)
     s = space.torus_twisted([1])
     with pytest.raises(ValueError, match="Lagrangian"):
@@ -491,11 +492,32 @@ def test_exotic_slice_count_rejects_bad_input_before_the_orbit(monkeypatch):
         exotic_slice_count(space, mirrored, u, (0, 0, 0, 0))
 
 
-def test_exotic_slice_count_raises_on_a_nonzero_remainder(monkeypatch):
-    fiber_count = symplectic.exotic_fiber_count
+def test_exotic_slice_count_tests_twistedness_and_classifies_once(monkeypatch):
+    builds, tests = [], []
+    classifier, in_twisted_set = symplectic.MixedClassifier, SymplecticSpace.in_twisted_set
     monkeypatch.setattr(
-        symplectic, "exotic_fiber_count", lambda *args: fiber_count(*args) + 1
+        symplectic, "MixedClassifier", lambda *args: builds.append(args) or classifier(*args)
     )
+    monkeypatch.setattr(
+        SymplecticSpace, "in_twisted_set", lambda *args: tests.append(args) or in_twisted_set(*args)
+    )
+    space = SymplecticSpace(2, 5)
+    for case in exotic_orbit_cases(2):
+        s, u, v = _exotic_case_data(case, space)
+        builds.clear()
+        tests.clear()
+        exotic_slice_count(space, s, u, v)
+        assert (len(builds), len(tests)) == (1, 1), case["name"]
+
+
+def test_exotic_slice_count_raises_on_a_nonzero_remainder(monkeypatch):
+    fiber = symplectic._exotic_fiber
+
+    def one_more_flag(*args):
+        poly = fiber(*args)
+        return (poly[0] + 1,) + poly[1:]
+
+    monkeypatch.setattr(symplectic, "_exotic_fiber", one_more_flag)
     space = SymplecticSpace(1, 3)
     with pytest.raises(RuntimeError) as info:
         exotic_slice_count(space, space.torus_twisted([1]), identity(2), (0, 0))
@@ -685,7 +707,7 @@ def flag_loop_fiber_count(space, transitions, s, x, v):
 
 
 def test_exotic_fiber_count_matches_flag_loop_on_report_cases():
-    for n, primes in EXOTIC_FIBER_PRIMES.items():
+    for n, primes in ((1, (3, 5, 7)), (2, (5, 7, 11))):
         for p in primes:
             space = SymplecticSpace(n, p)
             transitions = flag_transitions(space)
@@ -759,7 +781,7 @@ def test_exotic_fiber_count_rejects_p2():
 def enumerated_exotic_table(key, p):
     """{quotient key: lines} by classifying the quotient L^perp / L of every
     line L of ker x orthogonal to v in the doubled normal form."""
-    x, v = _doubled_normal_form(key, p)
+    x, v = doubled_normal_form(key, p)
     space = SymplecticSpace(len(x) // 2, p)
     found = Counter()
     for w in right_kernel(transpose(x) + space.times_gram((v,)), p).lines():
@@ -790,6 +812,20 @@ def test_exotic_line_patterns_match_rank_oracle(k_max, p):
     for k in range(1, k_max + 1):
         for key in enumerate_bipartitions(k):
             assert flags._line_patterns(key, exotic=True) == exotic_patterns(key, p), (key, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_key_orbit_sizes_match_the_doubled_normal_forms(p):
+    """The orbit size read off an exotic key equals the classifier's size of
+    1 + the doubled normal form of the key, for every key with k <= 3."""
+    for k in (1, 2, 3):
+        space = SymplecticSpace(k, p)
+        for key in enumerate_bipartitions(k):
+            x, v = doubled_normal_form(key, p)
+            unipotent = tuple(
+                tuple((c + (i == j)) % p for j, c in enumerate(row)) for i, row in enumerate(x)
+            )
+            assert key_orbit_size((key,), p) == exotic_orbit_size(space, unipotent, v), key
 
 
 def test_exotic_totals_hold():
@@ -830,7 +866,7 @@ def test_exotic_fiber_count_matches_stable_line_walk():
     space = SymplecticSpace(3, p)
     s = space.torus_twisted([1, 1, 1])
     for key in enumerate_bipartitions(3):
-        x, v = _doubled_normal_form(key, p)
+        x, v = doubled_normal_form(key, p)
         x = tuple(tuple((c + (i == j)) % p for j, c in enumerate(row)) for i, row in enumerate(x))
         assert exotic_fiber_count(space, s, x, v) == stable_line_fiber_count(space, s, x, v), key
 
@@ -1093,6 +1129,4 @@ def test_z_variety_bound():
     for p in (3, 5):
         space = SymplecticSpace(2, p)
         counts.append((p, z_variety_count(space, space.torus_twisted([1, 1]))))
-    from nilorbit.counting import slope_estimates
-
     assert all(e <= 8 for e in slope_estimates(CountSeries.of(counts)))
