@@ -19,7 +19,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .partitions import Partition, as_partition, conjugate
 
@@ -391,30 +391,3 @@ def unitriangular_positions(order: Sequence[int]) -> list[tuple[int, int]]:
     """Free entries (order[i], order[j]), j < i, of the flag's unitriangular group."""
     dim = len(order)
     return [(order[i], order[j]) for i in range(dim) for j in range(i)]
-
-
-def unitriangular_elements(
-    order: Sequence[int], p: int, free: Optional[Sequence[tuple[int, int]]] = None
-) -> Iterator[Matrix]:
-    """All unipotent matrices stabilizing the coordinate flag taken in `order`.
-
-    With the row-vector action the stabilizer of <e_order[0]> <
-    <e_order[0], e_order[1]> < ... has ones on the diagonal and free
-    entries at (order[i], order[j]) for j < i: lower unitriangular once
-    the coordinates are listed in that order.  Passing `free`, a subset
-    of those positions, enumerates the pattern subgroup whose other
-    entries are 0 instead.
-    """
-    dim = len(order)
-    positions = unitriangular_positions(order)
-    if free is not None:
-        chosen = set(free)
-        if not chosen <= set(positions):
-            raise ValueError("free positions must lie strictly below the flag diagonal")
-        positions = [pos for pos in positions if pos in chosen]
-    base = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    for values in all_vectors(len(positions), p):
-        rows = [row[:] for row in base]
-        for (i, j), val in zip(positions, values):
-            rows[i][j] = val
-        yield tuple(tuple(r) for r in rows)

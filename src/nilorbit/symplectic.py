@@ -592,8 +592,15 @@ def _signed_permutation_matrix(image: tuple[int, ...], space: SymplecticSpace) -
             rows[i][n - w - 1] = 1
             rows[n + i][-w - 1] = (-1) % p
     h = tuple(tuple(r) for r in rows)
-    assert space.is_symplectic(h)
+    assert preserves_form(space, h)
     return h
+
+
+def preserves_form(space: SymplecticSpace, h: Matrix) -> bool:
+    """`space.is_symplectic(h)` for a signed permutation matrix h: h^{-1} =
+    h^T, so h J h^T = J says that `signed_conjugate` leaves J fixed, which
+    moves entries and forms no product."""
+    return signed_conjugate(signed_rows(h), space.gram, space.p) == space.gram
 
 
 def signed_permutations(n: int) -> Iterator[SignedPermutation]:
@@ -731,11 +738,26 @@ def _meet_positions(space: SymplecticSpace, w: SignedPermutation) -> list[tuple[
     ]
 
 
-def unipotent_meet(space: SymplecticSpace, w: SignedPermutation) -> Iterator[Matrix]:
-    """The elements of A = U meet w U w^{-1} inside GL_{2n}: the pattern
-    subgroup on `_meet_positions`, enumerated by
-    `gfmat.unitriangular_elements`."""
-    return gfmat.unitriangular_elements(space.flag_order, space.p, _meet_positions(space, w))
+def _meet_rows(space: SymplecticSpace, w: SignedPermutation) -> list[list[Vector]]:
+    """The row sets of A = U meet w U w^{-1}: row a of an element of A is
+    e_a plus any values at row a's positions in `_meet_positions`.  A
+    pattern subgroup's rows vary independently, so A is the product of
+    these sets."""
+    dim, p = space.dim, space.p
+    columns: list[list[int]] = [[] for _ in range(dim)]
+    for a, b in _meet_positions(space, w):
+        columns[a].append(b)
+    out = []
+    for a, cols in enumerate(columns):
+        rows = []
+        for values in gfmat.all_vectors(len(cols), p):
+            row = [0] * dim
+            row[a] = 1
+            for b, c in zip(cols, values):
+                row[b] = c
+            rows.append(tuple(row))
+        out.append(rows)
+    return out
 
 
 def _root_group_counts(space: SymplecticSpace, w: SignedPermutation) -> tuple[int, int, int]:
@@ -745,17 +767,26 @@ def _root_group_counts(space: SymplecticSpace, w: SignedPermutation) -> tuple[in
     G(u) = u J u^T, and y -> y J is a bijection: the images number the
     distinct G(u), and u is theta-fixed exactly when G(u) = J.  G(u) is
     skew with a zero diagonal (x J x^T = 0 for every row x), so its entries
-    above the diagonal determine it: one dot product of u J's row i with
-    u's row j per pair i < j.  Every u of A is visited, so |A| is counted.
+    above the diagonal determine it, and entry (i, j) depends only on rows
+    i and j of u.  A is the product of its row sets (`_meet_rows`), so each
+    pair i < j gets a table T_ij[a][b] = (r_a J) r_b of the a-th row choice
+    for row i against the b-th for row j, and G(u) is one read per table.
+    Every u of A is visited, once per tuple of row choices, so |A| is
+    counted.
     """
     p, dim = space.p, space.dim
+    rows = _meet_rows(space, w)
+    times = [space.times_gram(choices) for choices in rows]
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    tables = [
+        (i, j, [[sum(map(operator.mul, x, y)) % p for y in rows[j]] for x in times[i]])
+        for i, j in pairs
+    ]
     j_upper = tuple(space.gram[i][j] for i, j in pairs)
     size = fixed = 0
     image = set()
-    for u in unipotent_meet(space, w):
-        uj = space.times_gram(u)
-        gram = tuple([sum(map(operator.mul, uj[i], u[j])) % p for i, j in pairs])
+    for choice in itertools.product(*(range(len(choices)) for choices in rows)):
+        gram = tuple([table[choice[i]][choice[j]] for i, j, table in tables])
         size += 1
         fixed += gram == j_upper
         image.add(gram)
@@ -776,7 +807,8 @@ def root_identity_check(w: SignedPermutation) -> RootIdentityReport:
     are verified as well: with A = U meet wUw^{-1} inside GL_{2n},
     |A| = p^D, |A^theta| = p^d, |{u theta(u)^{-1}}| = p^{D-d}, and the
     bookkeeping d = (D - d) + b_w must hold.  The three counts come from
-    `_root_group_counts`, one skew Gram matrix u J u^T per u in A.
+    `_root_group_counts`, one skew Gram matrix u J u^T per u in A, read
+    entry by entry from tables of its row pairs.
     """
     n = w.n
     bw = b_stat(w)

@@ -399,7 +399,10 @@ def slice_report(n: int, primes: Sequence[int] = (3, 5, 7)) -> list[dict]:
             counts = []
             for p in primes:
                 s, z = _slice_case_data(case, n, p)
-                counts.append((p, flags_mod.slice_count(s, z, m, PrimeField(p))))
+                try:
+                    counts.append((p, flags_mod.slice_count(s, z, m, PrimeField(p))))
+                except ValueError as exc:
+                    raise ValueError(f"{case['name']} at p={p}: {exc}") from exc
             CountSeries.of(counts)  # rejects primes that are not distinct and increasing
             fiber = flags_mod._fiber_polynomial(inv.blocks, m, diagonal)
             got = orbit_degree + degree(fiber) - n * (n - 1) // 2 if any(fiber) else None

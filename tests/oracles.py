@@ -8,13 +8,15 @@ algebra on the normal forms, orbit equality through the invariant
 itself, stable flags and stable isotropic flags by depth-first
 enumeration, the twisted coset
 (sU)^{iota theta} and the double-flag count by listing the coset, the
-root-group counts by forming u theta(u)^{-1}, and symplectic orbits by
+root-group counts by forming u theta(u)^{-1}, flag unipotents and their
+pattern subgroups by listing the free entries, and symplectic orbits by
 breadth-first closure under transvections.
 """
 
+import itertools
 from collections import Counter
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from nilorbit import gfmat
 from nilorbit.gfmat import (
@@ -53,6 +55,7 @@ from nilorbit.symplectic import (
     SignedPermutation,
     SymplecticSpace,
     _exotic_key,
+    _meet_rows,
     _perp,
     _twisted_system,
     lagrangian_meet_dim,
@@ -62,7 +65,6 @@ from nilorbit.symplectic import (
     signed_rows,
     transvection,
     type_c_poincare,
-    unipotent_meet,
 )
 
 
@@ -345,13 +347,46 @@ def stable_line_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vec
     return count(Subspace.zero(dim, p))
 
 
+def unitriangular_elements(
+    order: Sequence[int], p: int, free: Optional[Sequence[tuple[int, int]]] = None
+) -> Iterator[Matrix]:
+    """All unipotent matrices stabilizing the coordinate flag taken in `order`.
+
+    With the row-vector action the stabilizer of <e_order[0]> <
+    <e_order[0], e_order[1]> < ... has ones on the diagonal and free
+    entries at (order[i], order[j]) for j < i: lower unitriangular once
+    the coordinates are listed in that order.  Passing `free`, a subset
+    of those positions, enumerates the pattern subgroup whose other
+    entries are 0 instead.
+    """
+    dim = len(order)
+    positions = gfmat.unitriangular_positions(order)
+    if free is not None:
+        chosen = set(free)
+        if not chosen <= set(positions):
+            raise ValueError("free positions must lie strictly below the flag diagonal")
+        positions = [pos for pos in positions if pos in chosen]
+    base = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    for values in all_vectors(len(positions), p):
+        rows = [row[:] for row in base]
+        for (i, j), val in zip(positions, values):
+            rows[i][j] = val
+        yield tuple(tuple(r) for r in rows)
+
+
 def flag_unipotent_elements(space: SymplecticSpace) -> Iterator[Matrix]:
     """All elements of the unipotent radical of the flag-stabilizing Borel.
 
     p^{n(2n-1)} of them; the library's twisted cosets and pattern subgroups
     avoid this walk.
     """
-    return gfmat.unitriangular_elements(space.flag_order, space.p)
+    return unitriangular_elements(space.flag_order, space.p)
+
+
+def unipotent_meet(space: SymplecticSpace, w: SignedPermutation) -> Iterator[Matrix]:
+    """The elements of A = U meet w U w^{-1} inside GL_{2n}, each a tuple of
+    rows: the product of the row sets of `_meet_rows`."""
+    return itertools.product(*_meet_rows(space, w))
 
 
 def in_flag_borel_coset(space: SymplecticSpace, y: Matrix, s: Matrix) -> bool:

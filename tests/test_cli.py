@@ -149,6 +149,15 @@ def test_slice_rejects_prime_lists_it_cannot_use(capsys):
         assert capsys.readouterr().err == f"invalid input: {message}\n"
 
 
+def test_slice_names_the_case_and_prime_of_a_singular_s(capsys):
+    # diagonals [1, 2] and [1, 1, 2] reduce to a singular s at p = 2
+    for n, case in (("2", "split-torus"), ("3", "mixed-zero")):
+        assert main(["slice", "--n", n, "--primes", "2", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {case} at p=2: s must be invertible\n"
+
+
 def test_slice_at_a_single_prime_reads_the_same_dimensions(tmp_path):
     _, text = run_cli(["slice", "--n", "3"], tmp_path)
     default = json.loads(text)["rows"]

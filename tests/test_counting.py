@@ -194,8 +194,8 @@ def test_enumeration_guard_sees_calls_by_name_and_attribute():
 def test_library_enumerates_only_check_subjects():
     """Listing vectors, matrices, unipotents or lines is the subject of a
     check, never a route to a count: the census, the twisted-set scan, the
-    isotropic flags and U meet wUw^-1, plus the enumerators of gfmat built
-    on all_vectors."""
+    isotropic flags and the row sets of U meet wUw^-1, plus the enumerator
+    of gfmat built on all_vectors."""
     package = Path(nilorbit.__file__).parent
     found = set().union(
         *(functions_calling(path.stem, path.read_text()) for path in package.glob("*.py"))
@@ -204,9 +204,8 @@ def test_library_enumerates_only_check_subjects():
         "pairs._census_table",
         "symplectic.iotheta_set",
         "symplectic.isotropic_flags",
-        "symplectic.unipotent_meet",
+        "symplectic._meet_rows",
         "gfmat.all_matrices",
-        "gfmat.unitriangular_elements",
     }
 
 

@@ -43,7 +43,6 @@ from nilorbit.gfmat import (
     rank,
     right_kernel,
     transpose,
-    unitriangular_elements,
     zeros,
 )
 from nilorbit.pairs import (
@@ -57,7 +56,7 @@ from nilorbit.pairs import (
 )
 from nilorbit.partitions import enumerate_bipartitions, partition_sum, size, total
 from nilorbit.verify import slice_cases, springer_total_failures
-from oracles import count_plain, pattern_dimensions
+from oracles import count_plain, pattern_dimensions, unitriangular_elements
 
 
 def coset_fiber_count(x, v, m, p):

@@ -28,6 +28,8 @@ from nilorbit.partitions import enumerate_bipartitions
 from nilorbit.symplectic import (
     SignedPermutation,
     SymplecticSpace,
+    _meet_positions,
+    _meet_rows,
     _root_group_counts,
     b_stat,
     exotic_fiber_count,
@@ -40,12 +42,12 @@ from nilorbit.symplectic import (
     lagrangian_meet_dim,
     length,
     positive_roots_c,
+    preserves_form,
     root_identity_check,
     signed_conjugate,
     signed_permutations,
     signed_rows,
     type_c_poincare,
-    unipotent_meet,
     z_variety_count,
 )
 from nilorbit.verify import (
@@ -67,6 +69,8 @@ from oracles import (
     stable_line_fiber_count,
     symplectic_transition,
     twisted_coset_set,
+    unipotent_meet,
+    unitriangular_elements,
 )
 
 
@@ -204,6 +208,19 @@ def test_signed_conjugate_matches_products():
                     y = random_matrix(2 * n, p, rng)
                     expected = mat_mul(mat_mul(h, y, p), hinv, p)
                     assert signed_conjugate(rows, y, p) == expected, (n, p, h, y)
+
+
+def test_preserves_form_agrees_with_is_symplectic():
+    for n in (1, 2, 3):
+        for p in (3, 5):
+            space = SymplecticSpace(n, p)
+            for w in signed_permutations(n):
+                h = w.matrix(space)
+                assert preserves_form(space, h) and space.is_symplectic(h), (n, p, w.image)
+                # negating row 0, the image of e_1, pairs it with the image of f_1 to -1
+                flipped = (tuple(-c % p for c in h[0]),) + h[1:]
+                assert not preserves_form(space, flipped), (n, p, w.image)
+                assert not space.is_symplectic(flipped), (n, p, w.image)
 
 
 def test_theta_on_scalars():
@@ -1001,6 +1018,17 @@ def test_unipotent_meet_matches_conjugation_filter():
                 assert by_image == sum(1 for u in filtered if space.theta(u) == u)
 
 
+def test_meet_rows_product_is_the_pattern_subgroup():
+    for n in (1, 2):
+        for p in (2, 3):
+            space = SymplecticSpace(n, p)
+            for w in signed_permutations(n):
+                listed = list(itertools.product(*_meet_rows(space, w)))
+                assert len(listed) == len(set(listed))
+                pattern = unitriangular_elements(space.flag_order, p, _meet_positions(space, w))
+                assert set(listed) == set(pattern), (n, p, w.image)
+
+
 def test_root_group_counts_match_product_oracle():
     for n in (1, 2):
         for p in (2, 3, 5):
@@ -1011,6 +1039,15 @@ def test_root_group_counts_match_product_oracle():
                     p,
                     w.image,
                 )
+
+
+def test_root_group_counts_match_product_oracle_at_rank_3():
+    # the W_3 elements with at most 9 free positions keep the oracle at p^9 products
+    space = SymplecticSpace(3, 2)
+    chosen = [w for w in signed_permutations(3) if len(_meet_positions(space, w)) <= 9]
+    assert len(chosen) == 33
+    for w in chosen:
+        assert _root_group_counts(space, w) == product_root_group_counts(space, w), w.image
 
 
 def skew_gram(space, g):
@@ -1115,7 +1152,7 @@ def test_z_variety_count_forms_no_product_and_lists_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("z_variety_count multiplied or listed")
 
-    for name in ("mat_mul", "mat_inv", "all_vectors", "all_matrices", "unitriangular_elements"):
+    for name in ("mat_mul", "mat_inv", "all_vectors", "all_matrices"):
         monkeypatch.setattr(gfmat, name, refuse)
         if hasattr(symplectic, name):
             monkeypatch.setattr(symplectic, name, refuse)
