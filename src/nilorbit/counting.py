@@ -2,7 +2,9 @@
 
 A count polynomial is the tuple (or list) of its integer coefficients in
 q, ascending; the empty tuple is the zero polynomial.  This module is the
-one place that multiplies and evaluates them.  A count series is a list of
+one place that multiplies, divides and evaluates them, and it holds the
+group orders that counts are divided by, each a monic polynomial in q, so
+that every division is exact long division in Z[q].  A count series is a list of
 (prime, count) pairs; its growth rate across primes, rounded to the
 nearest integer in exact arithmetic, estimates the one dimension whose
 count has no polynomial yet (the double-flag bound).  No float enters.
@@ -72,19 +74,6 @@ def slope_estimates(series: CountSeries) -> list[int]:
     return out
 
 
-def gaussian_int(k: int, q: int) -> int:
-    """[k]_q = 1 + q + ... + q^{k-1}."""
-    return sum(q**i for i in range(k))
-
-
-def gaussian_factorial(m: int, q: int) -> int:
-    """[m]_q! = prod_{k=1..m} [k]_q, the flag count of GL_m over F_q."""
-    out = 1
-    for k in range(1, m + 1):
-        out *= gaussian_int(k, q)
-    return out
-
-
 def degree(poly: Sequence[int]) -> int:
     """Index of the highest nonzero coefficient; 0 for the zero polynomial."""
     return max((i for i, c in enumerate(poly) if c), default=0)
@@ -113,12 +102,66 @@ def poly_mul(
     return acc
 
 
-def gaussian_factorial_poly(m: int) -> list[int]:
-    """Integer coefficients of [m]_q! as a polynomial in q, ascending."""
+def poly_div(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
+    """num / den in Z[q] for a monic den, by schoolbook long division.
+
+    Raises ValueError unless den is monic, and RuntimeError, naming both
+    polynomials, when the remainder is not zero.
+    """
+    top = degree(den)
+    if not den or den[top] != 1:
+        raise ValueError(f"divisor {tuple(den)} is not monic")
+    rem = list(num)
+    quotient = [0] * max(len(rem) - top, 0)
+    for k in reversed(range(len(quotient))):
+        quotient[k] = c = rem[k + top]
+        for i in range(top + 1):
+            rem[k + i] -= c * den[i]
+    if any(rem):
+        raise RuntimeError(
+            f"division in Z[q] is not exact: {tuple(num)} / {tuple(den)}"
+        )
+    while quotient and not quotient[-1]:
+        quotient.pop()
+    return tuple(quotient)
+
+
+def _product(factors: Sequence[Sequence[int]]) -> list[int]:
     out = [1]
-    for k in range(1, m + 1):
-        out = poly_mul(out, [1] * k)
+    for factor in factors:
+        out = poly_mul(out, factor)
     return out
+
+
+def _q_power_minus_one(k: int) -> list[int]:
+    return [-1] + [0] * (k - 1) + [1]
+
+
+def gaussian_factorial_poly(m: int) -> list[int]:
+    """[m]_q! = prod over k <= m of 1 + q + ... + q^(k-1), the number of
+    complete flags of GF(q)^m."""
+    return _product([[1] * k for k in range(1, m + 1)])
+
+
+def type_c_poincare_poly(n: int) -> list[int]:
+    """P_C(q) = prod over i <= n of 1 + q + ... + q^(2i-1), the sum of
+    q^length over the hyperoctahedral group W_n and the number of isotropic
+    flags of GF(q)^(2n)."""
+    return _product([[1] * (2 * i) for i in range(1, n + 1)])
+
+
+def gl_order_poly(n: int) -> list[int]:
+    """|GL_n(GF(q))| = q^(n(n-1)/2) prod over i <= n of (q^i - 1)."""
+    return _product(
+        [[0] * (n * (n - 1) // 2) + [1]] + [_q_power_minus_one(i) for i in range(1, n + 1)]
+    )
+
+
+def sp_order_poly(m: int) -> list[int]:
+    """|Sp_2m(GF(q))| = q^(m^2) prod over i <= m of (q^(2i) - 1)."""
+    return _product(
+        [[0] * (m * m) + [1]] + [_q_power_minus_one(2 * i) for i in range(1, m + 1)]
+    )
 
 
 def first_primes(count: int, minimum: int = 2) -> list[int]:

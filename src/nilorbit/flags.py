@@ -20,7 +20,8 @@ from .counting import (
     degree,
     evaluate,
     first_primes,
-    gaussian_factorial,
+    gaussian_factorial_poly,
+    poly_div,
     poly_mul,
 )
 from .gfmat import Matrix, PrimeField, Vector, mat_mul, partition_from_ranks
@@ -28,9 +29,10 @@ from . import gfmat
 from .pairs import (
     EnhancedPair,
     MixedClassifier,
+    MixedInvariant,
     NonSplitError,
     bipartition_from_types,
-    mixed_orbit_size,
+    orbit_polynomial,
 )
 from .partitions import (
     Bipartition,
@@ -357,20 +359,9 @@ def in_standard_flag_step(v: Vector, m: int) -> bool:
 
 
 def slice_count(s: Matrix, z0: EnhancedPair, m: int, field: PrimeField) -> int:
-    """Points of the orbit O of z0 inside sU x M_m, by double counting.
+    """Points of the orbit O of z0 inside sU x M_m: `_slice_polynomial` at p.
 
     s must be diagonal, z0 = (s u, v0) with u flag-unipotent and v0 in M_m.
-    Call z = (x, v) adapted to a complete flag F when x stabilizes F, v lies
-    in F_m and x acts on F_k / F_(k-1) by s_kk.  With the row-vector action
-    the pairs adapted to the standard flag are exactly sU x M_m, and GL_n
-    acts transitively on complete flags, so counting the pairs (z in O, F)
-    with z adapted to F in two ways gives
-
-        |O cap (sU x M_m)| * [n]_p! = |O| * fiber_s(z0, m),
-
-    where fiber_s counts the flags adapted to z0.  |O| is mixed_orbit_size
-    and fiber_s the fiber recursion restricted to the eigenvalue order
-    s_11, ..., s_nn; a nonzero remainder raises RuntimeError.
     """
     p = field.p
     n = z0.n
@@ -387,12 +378,26 @@ def slice_count(s: Matrix, z0: EnhancedPair, m: int, field: PrimeField) -> int:
         raise ValueError(f"v0 must lie in the span of the first {m} coordinates")
     diagonal = tuple(s[i][i] for i in range(n))
     target = MixedClassifier(z0.x, p, eigenvalues=diagonal).invariant(z0.v)
-    fiber = evaluate(_fiber_polynomial(target.blocks, m, diagonal), p)
-    pairs = mixed_orbit_size(target, field) * fiber
-    count, rem = divmod(pairs, gaussian_factorial(n, p))
-    if rem:
-        raise RuntimeError(
-            f"double count is not exact: |O| * fiber_s = {pairs} is not divisible "
-            f"by [{n}]_{p}!"
-        )
-    return count
+    return evaluate(_slice_polynomial(target, m, diagonal), p)
+
+
+@lru_cache(maxsize=None)
+def _slice_polynomial(inv: MixedInvariant, m: int, order: tuple[int, ...]) -> tuple[int, ...]:
+    """The slice count |O cap (sU x M_m)| in Z[q], by double counting, for the
+    orbit O of invariant inv and s = diag(order), cached per key: the counts
+    at every prime and the row's degree read one entry.
+
+    Call z = (x, v) adapted to a complete flag F when x stabilizes F, v lies
+    in F_m and x acts on F_k / F_(k-1) by s_kk.  With the row-vector action
+    the pairs adapted to the standard flag are exactly sU x M_m, and GL_n
+    acts transitively on complete flags, so counting the pairs (z in O, F)
+    with z adapted to F in two ways gives
+
+        |O cap (sU x M_m)| * [n]_q! = |O| * fiber_s(z0, m),
+
+    where fiber_s counts the flags adapted to z0.  |O| is `orbit_polynomial`
+    and fiber_s the fiber recursion restricted to the eigenvalue order
+    s_11, ..., s_nn; a nonzero remainder raises RuntimeError.
+    """
+    pairs = poly_mul(orbit_polynomial(inv), _fiber_polynomial(inv.blocks, m, order))
+    return poly_div(pairs, gaussian_factorial_poly(len(order)))

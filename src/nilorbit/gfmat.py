@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -335,29 +334,6 @@ def partition_from_ranks(ranks: Sequence[int]) -> Partition:
     return conjugate(as_partition(columns))
 
 
-def induced_maps(x: Matrix, w: Subspace, p: int) -> tuple[Matrix, Matrix]:
-    """Matrices of x on the x-stable subspace W and on the quotient V/W.
-
-    The restriction is expressed in W's canonical basis.  The quotient
-    uses the non-pivot standard coordinates of W's RREF basis, in
-    increasing order, as coordinates on V/W.
-    """
-    n = len(x)
-    if w.ambient != n:
-        raise ValueError("ambient dimension mismatch")
-    try:
-        restriction = tuple(w.coords(apply(b, x, p)) for b in w.basis)
-    except ValueError:
-        raise ValueError("subspace is not stable under x") from None
-    complement = [c for c in range(n) if c not in w.pivots]
-    quotient = []
-    for c in complement:
-        e = tuple(1 if j == c else 0 for j in range(n))
-        image = w.reduce(apply(e, x, p))
-        quotient.append(tuple(image[j] for j in complement))
-    return restriction, tuple(quotient)
-
-
 def random_matrix(n: int, p: int, rng: random.Random) -> Matrix:
     return tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
 
@@ -369,11 +345,6 @@ def random_invertible(n: int, p: int, seed: int) -> Matrix:
         g = random_matrix(n, p, rng)
         if rank(g, p) == n:
             return g
-
-
-def gl_order(n: int, p: int) -> int:
-    q = p**n
-    return math.prod(q - p**i for i in range(n))
 
 
 def all_vectors(n: int, p: int) -> Iterator[Vector]:

@@ -12,7 +12,6 @@ eigenvalue.  Everything here is exact arithmetic mod p.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,7 +19,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from . import gfmat
-from .counting import degree, evaluate, poly_mul
+from .counting import evaluate, gl_order_poly, poly_div, poly_mul
 from .gfmat import (
     BudgetExceededError,
     Matrix,
@@ -28,7 +27,6 @@ from .gfmat import (
     Subspace,
     Vector,
     apply,
-    gl_order,
     identity,
     jordan_matrix,
     mat_inv,
@@ -45,7 +43,6 @@ from .partitions import (
     Bipartition,
     Partition,
     as_bipartition,
-    as_partition,
     conjugate,
     enumerate_bipartitions,
     m_stat,
@@ -338,17 +335,19 @@ def _census_table(n: int, p: int) -> Mapping[Bipartition, int]:
     return MappingProxyType(table)
 
 
-def centralizer_order(lam: Partition, p: int) -> int:
-    """Order of the centralizer of the Jordan matrix J_lam in GL_n(GF(p)).
+def centralizer_polynomial(lam: Partition) -> list[int]:
+    """Order of the centralizer of the Jordan matrix J_lam in GL_n(GF(q)), in Z[q].
 
-    It is p^(sum lam'_i^2 - sum m_i^2) times the product of |GL_{m_i}|, with
+    It is q^(sum lam'_i^2 - sum m_i^2) times the product of |GL_{m_i}|, with
     lam' the conjugate partition and m_i the number of parts of lam equal to
     i (Macdonald, Symmetric Functions and Hall Polynomials, Ch. II).
     """
-    lam = as_partition(lam)
     mults = Counter(lam).values()
     exponent = sum(c * c for c in conjugate(lam)) - sum(m * m for m in mults)
-    return p**exponent * math.prod(gl_order(m, p) for m in mults)
+    out = [0] * exponent + [1]
+    for m in mults:
+        out = poly_mul(out, gl_order_poly(m))
+    return out
 
 
 def _class_spans(lam: Partition) -> dict[Bipartition, tuple[int, frozenset]]:
@@ -418,45 +417,35 @@ def class_polynomial(bla: Bipartition) -> tuple[int, ...]:
 
 
 def orbit_size(bla: Bipartition, field: PrimeField) -> int:
-    """Number of GF(p)-points of the orbit of the bipartition (mu, nu).
-
-    The one-block case of mixed_orbit_size: the size is |GL_n| / |Z(J_lam)|
-    times class_polynomial(bla) at p, with lam = mu + nu.
-    """
+    """Number of GF(p)-points of the orbit of the bipartition (mu, nu): the
+    one-block case of mixed_orbit_size."""
     return mixed_orbit_size(MixedInvariant(((0, as_bipartition(bla)),)), field)
 
 
 def mixed_orbit_size(inv: MixedInvariant, field: PrimeField) -> int:
-    """Number of GF(p)-points of the orbit of a split pair with invariant inv.
+    """Number of GF(p)-points of the orbit of a split pair with invariant inv:
+    `orbit_polynomial(inv)` at p."""
+    return evaluate(orbit_polynomial(inv), field.p)
+
+
+@lru_cache(maxsize=None)
+def orbit_polynomial(inv: MixedInvariant) -> tuple[int, ...]:
+    """The orbit size of a split pair with invariant inv, in Z[q]; its degree
+    is the orbit's dimension.
 
     The orbit maps onto the conjugacy class of x, whose centralizer is the
     product of the centralizers of the nilpotent parts J_lam_a of its blocks,
     lam_a = mu_a + nu_a.  The fiber over x is the set of v whose component
     in each generalized eigenspace lies in the class of beta_a, and those
-    number class_polynomial(beta_a) at p, so
+    number class_polynomial(beta_a), so
 
-        |O| = |GL_n| prod c_beta_a(p) / prod |Z(J_lam_a)|.
+        |O| = |GL_n| prod c_beta_a / prod |Z(J_lam_a)|.
 
     An inexact division raises RuntimeError.
     """
-    p = field.p
-    numerator, denominator = gl_order(inv.total, p), 1
+    numerator, denominator = gl_order_poly(inv.total), [1]
     for _, bla in inv.blocks:
         lam = partition_sum(*bla)
-        numerator *= evaluate(_class_polynomials(lam)[bla], p)
-        denominator *= centralizer_order(lam, p)
-    size, rem = divmod(numerator, denominator)
-    if rem:
-        raise RuntimeError(f"orbit-size division is not exact: {numerator} / {denominator}")
-    return size
-
-
-def mixed_orbit_degree(inv: MixedInvariant) -> int:
-    """Degree in p of mixed_orbit_size(inv, GF(p)), factor by factor:
-    |GL_n| has degree n^2, |Z(J_lam)| degree sum lam'_i^2 and c_beta
-    degree deg c_beta."""
-    out = inv.total**2
-    for _, bla in inv.blocks:
-        lam = partition_sum(*bla)
-        out += degree(_class_polynomials(lam)[bla]) - sum(c * c for c in conjugate(lam))
-    return out
+        numerator = poly_mul(numerator, _class_polynomials(lam)[bla])
+        denominator = poly_mul(denominator, centralizer_polynomial(lam))
+    return poly_div(numerator, denominator)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .gfmat import (
     rank,
     transpose,
 )
-from .counting import degree, evaluate
+from .counting import evaluate, poly_div, poly_mul, sp_order_poly, type_c_poincare_poly
 from .flags import _Table, _fiber_polynomial, _line_patterns, _lines_in_q
 from .pairs import MixedClassifier, NonSplitError, class_polynomial
 from .partitions import Bipartition, conjugate, partition_sum, total
@@ -253,14 +252,6 @@ def isotropic_flags(
     return out
 
 
-def type_c_poincare(n: int, q: int) -> int:
-    """Sum of q^length over the hyperoctahedral group, as a product."""
-    out = 1
-    for i in range(1, n + 1):
-        out *= sum(q**k for k in range(2 * i))
-    return out
-
-
 def _twisted_system(
     space: SymplecticSpace, s: Matrix, free: Sequence[tuple[int, int]]
 ) -> tuple[list[Vector], list[int]]:
@@ -417,11 +408,6 @@ def exotic_fiber_count(space: SymplecticSpace, s: Matrix, x: Matrix, v: Vector) 
     return evaluate(_exotic_fiber(blocks, order), space.p)
 
 
-def sp_order(m: int, p: int) -> int:
-    """|Sp_2m(GF(p))| = p^(m^2) times the product of p^(2i) - 1 over i <= m."""
-    return p ** (m * m) * math.prod(p ** (2 * i) - 1 for i in range(1, m + 1))
-
-
 def exotic_orbit_size(space: SymplecticSpace, x: Matrix, v: Vector) -> int:
     """Number of points of the Sp-orbit of the twisted pair (x, v).
 
@@ -439,7 +425,15 @@ def exotic_orbit_size(space: SymplecticSpace, x: Matrix, v: Vector) -> int:
 
 def key_orbit_size(keys: Sequence[Bipartition], p: int) -> int:
     """Number of points of the Sp_2n-orbit of the twisted pairs whose
-    eigenvalue blocks have the exotic keys (mu_a; nu_a), n their total size.
+    eigenvalue blocks have the exotic keys (mu_a; nu_a), n their total size:
+    `key_orbit_polynomial` at p."""
+    return evaluate(key_orbit_polynomial(tuple(keys)), p)
+
+
+@functools.lru_cache(maxsize=None)
+def key_orbit_polynomial(keys: tuple[Bipartition, ...]) -> tuple[int, ...]:
+    """The size of the Sp_2n-orbit of `key_orbit_size`, in Z[q]; its degree is
+    the orbit's dimension.
 
     Twisted x is self-adjoint for the form (J x = x^T J), so its generalized
     eigenspaces V_a are nondegenerate and orthogonal, and on V_a the
@@ -447,18 +441,18 @@ def key_orbit_size(keys: Sequence[Bipartition], p: int) -> int:
     n_a = |lam| and m_i the multiplicities of the parts of lam, the
     centralizer of x in Sp(V_a) has order
 
-        |Z_a| = p^(n_a + 2 sum lam'_i^2 - sum (2 m_i^2 + m_i)) prod |Sp_2m_i|.
+        |Z_a| = q^(n_a + 2 sum lam'_i^2 - sum (2 m_i^2 + m_i)) prod |Sp_2m_i|.
 
     The v' with (x, v') in the orbit number the product of the class
-    polynomials c_beta_a(p) of the block keys beta_a = (mu_a cup mu_a;
+    polynomials c_beta_a of the block keys beta_a = (mu_a cup mu_a;
     nu_a cup nu_a), so
 
-        |O| = |Sp_2n| prod c_beta_a(p) / prod |Z_a|.
+        |O| = |Sp_2n| prod c_beta_a / prod |Z_a|.
 
     An inexact division raises RuntimeError.
     """
-    n = sum(total(key) for key in keys)
-    numerator, denominator = sp_order(n, p), 1
+    numerator = sp_order_poly(sum(total(key) for key in keys))
+    denominator = [1]
     for key in keys:
         lam = partition_sum(*key)
         mults = Counter(lam).values()
@@ -467,30 +461,11 @@ def key_orbit_size(keys: Sequence[Bipartition], p: int) -> int:
             + 2 * sum(c * c for c in conjugate(lam))
             - sum(2 * m * m + m for m in mults)
         )
-        numerator *= evaluate(class_polynomial(_doubled_key(key)), p)
-        denominator *= p**exponent * math.prod(sp_order(m, p) for m in mults)
-    size, rem = divmod(numerator, denominator)
-    if rem:
-        raise RuntimeError(
-            f"exotic orbit-size division is not exact: {numerator} / {denominator}"
-        )
-    return size
-
-
-def key_orbit_degree(keys: Sequence[Bipartition]) -> int:
-    """Degree in p of `key_orbit_size(keys, p)`, factor by factor: |Sp_2n|
-    has degree 2n^2 + n, |Z_a| degree n_a + 2 sum lam'_i^2, as |Sp_2m| has
-    degree 2m^2 + m, and c_beta_a degree deg c_beta_a."""
-    n = sum(total(key) for key in keys)
-    out = 2 * n * n + n
-    for key in keys:
-        lam = partition_sum(*key)
-        out += (
-            degree(class_polynomial(_doubled_key(key)))
-            - sum(lam)
-            - 2 * sum(c * c for c in conjugate(lam))
-        )
-    return out
+        numerator = poly_mul(numerator, class_polynomial(_doubled_key(key)))
+        denominator = poly_mul(denominator, [0] * exponent + [1])
+        for m in mults:
+            denominator = poly_mul(denominator, sp_order_poly(m))
+    return poly_div(numerator, denominator)
 
 
 def exotic_slice_count(
@@ -498,37 +473,40 @@ def exotic_slice_count(
 ) -> tuple[int, int, int]:
     """Count of the orbit O of (s u, v) inside X x M_n, X = (sU)^{iota theta}.
 
-    Returns (slice_count, orbit_size, fiber).  Call (x, v) adapted to an
-    isotropic flag F when x lies in F's conjugate of X and v in F_n.  The
-    pairs adapted to the standard flag are X x M_n, and Sp acts transitively
-    on isotropic flags, so counting the pairs (z in O, F) with z adapted to
-    F in two ways gives
-
-        |O cap (X x M_n)| * type_c_poincare(n, p) = |O| * fiber(s u, v),
-
-    fiber being `exotic_fiber_count`, which is constant on O.  |O| and the
-    fiber come from one classification of (s u, v): `key_orbit_size` and
-    `_exotic_fiber` of its exotic keys.  A nonzero remainder raises
-    RuntimeError.  Raises ValueError unless v lies in the Lagrangian M_n,
-    then as `_exotic_blocks` does, and then NonSplitError (a ValueError)
-    when s u has an eigenvalue outside GF(p): such an s u lies in no
-    conjugate of X.
+    Returns (slice_count, orbit_size, fiber), `_exotic_slice_polynomials` of
+    one classification of (s u, v) at p.  Raises ValueError unless v lies in
+    the Lagrangian M_n, then as `_exotic_blocks` does, and then
+    NonSplitError (a ValueError) when s u has an eigenvalue outside GF(p):
+    such an s u lies in no conjugate of X.
     """
     p = space.p
     if not space.in_lagrangian(v):
         raise ValueError("v must lie in the Lagrangian coordinate span")
     order, blocks = _exotic_blocks(space, s, mat_mul(s, u, p), v)
-    orbit_size = key_orbit_size([key for _, key in blocks], p)
-    fiber = evaluate(_exotic_fiber(blocks, order), p)
-    pairs = orbit_size * fiber
-    flags = type_c_poincare(space.n, p)
-    count, rem = divmod(pairs, flags)
-    if rem:
-        raise RuntimeError(
-            f"double count is not exact: |O| * fiber = {pairs} is not divisible "
-            f"by the {flags} isotropic flags"
-        )
-    return count, orbit_size, fiber
+    slice_poly, orbit, fiber = _exotic_slice_polynomials(blocks, order)
+    return evaluate(slice_poly, p), evaluate(orbit, p), evaluate(fiber, p)
+
+
+def _exotic_slice_polynomials(
+    blocks: tuple[tuple[int, Bipartition], ...], order: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(slice count, orbit size, fiber) in Z[q] of the orbit O of the pairs
+    with these blocks, in the eigenvalue order t.
+
+    Call (x, v) adapted to an isotropic flag F when x lies in F's conjugate
+    of X and v in F_n.  The pairs adapted to the standard flag are X x M_n,
+    and Sp acts transitively on isotropic flags, so counting the pairs
+    (z in O, F) with z adapted to F in two ways gives
+
+        |O cap (X x M_n)| * P_C(q) = |O| * fiber,
+
+    P_C(q) = `type_c_poincare_poly(n)` isotropic flags and the fiber
+    `_exotic_fiber`, which is constant on O.  |O| is `key_orbit_polynomial`
+    of the blocks' exotic keys.  A nonzero remainder raises RuntimeError.
+    """
+    orbit = key_orbit_polynomial(tuple(key for _, key in blocks))
+    fiber = _exotic_fiber(blocks, order)
+    return poly_div(poly_mul(orbit, fiber), type_c_poincare_poly(len(order))), orbit, fiber
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +647,7 @@ def z_variety_count(space: SymplecticSpace, s: Matrix) -> int:
     commutes with s, U is normal in the Borel, and Sp commutes with theta.
     So the count of a pair depends only on its relative position w in W_n.
     By the Bruhat decomposition the pairs in position w number
-    type_c_poincare(n, p) * p^{l(w)}, and the pair (F_0, F_0 w) counts
+    P_C(p) p^{l(w)} (`type_c_poincare_poly`), and the pair (F_0, F_0 w) counts
     |X meet w^{-1} X w| * p^{dim(M_n meet M_n w)}.
 
     With h the matrix of w, h s u h^{-1} = (h s h^{-1}) (h u h^{-1}) is a
@@ -696,7 +674,7 @@ def z_variety_count(space: SymplecticSpace, s: Matrix) -> int:
         if len(free) in pivots:  # a pivot in the right-hand side: inconsistent
             continue
         total += p ** (length(w) + len(free) - rk + lagrangian_meet_dim(space, w))
-    return type_c_poincare(space.n, p) * total
+    return evaluate(type_c_poincare_poly(space.n), p) * total
 
 
 @dataclass(frozen=True)

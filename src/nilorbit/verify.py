@@ -23,10 +23,10 @@ from .counting import (
     degree,
     evaluate,
     first_primes,
-    gaussian_factorial,
     gaussian_factorial_poly,
     poly_mul,
     slope_estimates,
+    type_c_poincare_poly,
 )
 from .gfmat import (
     PrimeField,
@@ -241,15 +241,14 @@ def orbit_size_census_failures(n_max: int) -> list[dict]:
 
 
 def orbit_dimension_growth_failures(n_max: int, primes: Sequence[int]) -> list[dict]:
-    """Orbits have dimension n^2 - a(beta): the size |GL_n| / |Z(J_lam)| times
-    c_beta(q) has degree n^2 - sum lam'_i^2 + deg c_beta
-    (`pairs.mixed_orbit_degree`).  A failing case carries the orbit sizes at
-    the primes."""
+    """Orbits have dimension n^2 - a(beta), the degree of the orbit size
+    |GL_n| c_beta / |Z(J_lam)| in Z[q] (`pairs.orbit_polynomial`).  A failing
+    case carries the orbit sizes at the primes."""
     out = []
     for n in range(1, n_max + 1):
         for bla in enumerate_bipartitions(n):
             expected = n * n - a_stat(bla)
-            got = pairs_mod.mixed_orbit_degree(pairs_mod.MixedInvariant(((0, bla),)))
+            got = degree(pairs_mod.orbit_polynomial(pairs_mod.MixedInvariant(((0, bla),))))
             if got != expected:
                 counts = [pairs_mod.orbit_size(bla, PrimeField(p)) for p in primes]
                 out.append(_case(bla, counts=counts, expected=expected, got=got))
@@ -380,10 +379,9 @@ def _slice_case_data(case: dict, n: int, p: int):
 def slice_report(n: int, primes: Sequence[int] = (3, 5, 7)) -> list[dict]:
     """Slice counts of the mixed test pairs at and off the natural step index.
 
-    A row's dimension is the degree of its count |O| fiber_s / [n]_q!:
-    `pairs.mixed_orbit_degree` plus the degree of the ordered fiber
-    polynomial that `flags.slice_count` evaluates, minus n(n - 1)/2; None
-    when the fiber, and so every count, is zero.
+    A row's dimension is the degree of the slice polynomial |O| fiber_s /
+    [n]_q! that `flags.slice_count` evaluates at the primes; None when it,
+    and so every count, is zero.
     """
     out = []
     for case in slice_cases(n):
@@ -391,7 +389,6 @@ def slice_report(n: int, primes: Sequence[int] = (3, 5, 7)) -> list[dict]:
         inv = pairs_mod.mixed_invariant(z0)
         mu = inv.mu
         dim = n * n - sum(a_stat(bla) for _, bla in inv.blocks)
-        orbit_degree = pairs_mod.mixed_orbit_degree(inv)
         diagonal = tuple(s0[i][i] for i in range(n))
         for m in case["steps"]:
             if m < mu or len(case["vtail"]) > m:
@@ -404,8 +401,8 @@ def slice_report(n: int, primes: Sequence[int] = (3, 5, 7)) -> list[dict]:
                 except ValueError as exc:
                     raise ValueError(f"{case['name']} at p={p}: {exc}") from exc
             CountSeries.of(counts)  # rejects primes that are not distinct and increasing
-            fiber = flags_mod._fiber_polynomial(inv.blocks, m, diagonal)
-            got = orbit_degree + degree(fiber) - n * (n - 1) // 2 if any(fiber) else None
+            slices = flags_mod._slice_polynomial(inv, m, diagonal)
+            got = degree(slices) if slices else None
             bound = (dim + m) // 2
             if got is None:
                 ok = m != mu
@@ -492,25 +489,25 @@ def covering_degree_failures(n_max: int) -> list[dict]:
     return out
 
 
-def springer_total_failures(n_max: int, primes: Sequence[int]) -> list[dict]:
+def springer_total_failures(n_max: int) -> list[dict]:
     """Counting the triples (flag F, x nilpotent stabilizing F, v in F_m) two
-    ways: sum over beta |- n of |O_beta| F_(beta,m)(p) = [n]_p! p^(n(n-1)/2 + m)
-    for every m in 0..n, as the x stabilizing F are the strictly triangular
-    matrices and the v in F_m number p^m.  It binds every line table, class
-    polynomial and fiber of size n."""
+    ways: sum over beta |- n of O_beta(q) F_(beta,m)(q) = [n]_q! q^(n(n-1)/2 + m)
+    in Z[q] for every m in 0..n, as the x stabilizing F are the strictly
+    triangular matrices and the v in F_m number q^m.  It binds every line
+    table, class polynomial and fiber of size n at every prime at once."""
     out = []
     for n in range(1, n_max + 1):
-        for p in primes:
-            field = PrimeField(p)
-            orbits = [(bla, pairs_mod.orbit_size(bla, field)) for bla in enumerate_bipartitions(n)]
-            for m in range(n + 1):
-                expected = gaussian_factorial(n, p) * p ** (n * (n - 1) // 2 + m)
-                got = sum(
-                    count * evaluate(flags_mod._fiber_polynomial(((0, bla),), m), p)
-                    for bla, count in orbits
-                )
-                if got != expected:
-                    out.append({"n": n, "m": m, "p": p, "expected": expected, "got": got})
+        orbits = [
+            (bla, pairs_mod.orbit_polynomial(pairs_mod.MixedInvariant(((0, bla),))))
+            for bla in enumerate_bipartitions(n)
+        ]
+        for m in range(n + 1):
+            expected = [0] * (n * (n - 1) // 2 + m) + gaussian_factorial_poly(n)
+            got: list[int] = []
+            for bla, orbit in orbits:
+                poly_mul(orbit, flags_mod._fiber_polynomial(((0, bla),), m), got)
+            if got != expected:
+                out.append({"n": n, "m": m, "expected": expected, "got": got})
     return out
 
 
@@ -583,10 +580,9 @@ def exotic_orbit_report(n: int) -> list[dict]:
     """Slice equality and fiber value for the test orbits, with the counts
     of `symplectic.exotic_slice_count` at EXOTIC_PRIMES.
 
-    Each dimension is the exact degree of the count its row prints: the
-    orbit's is `symplectic.key_orbit_degree` of its exotic keys, the
-    fiber's that of the fiber polynomial the counts evaluate, and the
-    slice's is their sum minus deg P_C = n^2.
+    Each dimension is the degree of the polynomial in Z[q] that its row's
+    counts evaluate (`symplectic._exotic_slice_polynomials`): the orbit's,
+    the fiber's and the slice's.
     """
     rows = []
     for case in exotic_orbit_cases(n):
@@ -598,9 +594,7 @@ def exotic_orbit_report(n: int) -> list[dict]:
         slices, orbits, fibers = zip(*counts)
         # the keys and the order, read at the last prime, are those of every prime
         order, blocks = symp._exotic_blocks(space, s, mat_mul(s, u, space.p), v)
-        c = symp.key_orbit_degree([key for _, key in blocks])
-        fiber_dim = degree(symp._exotic_fiber(blocks, order))
-        slice_dim = c + fiber_dim - n * n
+        slice_dim, c, fiber_dim = map(degree, symp._exotic_slice_polynomials(blocks, order))
         common = {"case": case["name"], "n": n, "orbit_sizes": list(orbits), "orbit_dim": c}
         for check, row_counts, got, expected in (
             ("slice-dim", slices, slice_dim, c // 2),
@@ -675,9 +669,9 @@ def twisted_set_failures(primes: Sequence[int]) -> list[dict]:
     return out
 
 
-def _central_fiber(key, n: int, p: int) -> int:
-    """Exotic fiber count at p of the pair 1 + x with x nilpotent of exotic key (mu; nu) |- n."""
-    return evaluate(symp._exotic_fiber(((1, key),), (1,) * n), p)
+def _central_fiber(key, n: int) -> tuple[int, ...]:
+    """Exotic fiber count in Z[q] of the pair 1 + x with x nilpotent of exotic key (mu; nu) |- n."""
+    return symp._exotic_fiber(((1, key),), (1,) * n)
 
 
 def isotropic_flag_failures(n_max: int) -> list[dict]:
@@ -690,8 +684,8 @@ def isotropic_flag_failures(n_max: int) -> list[dict]:
             space = symp.SymplecticSpace(n, p)
             flags = symp.isotropic_flags(space)
             lag = flags[0][-1]
-            expected = symp.type_c_poincare(n, p)
-            fiber = _central_fiber(((), (1,) * n), n, p)
+            expected = evaluate(type_c_poincare_poly(n), p)
+            fiber = evaluate(_central_fiber(((), (1,) * n), n), p)
             isotropic = not any(space.form(b1, b2) for b1 in lag.basis for b2 in lag.basis)
             if len(flags) != expected or len(flags) != fiber or not isotropic:
                 out.append(
@@ -700,23 +694,21 @@ def isotropic_flag_failures(n_max: int) -> list[dict]:
     return out
 
 
-def exotic_total_failures(n_max: int, primes: Sequence[int]) -> list[dict]:
+def exotic_total_failures(n_max: int) -> list[dict]:
     """Counting the triples (isotropic flag F, unipotent x in F's conjugate of
-    X = U^{iota theta}, v in F_n) two ways: sum over (mu; nu) |- n of |O| F(p)
-    = type_c_poincare(n, p) p^(n^2), O the Sp-orbit of the unipotent pairs of
-    exotic key (mu; nu), sized from the key, and F its central exotic fiber,
-    as |X| = p^(n^2 - n) and the v in F_n number p^n.  It binds every exotic
-    line table and central fiber of size n."""
+    X = U^{iota theta}, v in F_n) two ways: sum over (mu; nu) |- n of O(q) F(q)
+    = P_C(q) q^(n^2) in Z[q], O the Sp-orbit of the unipotent pairs of exotic
+    key (mu; nu), sized from the key, and F its central exotic fiber, as
+    |X| = q^(n^2 - n) and the v in F_n number q^n.  It binds every exotic
+    line table and central fiber of size n at every prime at once."""
     out = []
     for n in range(1, n_max + 1):
-        for p in primes:
-            got = sum(
-                symp.key_orbit_size((key,), p) * _central_fiber(key, n, p)
-                for key in enumerate_bipartitions(n)
-            )
-            expected = symp.type_c_poincare(n, p) * p ** (n * n)
-            if got != expected:
-                out.append({"n": n, "p": p, "expected": expected, "got": got})
+        got: list[int] = []
+        for key in enumerate_bipartitions(n):
+            poly_mul(symp.key_orbit_polynomial((key,)), _central_fiber(key, n), got)
+        expected = [0] * (n * n) + type_c_poincare_poly(n)
+        if got != expected:
+            out.append({"n": n, "expected": expected, "got": got})
     return out
 
 

@@ -10,10 +10,14 @@ enumeration, the twisted coset
 (sU)^{iota theta} and the double-flag count by listing the coset, the
 root-group counts by forming u theta(u)^{-1}, flag unipotents and their
 pattern subgroups by listing the free entries, and symplectic orbits by
-breadth-first closure under transvections.
+breadth-first closure under transvections.  The matrices of x on a
+stable subspace and its quotient serve the rank oracles.  The group
+orders, Gaussian factorials and orbit sizes at a prime are the integer
+forms of the library's polynomials in Z[q], each divided at the prime.
 """
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -27,7 +31,6 @@ from nilorbit.gfmat import (
     all_vectors,
     apply,
     identity,
-    induced_maps,
     jordan_matrix,
     mat_mul,
     mat_sub,
@@ -38,22 +41,33 @@ from nilorbit.gfmat import (
     scal_mul,
     transpose,
 )
+from nilorbit.counting import evaluate
 from nilorbit.flags import _nonempty_patterns
 from nilorbit.pairs import (
     EnhancedPair,
+    MixedInvariant,
     _classify_nilpotent,
     _nilpotent_profile,
     bipartition_from_types,
+    class_polynomial,
     classify,
     commutant,
     krylov_basis,
     mixed_invariant,
     orbit_representative,
 )
-from nilorbit.partitions import Bipartition, Partition, enumerate_bipartitions, partition_sum
+from nilorbit.partitions import (
+    Bipartition,
+    Partition,
+    conjugate,
+    enumerate_bipartitions,
+    partition_sum,
+    total,
+)
 from nilorbit.symplectic import (
     SignedPermutation,
     SymplecticSpace,
+    _doubled_key,
     _exotic_key,
     _meet_rows,
     _perp,
@@ -64,8 +78,90 @@ from nilorbit.symplectic import (
     signed_permutations,
     signed_rows,
     transvection,
-    type_c_poincare,
 )
+
+
+def induced_maps(x: Matrix, w: Subspace, p: int) -> tuple[Matrix, Matrix]:
+    """Matrices of x on the x-stable subspace W and on the quotient V/W.
+
+    The restriction is expressed in W's canonical basis.  The quotient
+    uses the non-pivot standard coordinates of W's RREF basis, in
+    increasing order, as coordinates on V/W.
+    """
+    n = len(x)
+    if w.ambient != n:
+        raise ValueError("ambient dimension mismatch")
+    try:
+        restriction = tuple(w.coords(apply(b, x, p)) for b in w.basis)
+    except ValueError:
+        raise ValueError("subspace is not stable under x") from None
+    complement = [c for c in range(n) if c not in w.pivots]
+    quotient = []
+    for c in complement:
+        e = tuple(1 if j == c else 0 for j in range(n))
+        image = w.reduce(apply(e, x, p))
+        quotient.append(tuple(image[j] for j in complement))
+    return restriction, tuple(quotient)
+
+
+def gl_order(n: int, p: int) -> int:
+    """|GL_n(GF(p))|, the product of p^n - p^i over i < n."""
+    q = p**n
+    return math.prod(q - p**i for i in range(n))
+
+
+def sp_order(m: int, p: int) -> int:
+    """|Sp_2m(GF(p))| = p^(m^2) times the product of p^(2i) - 1 over i <= m."""
+    return p ** (m * m) * math.prod(p ** (2 * i) - 1 for i in range(1, m + 1))
+
+
+def gaussian_factorial(m: int, q: int) -> int:
+    """[m]_q! at q, the product of 1 + q + ... + q^(k-1) over k <= m."""
+    return math.prod(sum(q**i for i in range(k)) for k in range(1, m + 1))
+
+
+def type_c_poincare(n: int, q: int) -> int:
+    """P_C at q, the product of 1 + q + ... + q^(2i-1) over i <= n."""
+    return math.prod(sum(q**k for k in range(2 * i)) for i in range(1, n + 1))
+
+
+def centralizer_order(lam: Partition, p: int) -> int:
+    """|Z(J_lam)| in GL_n(GF(p)): p^(sum lam'_i^2 - sum m_i^2) times the
+    product of |GL_{m_i}|, m_i the part multiplicities (Macdonald, Ch. II)."""
+    mults = Counter(lam).values()
+    exponent = sum(c * c for c in conjugate(lam)) - sum(m * m for m in mults)
+    return p**exponent * math.prod(gl_order(m, p) for m in mults)
+
+
+def _divide(numerator: int, denominator: int) -> int:
+    size, rem = divmod(numerator, denominator)
+    if rem:
+        raise AssertionError(f"division at a prime is not exact: {numerator} / {denominator}")
+    return size
+
+
+def prime_orbit_size(inv: MixedInvariant, p: int) -> int:
+    """|GL_n| prod c_beta_a(p) / prod |Z(J_lam_a)|, divided at p."""
+    numerator, denominator = gl_order(inv.total, p), 1
+    for _, bla in inv.blocks:
+        numerator *= evaluate(class_polynomial(bla), p)
+        denominator *= centralizer_order(partition_sum(*bla), p)
+    return _divide(numerator, denominator)
+
+
+def prime_key_orbit_size(keys: Sequence[Bipartition], p: int) -> int:
+    """|Sp_2n| prod c_beta_a(p) / prod |Z_a| of exotic keys, divided at p, with
+    |Z_a| = p^(n_a + 2 sum lam'_i^2 - sum (2 m_i^2 + m_i)) prod |Sp_2m_i|."""
+    numerator, denominator = sp_order(sum(total(key) for key in keys), p), 1
+    for key in keys:
+        lam = partition_sum(*key)
+        mults = Counter(lam).values()
+        exponent = (
+            sum(lam) + 2 * sum(c * c for c in conjugate(lam)) - sum(2 * m * m + m for m in mults)
+        )
+        numerator *= evaluate(class_polynomial(_doubled_key(key)), p)
+        denominator *= p**exponent * math.prod(sp_order(m, p) for m in mults)
+    return _divide(numerator, denominator)
 
 
 def doubled_normal_form(key: Bipartition, p: int) -> tuple[Matrix, Vector]:

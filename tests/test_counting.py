@@ -13,12 +13,15 @@ from nilorbit.counting import (
     degree,
     evaluate,
     first_primes,
-    gaussian_factorial,
     gaussian_factorial_poly,
-    gaussian_int,
+    gl_order_poly,
+    poly_div,
     poly_mul,
     slope_estimates,
+    sp_order_poly,
+    type_c_poincare_poly,
 )
+from oracles import gaussian_factorial, gl_order, type_c_poincare
 
 
 def test_series_validation():
@@ -73,8 +76,8 @@ def test_slope_estimates_agree_with_float_rounding_off_the_halves():
 
 
 def test_gaussian_values():
-    assert gaussian_int(1, 5) == 1
-    assert gaussian_int(3, 2) == 7
+    assert evaluate(gaussian_factorial_poly(1), 5) == 1
+    assert evaluate(gaussian_factorial_poly(3), 2) == 1 * 3 * 7
     assert gaussian_factorial(0, 5) == 1
     assert gaussian_factorial(2, 3) == 4
     assert gaussian_factorial(4, 2) == 1 * 3 * 7 * 15
@@ -96,6 +99,42 @@ def test_poly_mul():
     assert poly_mul([1, 1], [0, 1], acc) is acc
     assert acc == [5, 1, 1]
     assert poly_mul([1], [1], [1, 2, 3, 4]) == [2, 2, 3, 4]
+
+
+def test_group_orders_in_q_match_their_values_at_primes():
+    assert gl_order_poly(0) == sp_order_poly(0) == type_c_poincare_poly(0) == [1]
+    assert gl_order_poly(2) == [0, 1, -1, -1, 1]  # q (q - 1) (q^2 - 1)
+    assert sp_order_poly(1) == [0, -1, 0, 1]  # q (q^2 - 1)
+    assert type_c_poincare_poly(2) == [1, 2, 2, 2, 1]
+    for n in range(6):
+        for q in (2, 3, 5, 7):
+            assert evaluate(gl_order_poly(n), q) == gl_order(n, q), (n, q)
+            assert evaluate(type_c_poincare_poly(n), q) == type_c_poincare(n, q), (n, q)
+            assert evaluate(gaussian_factorial_poly(n), q) == gaussian_factorial(n, q), (n, q)
+
+
+def test_poly_div_undoes_poly_mul():
+    rng = random.Random(1)
+    divisors = [gl_order_poly(3), sp_order_poly(2), gaussian_factorial_poly(4), [0, 0, 1]]
+    for den in divisors:
+        for _ in range(20):
+            quotient = tuple(rng.randrange(-9, 10) for _ in range(rng.randrange(1, 8)))
+            quotient = quotient[: degree(quotient) + 1] if any(quotient) else ()
+            assert poly_div(poly_mul(quotient, den), den) == quotient, (quotient, den)
+    assert poly_div((), [1, 1]) == poly_div([0, 0], [1, 1]) == ()
+    assert poly_div([2, 4, 6], [1]) == (2, 4, 6)
+
+
+def test_poly_div_raises_on_a_remainder_and_names_both_polynomials():
+    with pytest.raises(RuntimeError) as info:
+        poly_div([2, 1], [1, 1])  # q + 2 = (q + 1) + 1
+    assert str(info.value) == "division in Z[q] is not exact: (2, 1) / (1, 1)"
+    with pytest.raises(RuntimeError, match=r"\(1,\) / \(-1, 0, 1\)$"):
+        poly_div([1], [-1, 0, 1])  # a non-zero constant over q^2 - 1
+    with pytest.raises(ValueError, match="not monic"):
+        poly_div([2, 2], [1, 2])
+    with pytest.raises(ValueError, match="not monic"):
+        poly_div([2, 2], [])
 
 
 def test_first_primes():
@@ -162,6 +201,20 @@ def test_library_arithmetic_is_exact():
         if (uses := float_uses(path.read_text()))
     }
     assert found == {}
+
+
+def test_library_divides_counts_only_in_z_q():
+    """Counts are divided only by `counting.poly_div`, exact long division by
+    a monic group order in Z[q], which needs no divmod.  The one divmod left
+    is the hook-length quotient of `partitions.syt_count`."""
+    package = Path(nilorbit.__file__).parent
+    found = set().union(
+        *(
+            functions_calling(path.stem, path.read_text(), ("divmod",))
+            for path in package.glob("*.py")
+        )
+    )
+    assert found == {"partitions.syt_count"}
 
 
 ENUMERATORS = ("all_vectors", "all_matrices", "unitriangular_elements", "lines")

@@ -246,7 +246,7 @@ def test_line_tables_and_counts_do_no_linear_algebra(monkeypatch):
 
 
 def test_springer_totals_hold():
-    assert springer_total_failures(5, (2, 3, 5)) == []
+    assert springer_total_failures(5) == []
 
 
 def test_springer_totals_catch_a_broken_table(monkeypatch):
@@ -262,8 +262,8 @@ def test_springer_totals_catch_a_broken_table(monkeypatch):
     _poly_table.cache_clear()
     _fiber_polynomial.cache_clear()
     try:
-        assert springer_total_failures(2, (2,)) == []
-        assert springer_total_failures(3, (2,)) != []
+        assert springer_total_failures(2) == []
+        assert springer_total_failures(3) != []
     finally:
         _poly_table.cache_clear()
         _fiber_polynomial.cache_clear()

@@ -12,7 +12,6 @@ from nilorbit.gfmat import (
     all_vectors,
     apply,
     identity,
-    induced_maps,
     jordan_matrix,
     mat_inv,
     mat_mul,
@@ -27,6 +26,7 @@ from nilorbit.gfmat import (
 )
 from nilorbit.pairs import _nilpotent_profile
 from nilorbit.partitions import enumerate_partitions
+from oracles import induced_maps
 
 
 def jordan_type(x, p):

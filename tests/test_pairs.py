@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from nilorbit.counting import evaluate
+from nilorbit.counting import evaluate, poly_mul
 from nilorbit.gfmat import (
     BudgetExceededError,
     PrimeField,
@@ -13,9 +13,7 @@ from nilorbit.gfmat import (
     all_matrices,
     all_vectors,
     apply,
-    gl_order,
     identity,
-    induced_maps,
     is_nilpotent,
     jordan_matrix,
     mat_inv,
@@ -37,12 +35,13 @@ from nilorbit.pairs import (
     _normal_form,
     bipartition_from_types,
     census,
-    centralizer_order,
+    centralizer_polynomial,
     class_polynomial,
     classify,
     commutant,
     mixed_invariant,
     mixed_orbit_size,
+    orbit_polynomial,
     orbit_representative,
     orbit_size,
     split_eigenspaces,
@@ -55,7 +54,16 @@ from nilorbit.partitions import (
     partition_sum,
 )
 from nilorbit.verify import CENSUS_POINTS, orbit_dimension_growth_failures
-from oracles import commutant_spans, same_orbit, stabilizer_group_order, vector_class_counts
+from oracles import (
+    centralizer_order,
+    commutant_spans,
+    gl_order,
+    induced_maps,
+    prime_orbit_size,
+    same_orbit,
+    stabilizer_group_order,
+    vector_class_counts,
+)
 
 
 def conjugate_pair(z: EnhancedPair, seed: int) -> EnhancedPair:
@@ -440,7 +448,7 @@ def test_centralizer_order_matches_stabilizer_of_zero_vector():
     for n in range(4):
         for lam in enumerate_partitions(n):
             z = orbit_representative(((), lam), p)
-            assert centralizer_order(lam, p) == stabilizer_group_order(z), lam
+            assert evaluate(centralizer_polynomial(lam), p) == stabilizer_group_order(z), lam
 
 
 def test_mixed_classifier_batches():
@@ -467,6 +475,44 @@ def test_mixed_orbit_size_matches_tally(n, p):
 
 
 def test_mixed_orbit_size_raises_on_an_inexact_division(monkeypatch):
-    monkeypatch.setattr(pairs, "centralizer_order", lambda lam, p: 7)
-    with pytest.raises(RuntimeError, match=r"^orbit-size division is not exact: 12 / 7$"):
-        orbit_size(((2,), ()), PrimeField(2))  # |GL_2| c(2) = 6 * 2
+    # a centralizer order q^2 + 1 does not divide |GL_2| c_((2), ()) in Z[q]
+    monkeypatch.setattr(pairs, "centralizer_polynomial", lambda lam: [1, 0, 1])
+    orbit_polynomial.cache_clear()
+    try:
+        with pytest.raises(
+            RuntimeError,
+            match=r"^division in Z\[q\] is not exact: \(0, 0, -1, 2, 0, -2, 1\) / \(1, 0, 1\)$",
+        ):
+            orbit_size(((2,), ()), PrimeField(2))
+    finally:
+        orbit_polynomial.cache_clear()
+
+
+def split_invariants(n_max: int):
+    """Every invariant of a split pair with at most two blocks and total size
+    1..n_max, the blocks at eigenvalues 0 and 1."""
+    for n in range(1, n_max + 1):
+        for bla in enumerate_bipartitions(n):
+            yield MixedInvariant(((0, bla),))
+            for k in range(1, n_max - n + 1):
+                for other in enumerate_bipartitions(k):
+                    yield MixedInvariant(((0, bla), (1, other)))
+
+
+def test_orbit_polynomials_match_the_sizes_divided_at_primes():
+    """The orbit polynomial at p against the integer formula divided at p, for
+    every split invariant of total size <= 5 and p = 2, 3, 5, 7."""
+    for inv in split_invariants(5):
+        poly = orbit_polynomial(inv)
+        for p in (2, 3, 5, 7):
+            assert evaluate(poly, p) == prime_orbit_size(inv, p), (inv, p)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_orbit_polynomials_sum_to_the_enhanced_cone(n):
+    """Sum over beta |- n of O_beta(q) = q^(n^2) in Z[q]: q^(n^2 - n)
+    nilpotents times q^n vectors, at every prime at once."""
+    got = []
+    for bla in enumerate_bipartitions(n):
+        poly_mul(orbit_polynomial(MixedInvariant(((0, bla),))), (1,), got)
+    assert got == [0] * (n * n) + [1]

@@ -6,7 +6,14 @@ from collections import Counter
 
 import pytest
 
-from nilorbit.counting import CountSeries, evaluate, poly_mul, slope_estimates
+from nilorbit.counting import (
+    CountSeries,
+    evaluate,
+    poly_mul,
+    slope_estimates,
+    sp_order_poly,
+    type_c_poincare_poly,
+)
 from nilorbit.gfmat import (
     BudgetExceededError,
     Subspace,
@@ -38,6 +45,7 @@ from nilorbit.symplectic import (
     identity_scaled,
     iotheta_set,
     isotropic_flags,
+    key_orbit_polynomial,
     key_orbit_size,
     lagrangian_meet_dim,
     length,
@@ -47,7 +55,6 @@ from nilorbit.symplectic import (
     signed_conjugate,
     signed_permutations,
     signed_rows,
-    type_c_poincare,
     z_variety_count,
 )
 from nilorbit.verify import (
@@ -64,11 +71,14 @@ from oracles import (
     h_orbit,
     in_flag_borel_coset,
     listed_z_variety_count,
+    prime_key_orbit_size,
     product_root_group_counts,
     sp_generators,
+    sp_order,
     stable_line_fiber_count,
     symplectic_transition,
     twisted_coset_set,
+    type_c_poincare,
     unipotent_meet,
     unitriangular_elements,
 )
@@ -118,13 +128,6 @@ def mulclose(gens, p, expect=None):
         if expect and len(els) > expect:
             raise AssertionError("closure exceeded expected order")
     return els
-
-
-def sp_order(n, p):
-    out = p ** (n * n)
-    for i in range(1, n + 1):
-        out *= p ** (2 * i) - 1
-    return out
 
 
 def test_theta_involution_and_fixed_points():
@@ -492,9 +495,9 @@ def test_exotic_slice_count_matches_lookup_on_random_twisted_pairs():
 
 def test_exotic_slice_count_rejects_bad_input_before_the_orbit(monkeypatch):
     def no_orbit(*args):
-        raise AssertionError("key_orbit_size reached")
+        raise AssertionError("key_orbit_polynomial reached")
 
-    monkeypatch.setattr(symplectic, "key_orbit_size", no_orbit)
+    monkeypatch.setattr(symplectic, "key_orbit_polynomial", no_orbit)
     space = SymplecticSpace(1, 3)
     s = space.torus_twisted([1])
     with pytest.raises(ValueError, match="Lagrangian"):
@@ -538,10 +541,8 @@ def test_exotic_slice_count_raises_on_a_nonzero_remainder(monkeypatch):
     space = SymplecticSpace(1, 3)
     with pytest.raises(RuntimeError) as info:
         exotic_slice_count(space, space.torus_twisted([1]), identity(2), (0, 0))
-    assert str(info.value) == (
-        "double count is not exact: |O| * fiber = 5 is not divisible by the 4 "
-        "isotropic flags"
-    )
+    # |O| = 1 and the fiber 2 + q in place of P_C = 1 + q
+    assert str(info.value) == "division in Z[q] is not exact: (2, 1) / (1, 1)"
 
 
 # x = diag(A, A^T) with A of characteristic polynomial t^2 + 1, irreducible
@@ -600,12 +601,20 @@ def test_exotic_orbit_size_rejects_what_it_cannot_size(monkeypatch):
         exotic_orbit_size(space, ((1, 1, 0, 0),) + identity(4)[1:], (0, 0, 0, 0))
     x = space.torus_twisted([1, 2])
     assert exotic_orbit_size(space, x, (0, 0, 0, 0)) == 90
-    # a Sp_2 order off by one leaves the division inexact
-    order = symplectic.sp_order
+    # a Sp_2 order off by one, q^3 - q + 1, leaves the division inexact
+    def off_by_one(k):
+        poly = sp_order_poly(k)
+        poly[0] += k == 1
+        return poly
+
     with monkeypatch.context() as m:
-        m.setattr(symplectic, "sp_order", lambda k, p: order(k, p) + (k == 1))
-        with pytest.raises(RuntimeError, match="division is not exact"):
-            exotic_orbit_size(space, x, (0, 0, 0, 0))
+        m.setattr(symplectic, "sp_order_poly", off_by_one)
+        key_orbit_polynomial.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="division in Z\\[q\\] is not exact"):
+                exotic_orbit_size(space, x, (0, 0, 0, 0))
+        finally:
+            key_orbit_polynomial.cache_clear()
 
     class OddBlock:
         def __init__(self, x, p):
@@ -620,8 +629,10 @@ def test_exotic_orbit_size_rejects_what_it_cannot_size(monkeypatch):
 
 
 def test_sp_order():
-    assert [symplectic.sp_order(m, 3) for m in (0, 1, 2)] == [1, 24, 51840]
-    assert all(symplectic.sp_order(n, p) == sp_order(n, p) for n in (1, 2, 3) for p in (2, 5))
+    assert [evaluate(sp_order_poly(m), 3) for m in (0, 1, 2)] == [1, 24, 51840]
+    assert all(
+        evaluate(sp_order_poly(n), p) == sp_order(n, p) for n in (1, 2, 3) for p in (2, 5)
+    )
 
 
 def test_exotic_fiber_examples_n1():
@@ -845,8 +856,38 @@ def test_key_orbit_sizes_match_the_doubled_normal_forms(p):
             assert key_orbit_size((key,), p) == exotic_orbit_size(space, unipotent, v), key
 
 
+def exotic_key_tuples(n_max: int):
+    """Every tuple of one or two exotic keys of total size 1..n_max."""
+    for n in range(1, n_max + 1):
+        for key in enumerate_bipartitions(n):
+            yield (key,)
+            for k in range(1, n_max - n + 1):
+                for other in enumerate_bipartitions(k):
+                    yield (key, other)
+
+
+def test_key_orbit_polynomials_match_the_sizes_divided_at_primes():
+    """The exotic orbit polynomial at p against the integer formula divided
+    at p, for every one- or two-block key tuple of total size <= 4 and
+    p = 3, 5, 7."""
+    for keys in exotic_key_tuples(4):
+        poly = key_orbit_polynomial(keys)
+        for p in (3, 5, 7):
+            assert evaluate(poly, p) == prime_key_orbit_size(keys, p), (keys, p)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_key_orbit_polynomials_sum_to_the_exotic_cone(n):
+    """Sum over (mu; nu) |- n of O(q) = q^(2n^2) in Z[q]: q^(2n^2 - 2n) twisted
+    nilpotents times q^(2n) vectors, at every prime at once."""
+    got = []
+    for key in enumerate_bipartitions(n):
+        poly_mul(key_orbit_polynomial((key,)), (1,), got)
+    assert got == [0] * (2 * n * n) + [1]
+
+
 def test_exotic_totals_hold():
-    assert exotic_total_failures(5, (3, 5, 7)) == []
+    assert exotic_total_failures(5) == []
 
 
 def test_exotic_totals_catch_a_broken_table(monkeypatch):
@@ -862,8 +903,8 @@ def test_exotic_totals_catch_a_broken_table(monkeypatch):
     symplectic._exotic_table.cache_clear()
     flags._fiber_polynomial.cache_clear()
     try:
-        assert exotic_total_failures(2, (3,)) == []
-        assert [(f["n"], f["p"]) for f in exotic_total_failures(4, (3,))] == [(3, 3), (4, 3)]
+        assert exotic_total_failures(2) == []
+        assert [f["n"] for f in exotic_total_failures(4)] == [3, 4]
     finally:
         symplectic._exotic_table.cache_clear()
         flags._fiber_polynomial.cache_clear()
@@ -899,7 +940,7 @@ def test_central_zero_fiber_is_the_type_c_poincare_polynomial():
             poincare = tuple(product)
         blocks = ((1, ((), (1,) * k)),)
         fiber = flags._fiber_polynomial(blocks, k, (1,) * k, symplectic._exotic_table)
-        assert fiber == poincare
+        assert fiber == poincare == tuple(type_c_poincare_poly(k))
         assert evaluate(poincare, 7) == type_c_poincare(k, 7)
     for n in (1, 2):
         for p in (3, 5):
