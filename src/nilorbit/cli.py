@@ -14,7 +14,6 @@ import sys
 from typing import Optional
 
 from . import __version__
-from . import flags as flags_mod
 from . import pairs as pairs_mod
 from . import verify as verify_mod
 from .counting import first_primes
@@ -27,7 +26,6 @@ from .partitions import (
     enumerate_bipartitions,
     hasse_relations,
     m_stat,
-    size,
     total,
 )
 
@@ -131,12 +129,8 @@ def cmd_springer(args) -> int:
             targets = list(enumerate_bipartitions(n))
         else:
             targets = list(enumerate_bipartitions(n, args.m))
-    reports = []
-    ok = True
-    for bmu in targets:
-        rep = flags_mod.springer_report(bmu, size(bmu[0]), primes=args.primes)
-        reports.append(rep.to_json())
-        ok = ok and rep.degree_ok and rep.leading_ok
+    reports = [verify_mod.springer_row(bmu, args.primes) for bmu in targets]
+    ok = all(rep["degree_ok"] and rep["leading_ok"] for rep in reports)
     _emit(args, {"n": n, "reports": reports, "ok": ok}, "springer")
     return 0 if ok else 1
 
@@ -157,14 +151,8 @@ def cmd_galois(args) -> int:
         raise ValueError(f"n must be nonnegative, got {n}")
     prime = args.prime if args.prime else first_primes(1, minimum=n + 1)[0]
     steps = [args.m] if args.m is not None else list(range(n + 1))
-    rows = []
-    ok = True
-    for m in steps:
-        count, expected, good = flags_mod.galois_degree_check(n, m, PrimeField(prime))
-        ok = ok and good
-        rows.append(
-            {"m": m, "count": count, "expected": expected, "ok": good}
-        )
+    rows = verify_mod.covering_degree_rows(n, prime, steps)
+    ok = all(row["ok"] for row in rows)
     _emit(args, {"n": n, "p": prime, "rows": rows, "ok": ok}, "galois")
     return 0 if ok else 1
 

@@ -418,14 +418,8 @@ def class_polynomial(bla: Bipartition) -> tuple[int, ...]:
 
 def orbit_size(bla: Bipartition, field: PrimeField) -> int:
     """Number of GF(p)-points of the orbit of the bipartition (mu, nu): the
-    one-block case of mixed_orbit_size."""
-    return mixed_orbit_size(MixedInvariant(((0, as_bipartition(bla)),)), field)
-
-
-def mixed_orbit_size(inv: MixedInvariant, field: PrimeField) -> int:
-    """Number of GF(p)-points of the orbit of a split pair with invariant inv:
-    `orbit_polynomial(inv)` at p."""
-    return evaluate(orbit_polynomial(inv), field.p)
+    one-block `orbit_polynomial` at p."""
+    return evaluate(orbit_polynomial(MixedInvariant(((0, as_bipartition(bla)),))), field.p)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""The symplectic side: twisted conjugation, isotropic flags, orbit checks.
+"""The symplectic side: twisted conjugation, isotropic flags, orbit counts.
 
 V = GF(p)^{2n} carries the standard symplectic form in the basis
 e_1..e_n, f_1..f_n.  The involution theta(g) = J (g^T)^{-1} J^{-1} fixes
@@ -20,7 +20,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from . import gfmat
 from .gfmat import (
@@ -412,28 +412,22 @@ def exotic_orbit_size(space: SymplecticSpace, x: Matrix, v: Vector) -> int:
     """Number of points of the Sp-orbit of the twisted pair (x, v).
 
     `MixedClassifier` separates the Sp-orbits of the pairs (x, v'), and the
-    exotic keys of its blocks size the orbit (`key_orbit_size`).  Raises
-    ValueError unless x is twisted, NonSplitError when x has an eigenvalue
-    outside GF(p), and RuntimeError on a block type that is not lam cup lam
-    or on an inexact division.
+    exotic keys of its blocks size the orbit (`key_orbit_polynomial` at p).
+    Raises ValueError unless x is twisted, NonSplitError when x has an
+    eigenvalue outside GF(p), and RuntimeError on a block type that is not
+    lam cup lam or on an inexact division.
     """
     if not space.in_twisted_set(x):
         raise ValueError("x does not lie in the twisted set")
     blocks = MixedClassifier(x, space.p).invariant(v).blocks
-    return key_orbit_size([_exotic_key(bla) for _, bla in blocks], space.p)
-
-
-def key_orbit_size(keys: Sequence[Bipartition], p: int) -> int:
-    """Number of points of the Sp_2n-orbit of the twisted pairs whose
-    eigenvalue blocks have the exotic keys (mu_a; nu_a), n their total size:
-    `key_orbit_polynomial` at p."""
-    return evaluate(key_orbit_polynomial(tuple(keys)), p)
+    return evaluate(key_orbit_polynomial(tuple(_exotic_key(bla) for _, bla in blocks)), space.p)
 
 
 @functools.lru_cache(maxsize=None)
 def key_orbit_polynomial(keys: tuple[Bipartition, ...]) -> tuple[int, ...]:
-    """The size of the Sp_2n-orbit of `key_orbit_size`, in Z[q]; its degree is
-    the orbit's dimension.
+    """The size of the Sp_2n-orbit of the twisted pairs whose eigenvalue
+    blocks have the exotic keys (mu_a; nu_a), n their total size, in Z[q];
+    its degree is the orbit's dimension.
 
     Twisted x is self-adjoint for the form (J x = x^T J), so its generalized
     eigenspaces V_a are nondegenerate and orthogonal, and on V_a the
@@ -677,28 +671,6 @@ def z_variety_count(space: SymplecticSpace, s: Matrix) -> int:
     return evaluate(type_c_poincare_poly(space.n), p) * total
 
 
-@dataclass(frozen=True)
-class RootIdentityReport:
-    image: tuple[int, ...]
-    n: int
-    b_w: int
-    meet_dims: tuple[int, ...]
-    combinatorial_ok: bool
-    group_checks: tuple[dict, ...]
-    ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "w": list(self.image),
-            "n": self.n,
-            "b_w": self.b_w,
-            "meet_dims": list(self.meet_dims),
-            "combinatorial_ok": self.combinatorial_ok,
-            "group_checks": list(self.group_checks),
-            "ok": self.ok,
-        }
-
-
 def _meet_positions(space: SymplecticSpace, w: SignedPermutation) -> list[tuple[int, int]]:
     """The free positions of the pattern subgroup U meet w U w^{-1}, U the
     flag unipotents.
@@ -738,7 +710,7 @@ def _meet_rows(space: SymplecticSpace, w: SignedPermutation) -> list[list[Vector
     return out
 
 
-def _root_group_counts(space: SymplecticSpace, w: SignedPermutation) -> tuple[int, int, int]:
+def root_group_counts(space: SymplecticSpace, w: SignedPermutation) -> tuple[int, int, int]:
     """(|A|, |A^theta|, |{u theta(u)^{-1}}|) for A = U meet w U w^{-1}.
 
     u theta(u)^{-1} = u J u^T J^{-1}, so it is y = G(u) J^{-1} with
@@ -769,73 +741,3 @@ def _root_group_counts(space: SymplecticSpace, w: SignedPermutation) -> tuple[in
         fixed += gram == j_upper
         image.add(gram)
     return size, fixed, len(image)
-
-
-# primes of the intersection dimensions, and of the group-level exponents
-# checked for rank up to ROOT_GROUP_MAX_N
-ROOT_GROUP_PRIMES = (2, 3)
-ROOT_GROUP_MAX_N = 2
-
-
-def root_identity_check(w: SignedPermutation) -> RootIdentityReport:
-    """The long-root count of w against the Lagrangian intersection dimension.
-
-    b_w is computed from the root system; the intersection dimension by
-    linear algebra over each prime.  For small n the group-level exponents
-    are verified as well: with A = U meet wUw^{-1} inside GL_{2n},
-    |A| = p^D, |A^theta| = p^d, |{u theta(u)^{-1}}| = p^{D-d}, and the
-    bookkeeping d = (D - d) + b_w must hold.  The three counts come from
-    `_root_group_counts`, one skew Gram matrix u J u^T per u in A, read
-    entry by entry from tables of its row pairs.
-    """
-    n = w.n
-    bw = b_stat(w)
-    meets = []
-    for p in ROOT_GROUP_PRIMES:
-        meets.append(lagrangian_meet_dim(SymplecticSpace(n, p), w))
-    combinatorial_ok = all(m == bw for m in meets)
-    group_checks = []
-    overall = combinatorial_ok
-    if n <= ROOT_GROUP_MAX_N:
-        for p in ROOT_GROUP_PRIMES:
-            size, fixed, image = _root_group_counts(SymplecticSpace(n, p), w)
-            big_d = _exact_log(size, p)
-            small_d = _exact_log(fixed, p)
-            image_exp = _exact_log(image, p)
-            ok = (
-                big_d is not None
-                and small_d is not None
-                and image_exp is not None
-                and image_exp == big_d - small_d
-                and small_d == (big_d - small_d) + bw
-            )
-            overall = overall and ok
-            group_checks.append(
-                {
-                    "p": p,
-                    "dim_total": big_d,
-                    "dim_fixed": small_d,
-                    "dim_image": image_exp,
-                    "ok": ok,
-                }
-            )
-    return RootIdentityReport(
-        image=w.image,
-        n=n,
-        b_w=bw,
-        meet_dims=tuple(meets),
-        combinatorial_ok=combinatorial_ok,
-        group_checks=tuple(group_checks),
-        ok=overall,
-    )
-
-
-def _exact_log(value: int, p: int) -> Optional[int]:
-    """k with p^k = value, or None."""
-    if value <= 0:
-        return None
-    k = 0
-    while value % p == 0:
-        value //= p
-        k += 1
-    return k if value == 1 else None

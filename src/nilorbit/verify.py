@@ -13,7 +13,7 @@ fixed seed and n_max, which the CLI relies on for byte-identical reports.
 from __future__ import annotations
 
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import flags as flags_mod
 from . import pairs as pairs_mod
@@ -429,16 +429,35 @@ def slice_report(n: int, primes: Sequence[int] = (3, 5, 7)) -> list[dict]:
     return out
 
 
+def springer_row(bmu, primes: Optional[Sequence[int]] = None) -> dict:
+    """Report row of the fiber polynomial of the orbit bmu at step |mu|
+    (`flags.springer_report`): it must have degree d_mu and leading
+    coefficient dim E_mu."""
+    rep = flags_mod.springer_report(bmu, size(bmu[0]), primes)
+    poly = rep.polynomial
+    top = degree(poly)
+    return {
+        "mu": bipartition_to_json(rep.mu),
+        "m": rep.m,
+        "n": rep.n,
+        "d_mu": rep.d_mu,
+        "primes": list(rep.primes),
+        "counts": list(rep.counts),
+        "polynomial": [str(c) for c in poly],
+        "degree_ok": top == rep.d_mu and poly[top] != 0,
+        "leading_ok": poly[top] == irr_dim(rep.mu),
+    }
+
+
 def fiber_degree_and_leading_failures(n_max: int) -> list[dict]:
     """Each fiber polynomial has degree d_mu and leading coefficient dim E_mu."""
     out = []
     for n in range(n_max + 1):
         for bmu in enumerate_bipartitions(n):
-            rep = flags_mod.springer_report(bmu, size(bmu[0]))
-            if not (rep.degree_ok and rep.leading_ok):
-                expected = {"degree": rep.d_mu, "leading": irr_dim(bmu)}
-                got = [str(c) for c in rep.polynomial]
-                out.append(_case(bmu, expected=expected, got=got))
+            row = springer_row(bmu)
+            if not (row["degree_ok"] and row["leading_ok"]):
+                expected = {"degree": row["d_mu"], "leading": irr_dim(bmu)}
+                out.append(_case(bmu, expected=expected, got=row["polynomial"]))
     return out
 
 
@@ -475,17 +494,27 @@ def fiber_conjugation_failures(n_max: int, seed: int) -> list[dict]:
     return out
 
 
+def covering_degree_rows(n: int, p: int, steps: Sequence[int]) -> list[dict]:
+    """Over a regular semisimple pair of size n the fiber at step m has
+    m! (n-m)! points, the covering degree; one row per m in steps, at p."""
+    rows = []
+    for m in steps:
+        count = flags_mod.regular_semisimple_fiber_count(n, m, PrimeField(p))
+        expected = factorial(m) * factorial(n - m)
+        rows.append({"m": m, "count": count, "expected": expected, "ok": count == expected})
+    return rows
+
+
 def covering_degree_failures(n_max: int) -> list[dict]:
-    """Over a regular semisimple pair the fiber has m! (n-m)! points, at the
-    first prime above n."""
+    """The covering degrees of every m, at the first prime above n."""
     out = []
     for n in range(1, n_max + 1):
         p = first_primes(1, minimum=n + 1)[0]
-        for m in range(n + 1):
-            got, _, good = flags_mod.galois_degree_check(n, m, PrimeField(p))
-            expected = factorial(m) * factorial(n - m)
-            if not good or got != expected:
-                out.append({"n": n, "m": m, "p": p, "expected": expected, "got": got})
+        out.extend(
+            {"n": n, "m": row["m"], "p": p, "expected": row["expected"], "got": row["count"]}
+            for row in covering_degree_rows(n, p, range(n + 1))
+            if not row["ok"]
+        )
     return out
 
 
@@ -614,15 +643,65 @@ def exotic_orbit_report(n: int) -> list[dict]:
     return rows
 
 
+# primes of the intersection dimensions, and of the group-level exponents
+# checked for rank up to ROOT_GROUP_MAX_N
+ROOT_GROUP_PRIMES = (2, 3)
+ROOT_GROUP_MAX_N = 2
+
+
+def _exact_log(value: int, p: int) -> Optional[int]:
+    """k with p^k = value, or None."""
+    if value <= 0:
+        return None
+    k = 0
+    while value % p == 0:
+        value //= p
+        k += 1
+    return k if value == 1 else None
+
+
+def root_identity_row(w: symp.SignedPermutation) -> dict:
+    """The long-root count b_w of w against the Lagrangian intersection
+    dimension dim(M_n meet M_n w), at each of ROOT_GROUP_PRIMES.
+
+    For small n the group-level exponents are checked as well: with
+    A = U meet wUw^{-1} inside GL_{2n}, |A| = p^D, |A^theta| = p^d and
+    |{u theta(u)^{-1}}| = p^{D-d}, and the bookkeeping d = (D - d) + b_w
+    must hold.  The three counts are `symplectic.root_group_counts`.
+    """
+    n = w.n
+    bw = symp.b_stat(w)
+    meets = [symp.lagrangian_meet_dim(symp.SymplecticSpace(n, p), w) for p in ROOT_GROUP_PRIMES]
+    combinatorial_ok = all(m == bw for m in meets)
+    group_checks = []
+    for p in ROOT_GROUP_PRIMES if n <= ROOT_GROUP_MAX_N else ():
+        counts = symp.root_group_counts(symp.SymplecticSpace(n, p), w)
+        big_d, small_d, image_exp = (_exact_log(c, p) for c in counts)
+        ok = (
+            None not in (big_d, small_d, image_exp)
+            and image_exp == big_d - small_d
+            and small_d == image_exp + bw
+        )
+        group_checks.append(
+            {"p": p, "dim_total": big_d, "dim_fixed": small_d, "dim_image": image_exp, "ok": ok}
+        )
+    return {
+        "w": list(w.image),
+        "n": n,
+        "b_w": bw,
+        "meet_dims": meets,
+        "combinatorial_ok": combinatorial_ok,
+        "group_checks": group_checks,
+        "ok": combinatorial_ok and all(check["ok"] for check in group_checks),
+    }
+
+
 def root_identity_failures(n_max: int) -> list[dict]:
     """The long-root identity for every signed permutation of rank 1..n_max."""
-    out = []
-    for n in range(1, n_max + 1):
-        for w in symp.signed_permutations(n):
-            report = symp.root_identity_check(w)
-            if not report.ok:
-                out.append(report.to_json())
-    return out
+    rows = (
+        root_identity_row(w) for n in range(1, n_max + 1) for w in symp.signed_permutations(n)
+    )
+    return [row for row in rows if not row["ok"]]
 
 
 def involution_failures(n_max: int, seed: int) -> list[dict]:

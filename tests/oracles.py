@@ -549,8 +549,8 @@ def listed_z_variety_count(space: SymplecticSpace, s: Matrix) -> int:
 
 
 def product_root_group_counts(space: SymplecticSpace, w: SignedPermutation) -> tuple[int, int, int]:
-    """`_root_group_counts` by forming y = u theta(u)^{-1} for each u in
-    A = U meet w U w^{-1}: (|A|, the u with y = I, the distinct y)."""
+    """`symplectic.root_group_counts` by forming y = u theta(u)^{-1} for each
+    u in A = U meet w U w^{-1}: (|A|, the u with y = I, the distinct y)."""
     p = space.p
     unit = identity(space.dim)
     size = fixed = 0

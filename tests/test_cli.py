@@ -273,6 +273,8 @@ PINNED_REPORTS = {
     "springer --n 4 --m 4": "803b698238893a32049c46969d97700108e725ec62297eca31ecbf17ae848af0",
     "springer --n 5": "e4a3c80dec2d4b3c6fc735ccf01b25e472fe5846822dccc6ed5458d7ffb038aa",
     "springer --n 6": "ec7997e4c2721ae22b295d0803befe50d19f208db29c2b365cca11adff731e43",
+    "galois --n 4": "fb41128ac71f5be9b8c076569c4a6e496c13532b0e172091432dda02e387b95a",
+    "galois --n 3 --prime 7": "861e2891c7a047b69125e88ec2ef59d79ff0409ae83d8990c4dfd27e2f765fc6",
 }
 
 

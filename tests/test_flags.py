@@ -23,7 +23,7 @@ from nilorbit.flags import (
     _poly_table,
     count_fiber,
     fiber_dimension,
-    galois_degree_check,
+    regular_semisimple_fiber_count,
     slice_count,
     springer_report,
 )
@@ -55,7 +55,12 @@ from nilorbit.pairs import (
     orbit_representative,
 )
 from nilorbit.partitions import enumerate_bipartitions, partition_sum, size, total
-from nilorbit.verify import slice_cases, springer_total_failures
+from nilorbit.verify import (
+    covering_degree_rows,
+    slice_cases,
+    springer_row,
+    springer_total_failures,
+)
 from oracles import count_plain, pattern_dimensions, unitriangular_elements
 
 
@@ -229,10 +234,12 @@ def test_line_tables_and_counts_do_no_linear_algebra(monkeypatch):
     symplectic._exotic_table.cache_clear()
     _fiber_polynomial.cache_clear()
     pairs._class_polynomials.cache_clear()
-    for name in ("rank", "right_kernel", "power_images", "induced_maps", "classify"):
-        for module in (gfmat, flags, pairs, symplectic):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    modules = (gfmat, flags, pairs, symplectic)
+    for name in ("rank", "right_kernel", "power_images", "classify"):
+        holders = [module for module in modules if hasattr(module, name)]
+        assert holders, f"no patched module holds {name}"
+        for module in holders:
+            monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(Subspace, "from_vectors", staticmethod(refuse))
     for n in range(1, 6):
         for bla in enumerate_bipartitions(n):
@@ -400,8 +407,9 @@ def test_fiber_dimension_formula():
 def test_springer_report_top_orbit():
     for n, m in ((2, 1), (3, 1), (3, 2), (4, 2)):
         rep = springer_report(((m,), (n - m,)), m)
+        row = springer_row(((m,), (n - m,)))
         assert rep.d_mu == 0
-        assert rep.degree_ok and rep.leading_ok
+        assert row["degree_ok"] and row["leading_ok"]
         assert rep.polynomial == (1,)
 
 
@@ -414,8 +422,8 @@ def test_springer_report_column_case_where_product_holds():
     cases += [(4, 0), (4, 1), (4, 4)]
     for n, m in cases:
         bmu = ((1,) * m, (1,) * (n - m))
-        rep = springer_report(bmu, m)
-        assert rep.degree_ok and rep.leading_ok
+        rep, row = springer_report(bmu, m), springer_row(bmu)
+        assert row["degree_ok"] and row["leading_ok"]
         assert list(rep.polynomial) == product_poly(m, n - m)
 
 
@@ -426,18 +434,18 @@ def test_springer_report_column_case_true_counts_n4():
     Pinned from two independent enumerations (DFS and raw coset counting);
     degree and leading coefficient still agree with the product.
     """
-    rep = springer_report(((1, 1), (1, 1)), 2)
+    rep, row = springer_report(((1, 1), (1, 1)), 2), springer_row(((1, 1), (1, 1)))
     assert rep.polynomial == (1, 3, 1)
-    assert rep.degree_ok and rep.leading_ok
-    rep = springer_report(((1, 1, 1), (1,)), 3)
+    assert row["degree_ok"] and row["leading_ok"]
+    rep, row = springer_report(((1, 1, 1), (1,)), 3), springer_row(((1, 1, 1), (1,)))
     assert rep.polynomial == (1, 3, 4, 1)
-    assert rep.degree_ok and rep.leading_ok
+    assert row["degree_ok"] and row["leading_ok"]
 
 
 def test_springer_report_example_n2():
-    rep = springer_report(((1,), (1,)), 1)
+    rep, row = springer_report(((1,), (1,)), 1), springer_row(((1,), (1,)))
     assert rep.d_mu == 0 and rep.polynomial == (1,)
-    assert rep.leading_ok and rep.degree_ok
+    assert row["leading_ok"] and row["degree_ok"]
 
 
 def test_springer_report_validates_step():
@@ -477,11 +485,11 @@ def test_springer_report_keeps_a_polynomial_above_its_degree(monkeypatch, capsys
         "_fiber_polynomial",
         lambda blocks, m, order=(): too_high if blocks == ((0, bmu),) else fiber(blocks, m, order),
     )
-    rep = springer_report(bmu, 2)
+    rep, row = springer_report(bmu, 2), springer_row(bmu)
     assert rep.polynomial == too_high
     assert rep.counts == tuple(evaluate(too_high, p) for p in rep.primes)
-    assert not rep.degree_ok
-    assert rep.to_json()["polynomial"] == [str(c) for c in too_high]
+    assert not row["degree_ok"]
+    assert row["polynomial"] == [str(c) for c in too_high]
     assert main(["springer", "--mu", "[[1,1],[1,1]]"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False
@@ -489,19 +497,21 @@ def test_springer_report_keeps_a_polynomial_above_its_degree(monkeypatch, capsys
 
 
 def test_galois_examples():
-    assert galois_degree_check(2, 2, PrimeField(5)) == (2, 2, True)
-    assert galois_degree_check(2, 1, PrimeField(5)) == (1, 1, True)
-    assert galois_degree_check(3, 1, PrimeField(5)) == (2, 2, True)
+    for n, m, count in ((2, 2, 2), (2, 1, 1), (3, 1, 2)):
+        row = {"m": m, "count": count, "expected": count, "ok": True}
+        assert covering_degree_rows(n, 5, [m]) == [row]
     with pytest.raises(ValueError):
-        galois_degree_check(3, 1, PrimeField(3))
+        regular_semisimple_fiber_count(3, 1, PrimeField(3))
+    with pytest.raises(ValueError):
+        covering_degree_rows(3, 3, [1])
 
 
 def test_galois_all_small():
     for n in (1, 2, 3, 4):
         p = 5 if n < 5 else 7
-        for m in range(n + 1):
-            count, expected, ok = galois_degree_check(n, m, PrimeField(p))
-            assert ok and expected == factorial(m) * factorial(n - m)
+        for row in covering_degree_rows(n, p, range(n + 1)):
+            m = row["m"]
+            assert row["ok"] and row["expected"] == factorial(m) * factorial(n - m)
 
 
 def test_unipotent_elements_count():

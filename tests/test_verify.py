@@ -1,7 +1,11 @@
 """Report rows of the verify suites: failing rows name their first witness."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import nilorbit
 from nilorbit import verify
 from nilorbit.counting import CountSeries, slope_estimates
 from nilorbit.gfmat import mat_mul
@@ -81,3 +85,55 @@ def test_exotic_dimensions_are_the_growth_estimates():
                     s, u, v = verify._exotic_case_data(cases[row["case"]], space)
                     counts[p] = exotic_fiber_count(space, s, mat_mul(s, u, p), v)
             assert growth_estimates(counts, primes) == {row["dim_estimate"]}, row
+
+
+COUNTING_MODULES = ("flags", "symplectic", "pairs", "counting", "gfmat", "partitions")
+
+
+def verdict_names(source: str) -> set[str]:
+    """The names, attributes, parameters, keywords, definitions and string
+    keys of the source that are `ok` or end in `_ok`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            found.add(node.arg or "")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Dict):
+            found.update(key.value for key in node.keys if isinstance(key, ast.Constant))
+        elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            found.add(node.slice.value)
+    return {
+        name for name in found if isinstance(name, str) and (name == "ok" or name.endswith("_ok"))
+    }
+
+
+def imported_modules(source: str) -> set[str]:
+    """The last dotted component of every module or name the source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.add(node.module or "")
+            if not node.module:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return {name.rsplit(".", 1)[-1] for name in found}
+
+
+def test_verdicts_are_judged_only_in_verify():
+    """The counting modules return counts, polynomials and dimensions: no
+    verdict name, flag or key appears in them.  The command line reaches
+    them only through `verify`, which judges every check."""
+    package = Path(nilorbit.__file__).parent
+    found = {
+        module: names
+        for module in COUNTING_MODULES
+        if (names := verdict_names((package / f"{module}.py").read_text()))
+    }
+    assert found == {}
+    assert imported_modules((package / "cli.py").read_text()) & {"flags", "symplectic"} == set()
