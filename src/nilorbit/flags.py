@@ -271,12 +271,9 @@ def fiber_dimension(bmu: Bipartition) -> int:
     return num // 2
 
 
-def springer_report(
-    bmu: Bipartition,
-    m: int,
-    primes: Optional[Sequence[int]] = None,
-) -> SpringerReport:
-    """Fiber count polynomial of the orbit bmu and its values at the primes.
+def springer_report(bmu: Bipartition, primes: Optional[Sequence[int]] = None) -> SpringerReport:
+    """Fiber count polynomial of the orbit bmu = (mu, nu) at the step m = |mu|
+    and its values at the primes.
 
     The polynomial is the fiber recursion's, padded with zeros to d_mu + 1
     coefficients; the counts are its values at the primes, of which there
@@ -284,11 +281,7 @@ def springer_report(
     whole; `verify.springer_row` judges its degree and leading coefficient.
     """
     bmu = as_bipartition(bmu)
-    n = total(bmu)
-    if size(bmu[0]) != m:
-        raise ValueError(
-            f"step index {m} must equal the first-component size {size(bmu[0])}"
-        )
+    n, m = total(bmu), size(bmu[0])
     d = fiber_dimension(bmu)
     if primes is None:
         primes = first_primes(d + 1, minimum=max(2, n) + 1)
@@ -325,16 +318,9 @@ def regular_semisimple_fiber_count(n: int, m: int, field: PrimeField) -> int:
     return count_fiber(FlagCondition(x, v, m, p))
 
 
-def in_standard_flag_step(v: Vector, m: int) -> bool:
-    """Whether v lies in the span of the first m coordinates."""
-    return all(c == 0 for c in v[m:])
-
-
-def slice_count(s: Matrix, z0: EnhancedPair, m: int, field: PrimeField) -> int:
-    """Points of the orbit O of z0 inside sU x M_m: `_slice_polynomial` at p.
-
-    s must be diagonal, z0 = (s u, v0) with u flag-unipotent and v0 in M_m.
-    """
+def slice_invariant(s: Matrix, z0: EnhancedPair, field: PrimeField) -> MixedInvariant:
+    """The class of z0 = (s u, v0), from one classification, for s diagonal
+    and invertible and u flag-unipotent; raises ValueError otherwise."""
     p = field.p
     n = z0.n
     if any(s[i][j] for i in range(n) for j in range(n) if i != j):
@@ -346,18 +332,24 @@ def slice_count(s: Matrix, z0: EnhancedPair, m: int, field: PrimeField) -> int:
         u[i][j] for i in range(n) for j in range(i + 1, n)
     ):
         raise ValueError("z0 is not of the form (s u, v0) with flag-unipotent u")
-    if not in_standard_flag_step(z0.v, m):
+    return MixedClassifier(z0.x, p).invariant(z0.v)
+
+
+def slice_count(s: Matrix, z0: EnhancedPair, m: int, field: PrimeField) -> int:
+    """Points of the orbit O of z0 inside sU x M_m: `slice_polynomial` at p.
+
+    s must be diagonal, z0 = (s u, v0) with u flag-unipotent and v0 in M_m.
+    """
+    inv = slice_invariant(s, z0, field)
+    if any(z0.v[m:]):
         raise ValueError(f"v0 must lie in the span of the first {m} coordinates")
-    diagonal = tuple(s[i][i] for i in range(n))
-    target = MixedClassifier(z0.x, p, eigenvalues=diagonal).invariant(z0.v)
-    return evaluate(_slice_polynomial(target, m, diagonal), p)
+    return evaluate(slice_polynomial(inv, m, tuple(s[i][i] for i in range(z0.n))), field.p)
 
 
 @lru_cache(maxsize=None)
-def _slice_polynomial(inv: MixedInvariant, m: int, order: tuple[int, ...]) -> tuple[int, ...]:
+def slice_polynomial(inv: MixedInvariant, m: int, order: tuple[int, ...]) -> tuple[int, ...]:
     """The slice count |O cap (sU x M_m)| in Z[q], by double counting, for the
-    orbit O of invariant inv and s = diag(order), cached per key: the counts
-    at every prime and the row's degree read one entry.
+    orbit O of invariant inv and s = diag(order).
 
     Call z = (x, v) adapted to a complete flag F when x stabilizes F, v lies
     in F_m and x acts on F_k / F_(k-1) by s_kk.  With the row-vector action

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 from . import gfmat
 from .counting import evaluate, gl_order_poly, poly_div, poly_mul
@@ -203,9 +203,7 @@ def stab_dim(z: EnhancedPair) -> int:
     return len(basis) - rank(images, z.p)
 
 
-def split_eigenspaces(
-    x: Matrix, p: int, eigenvalues: Optional[Sequence[int]] = None
-) -> list[tuple[int, Subspace, Matrix]]:
+def split_eigenspaces(x: Matrix, p: int) -> list[tuple[int, Subspace, Matrix]]:
     """Generalized eigenspaces of a split matrix.
 
     Returns (eigenvalue, eigenspace, nilpotent part on the eigenspace in its
@@ -217,8 +215,7 @@ def split_eigenspaces(
         return []
     out = []
     found = 0
-    candidates = range(p) if eigenvalues is None else sorted(set(eigenvalues))
-    for a in candidates:
+    for a in range(p):
         shifted = mat_sub(x, scal_mul(a, identity(n), p), p)
         power = mat_pow(shifted, n, p)
         space = right_kernel(transpose(power), p)
@@ -246,10 +243,10 @@ class MixedClassifier:
     per-vector work is a coordinate change plus one Krylov span per block.
     """
 
-    def __init__(self, x: Matrix, p: int, eigenvalues: Optional[Sequence[int]] = None):
+    def __init__(self, x: Matrix, p: int):
         self.p = p
         self.n = len(x)
-        self.blocks = split_eigenspaces(x, p, eigenvalues)
+        self.blocks = split_eigenspaces(x, p)
         stacked = tuple(b for _, space, _ in self.blocks for b in space.basis)
         self.basis_inv = mat_inv(stacked, p)
         self.profiles = [_nilpotent_profile(nil, p) for _, _, nil in self.blocks]

@@ -465,27 +465,17 @@ def key_orbit_polynomial(keys: tuple[Bipartition, ...]) -> tuple[int, ...]:
 def exotic_slice_count(
     space: SymplecticSpace, s: Matrix, u: Matrix, v: Vector
 ) -> tuple[int, int, int]:
-    """Count of the orbit O of (s u, v) inside X x M_n, X = (sU)^{iota theta}.
-
-    Returns (slice_count, orbit_size, fiber), `_exotic_slice_polynomials` of
-    one classification of (s u, v) at p.  Raises ValueError unless v lies in
-    the Lagrangian M_n, then as `_exotic_blocks` does, and then
-    NonSplitError (a ValueError) when s u has an eigenvalue outside GF(p):
-    such an s u lies in no conjugate of X.
-    """
-    p = space.p
-    if not space.in_lagrangian(v):
-        raise ValueError("v must lie in the Lagrangian coordinate span")
-    order, blocks = _exotic_blocks(space, s, mat_mul(s, u, p), v)
-    slice_poly, orbit, fiber = _exotic_slice_polynomials(blocks, order)
-    return evaluate(slice_poly, p), evaluate(orbit, p), evaluate(fiber, p)
+    """(slice count, orbit size, fiber) of the orbit O of (s u, v) at p:
+    `exotic_slice_polynomials` evaluated at p, raising as it does."""
+    return tuple(evaluate(poly, space.p) for poly in exotic_slice_polynomials(space, s, u, v))
 
 
-def _exotic_slice_polynomials(
-    blocks: tuple[tuple[int, Bipartition], ...], order: tuple[int, ...]
+def exotic_slice_polynomials(
+    space: SymplecticSpace, s: Matrix, u: Matrix, v: Vector
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(slice count, orbit size, fiber) in Z[q] of the orbit O of the pairs
-    with these blocks, in the eigenvalue order t.
+    """(slice count, orbit size, fiber) in Z[q] of the orbit O of (s u, v),
+    from one classification of (s u, v) at p, the slice count being
+    |O cap (X x M_n)| for X = (sU)^{iota theta}.
 
     Call (x, v) adapted to an isotropic flag F when x lies in F's conjugate
     of X and v in F_n.  The pairs adapted to the standard flag are X x M_n,
@@ -495,9 +485,17 @@ def _exotic_slice_polynomials(
         |O cap (X x M_n)| * P_C(q) = |O| * fiber,
 
     P_C(q) = `type_c_poincare_poly(n)` isotropic flags and the fiber
-    `_exotic_fiber`, which is constant on O.  |O| is `key_orbit_polynomial`
-    of the blocks' exotic keys.  A nonzero remainder raises RuntimeError.
+    `_exotic_fiber` of the blocks' exotic keys in the order t of
+    s = diag(t, t), which is constant on O.  |O| is `key_orbit_polynomial`
+    of the keys.  A nonzero remainder raises RuntimeError.
+
+    Raises ValueError unless v lies in the Lagrangian M_n, then as
+    `_exotic_blocks` does, and then NonSplitError (a ValueError) when s u
+    has an eigenvalue outside GF(p): such an s u lies in no conjugate of X.
     """
+    if not space.in_lagrangian(v):
+        raise ValueError("v must lie in the Lagrangian coordinate span")
+    order, blocks = _exotic_blocks(space, s, mat_mul(s, u, space.p), v)
     orbit = key_orbit_polynomial(tuple(key for _, key in blocks))
     fiber = _exotic_fiber(blocks, order)
     return poly_div(poly_mul(orbit, fiber), type_c_poincare_poly(len(order))), orbit, fiber

@@ -376,32 +376,45 @@ def _slice_case_data(case: dict, n: int, p: int):
     return s, pairs_mod.EnhancedPair(x, v, p)
 
 
+def _one_class(case: dict, primes: Sequence[int], classify: Callable[[int], object]):
+    """classify(p), which must be the same at every prime: a case whose
+    class depends on the prime raises RuntimeError naming it."""
+    classes = [classify(p) for p in primes]
+    if any(c != classes[0] for c in classes):
+        raise RuntimeError(f"{case['name']}: the primes {list(primes)} do not give it one class")
+    return classes[0]
+
+
+def _slice_class(case: dict, n: int, p: int):
+    """(class, eigenvalue order) of the case at p (`flags.slice_invariant`)."""
+    s, z = _slice_case_data(case, n, p)
+    try:
+        return flags_mod.slice_invariant(s, z, PrimeField(p)), tuple(s[i][i] for i in range(n))
+    except ValueError as exc:
+        raise ValueError(f"{case['name']} at p={p}: {exc}") from exc
+
+
 def slice_report(n: int, primes: Sequence[int] = (3, 5, 7)) -> list[dict]:
     """Slice counts of the mixed test pairs at and off the natural step index.
 
-    A row's dimension is the degree of the slice polynomial |O| fiber_s /
-    [n]_q! that `flags.slice_count` evaluates at the primes; None when it,
-    and so every count, is zero.
+    Each case is classified once per prime, and the primes must agree on
+    its class and eigenvalue order.  A row's counts are the values at the
+    primes of one slice polynomial |O| fiber_s / [n]_q! (`flags.slice_polynomial`)
+    and its dimension is that polynomial's degree; None when it, and so
+    every count, is zero.
     """
     out = []
     for case in slice_cases(n):
-        s0, z0 = _slice_case_data(case, n, primes[0])
-        inv = pairs_mod.mixed_invariant(z0)
+        inv, diagonal = _one_class(case, primes, lambda p: _slice_class(case, n, p))
         mu = inv.mu
         dim = n * n - sum(a_stat(bla) for _, bla in inv.blocks)
-        diagonal = tuple(s0[i][i] for i in range(n))
         for m in case["steps"]:
             if m < mu or len(case["vtail"]) > m:
                 continue
-            counts = []
-            for p in primes:
-                s, z = _slice_case_data(case, n, p)
-                try:
-                    counts.append((p, flags_mod.slice_count(s, z, m, PrimeField(p))))
-                except ValueError as exc:
-                    raise ValueError(f"{case['name']} at p={p}: {exc}") from exc
-            CountSeries.of(counts)  # rejects primes that are not distinct and increasing
-            slices = flags_mod._slice_polynomial(inv, m, diagonal)
+            slices = flags_mod.slice_polynomial(inv, m, diagonal)
+            counts = [evaluate(slices, p) for p in primes]
+            # rejects primes that are not distinct and increasing
+            CountSeries.of(list(zip(primes, counts)))
             got = degree(slices) if slices else None
             bound = (dim + m) // 2
             if got is None:
@@ -419,7 +432,7 @@ def slice_report(n: int, primes: Sequence[int] = (3, 5, 7)) -> list[dict]:
                     "natural_m": mu,
                     "orbit_dim": dim,
                     "primes": list(primes),
-                    "counts": [c for _, c in counts],
+                    "counts": counts,
                     "dim_estimate": got,
                     "expected": bound,
                     "equality": m == mu,
@@ -433,7 +446,7 @@ def springer_row(bmu, primes: Optional[Sequence[int]] = None) -> dict:
     """Report row of the fiber polynomial of the orbit bmu at step |mu|
     (`flags.springer_report`): it must have degree d_mu and leading
     coefficient dim E_mu."""
-    rep = flags_mod.springer_report(bmu, size(bmu[0]), primes)
+    rep = flags_mod.springer_report(bmu, primes)
     poly = rep.polynomial
     top = degree(poly)
     return {
@@ -470,8 +483,8 @@ def flag_count_product_case_failures(n_max: int) -> list[dict]:
     out = []
     for n in range(n_max + 1):
         for m in range(n + 1):
-            poly = flags_mod.springer_report(((1,) * m, (1,) * (n - m)), m).polynomial
-            got = list(poly[: degree(poly) + 1])
+            bmu = ((1,) * m, (1,) * (n - m))
+            got = list(flags_mod._fiber_polynomial(((0, bmu),) if n else (), m))
             expected = poly_mul(gaussian_factorial_poly(m), gaussian_factorial_poly(n - m))
             if got != expected:
                 out.append({"n": n, "m": m, "expected": expected, "got": got})
@@ -479,14 +492,15 @@ def flag_count_product_case_failures(n_max: int) -> list[dict]:
 
 
 def fiber_conjugation_failures(n_max: int, seed: int) -> list[dict]:
-    """Fiber counts are constant on GL_n orbits, for one seeded g per pair."""
+    """Fiber counts are constant on GL_n orbits: at one seeded conjugate of
+    each normal form the count is the orbit's fiber polynomial at p."""
     out = []
     for n in range(1, n_max + 1):
         for p in (2, 3):
             for bmu in enumerate_bipartitions(n):
                 z = pairs_mod.orbit_representative(bmu, p)
                 m = size(bmu[0])
-                expected = flags_mod.count_fiber(flags_mod.FlagCondition(z.x, z.v, m, p))
+                expected = evaluate(flags_mod._fiber_polynomial(((0, bmu),), m), p)
                 g = random_invertible(n, p, seed * 31 + n * 7 + p)
                 got = flags_mod.count_fiber(flags_mod.FlagCondition(*_conjugate(z, g, p), m, p))
                 if got != expected:
@@ -605,26 +619,26 @@ def _exotic_case_data(case: dict, space: symp.SymplecticSpace):
 EXOTIC_PRIMES = (3, 5, 7)
 
 
-def exotic_orbit_report(n: int) -> list[dict]:
-    """Slice equality and fiber value for the test orbits, with the counts
-    of `symplectic.exotic_slice_count` at EXOTIC_PRIMES.
+def _exotic_class(case: dict, n: int, p: int):
+    """The slice, orbit and fiber polynomials of the case, from its class at p."""
+    space = symp.SymplecticSpace(n, p)
+    return symp.exotic_slice_polynomials(space, *_exotic_case_data(case, space))
 
-    Each dimension is the degree of the polynomial in Z[q] that its row's
-    counts evaluate (`symplectic._exotic_slice_polynomials`): the orbit's,
-    the fiber's and the slice's.
+
+def exotic_orbit_report(n: int) -> list[dict]:
+    """Slice equality and fiber value for the test orbits at EXOTIC_PRIMES.
+
+    Each case is classified once per prime, and the primes must agree on
+    its slice, orbit and fiber polynomials in Z[q]
+    (`symplectic.exotic_slice_polynomials`).  A row's counts are their
+    values at the primes and each dimension is the degree of one of them.
     """
     rows = []
     for case in exotic_orbit_cases(n):
-        counts = []
-        for p in EXOTIC_PRIMES:
-            space = symp.SymplecticSpace(n, p)
-            s, u, v = _exotic_case_data(case, space)
-            counts.append(symp.exotic_slice_count(space, s, u, v))
-        slices, orbits, fibers = zip(*counts)
-        # the keys and the order, read at the last prime, are those of every prime
-        order, blocks = symp._exotic_blocks(space, s, mat_mul(s, u, space.p), v)
-        slice_dim, c, fiber_dim = map(degree, symp._exotic_slice_polynomials(blocks, order))
-        common = {"case": case["name"], "n": n, "orbit_sizes": list(orbits), "orbit_dim": c}
+        polys = _one_class(case, EXOTIC_PRIMES, lambda p: _exotic_class(case, n, p))
+        slices, orbits, fibers = ([evaluate(poly, p) for p in EXOTIC_PRIMES] for poly in polys)
+        slice_dim, c, fiber_dim = map(degree, polys)
+        common = {"case": case["name"], "n": n, "orbit_sizes": orbits, "orbit_dim": c}
         for check, row_counts, got, expected in (
             ("slice-dim", slices, slice_dim, c // 2),
             ("fiber-dim", fibers, fiber_dim, n * n - c // 2),
@@ -634,7 +648,7 @@ def exotic_orbit_report(n: int) -> list[dict]:
                     "check": check,
                     **common,
                     "primes": list(EXOTIC_PRIMES),
-                    "counts": list(row_counts),
+                    "counts": row_counts,
                     "dim_estimate": got,
                     "expected": expected,
                     "ok": got == expected and c % 2 == 0,

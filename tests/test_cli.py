@@ -275,6 +275,9 @@ PINNED_REPORTS = {
     "springer --n 6": "ec7997e4c2721ae22b295d0803befe50d19f208db29c2b365cca11adff731e43",
     "galois --n 4": "fb41128ac71f5be9b8c076569c4a6e496c13532b0e172091432dda02e387b95a",
     "galois --n 3 --prime 7": "861e2891c7a047b69125e88ec2ef59d79ff0409ae83d8990c4dfd27e2f765fc6",
+    "slice --n 2": "6b2c6a7f645334c34a68d192af6d6935d49ebc42d52e3f7d9a84918de6409611",
+    "slice --n 3": "f4fc2105ccf7e6fbe3a7d84642ec1dd03619e495b76c4ca960f621ae6b5dc49f",
+    "slice --n 1 --primes 2 3": "cfde70a25e07329dba9392faab4e19916df585e5fe585140d2c69d965bba9468",
 }
 
 

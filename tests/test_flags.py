@@ -249,7 +249,7 @@ def test_line_tables_and_counts_do_no_linear_algebra(monkeypatch):
             _fiber_polynomial(((1, bla),), n, (1,) * n, symplectic._exotic_table)
     for n in range(5):
         for bla in enumerate_bipartitions(n):
-            springer_report(bla, size(bla[0]))
+            springer_report(bla)
 
 
 def test_springer_totals_hold():
@@ -362,9 +362,9 @@ def test_fiber_cache_gives_the_counts_of_an_empty_cache(ordered_first):
 def test_springer_reports_are_the_same_cold_and_warm():
     """A warm report reads its polynomial from the cache, one hit each."""
     _fiber_polynomial.cache_clear()
-    cold = [springer_report(bmu, size(bmu[0])) for bmu in enumerate_bipartitions(4)]
+    cold = [springer_report(bmu) for bmu in enumerate_bipartitions(4)]
     before = _fiber_polynomial.cache_info()
-    warm = [springer_report(bmu, size(bmu[0])) for bmu in enumerate_bipartitions(4)]
+    warm = [springer_report(bmu) for bmu in enumerate_bipartitions(4)]
     after = _fiber_polynomial.cache_info()
     assert warm == cold
     assert (after.hits - before.hits, after.misses) == (len(cold), before.misses)
@@ -406,7 +406,7 @@ def test_fiber_dimension_formula():
 
 def test_springer_report_top_orbit():
     for n, m in ((2, 1), (3, 1), (3, 2), (4, 2)):
-        rep = springer_report(((m,), (n - m,)), m)
+        rep = springer_report(((m,), (n - m,)))
         row = springer_row(((m,), (n - m,)))
         assert rep.d_mu == 0
         assert row["degree_ok"] and row["leading_ok"]
@@ -422,7 +422,7 @@ def test_springer_report_column_case_where_product_holds():
     cases += [(4, 0), (4, 1), (4, 4)]
     for n, m in cases:
         bmu = ((1,) * m, (1,) * (n - m))
-        rep, row = springer_report(bmu, m), springer_row(bmu)
+        rep, row = springer_report(bmu), springer_row(bmu)
         assert row["degree_ok"] and row["leading_ok"]
         assert list(rep.polynomial) == product_poly(m, n - m)
 
@@ -434,29 +434,24 @@ def test_springer_report_column_case_true_counts_n4():
     Pinned from two independent enumerations (DFS and raw coset counting);
     degree and leading coefficient still agree with the product.
     """
-    rep, row = springer_report(((1, 1), (1, 1)), 2), springer_row(((1, 1), (1, 1)))
+    rep, row = springer_report(((1, 1), (1, 1))), springer_row(((1, 1), (1, 1)))
     assert rep.polynomial == (1, 3, 1)
     assert row["degree_ok"] and row["leading_ok"]
-    rep, row = springer_report(((1, 1, 1), (1,)), 3), springer_row(((1, 1, 1), (1,)))
+    rep, row = springer_report(((1, 1, 1), (1,))), springer_row(((1, 1, 1), (1,)))
     assert rep.polynomial == (1, 3, 4, 1)
     assert row["degree_ok"] and row["leading_ok"]
 
 
 def test_springer_report_example_n2():
-    rep, row = springer_report(((1,), (1,)), 1), springer_row(((1,), (1,)))
+    rep, row = springer_report(((1,), (1,))), springer_row(((1,), (1,)))
     assert rep.d_mu == 0 and rep.polynomial == (1,)
     assert row["leading_ok"] and row["degree_ok"]
-
-
-def test_springer_report_validates_step():
-    with pytest.raises(ValueError):
-        springer_report(((1,), (1,)), 2)
 
 
 def test_springer_report_validates_primes():
     for primes in ((4, 9, 25), (1, 5, 7)):
         with pytest.raises(ValueError) as info:
-            springer_report(((1,), (1,)), 1, primes=primes)
+            springer_report(((1,), (1,)), primes=primes)
         assert str(info.value) == f"{primes[0]} is not prime"
 
 
@@ -466,7 +461,7 @@ def test_springer_report_counts_match_plain_enumeration():
     for n in range(4):
         for bmu in enumerate_bipartitions(n):
             m = size(bmu[0])
-            rep = springer_report(bmu, m, primes=primes)
+            rep = springer_report(bmu, primes=primes)
             for p, count in zip(primes, rep.counts):
                 z = orbit_representative(bmu, p)
                 plain = count_plain(z.x, z.v, m, p)
@@ -485,7 +480,7 @@ def test_springer_report_keeps_a_polynomial_above_its_degree(monkeypatch, capsys
         "_fiber_polynomial",
         lambda blocks, m, order=(): too_high if blocks == ((0, bmu),) else fiber(blocks, m, order),
     )
-    rep, row = springer_report(bmu, 2), springer_row(bmu)
+    rep, row = springer_report(bmu), springer_row(bmu)
     assert rep.polynomial == too_high
     assert rep.counts == tuple(evaluate(too_high, p) for p in rep.primes)
     assert not row["degree_ok"]
@@ -543,11 +538,10 @@ def build_slice_data(diag, unip, vtail, n, p):
 def enumerated_slice_count(s, z0, m, p):
     """Independent oracle: classify every pair of sU x M_m against z0."""
     n = z0.n
-    eigenvalues = [s[i][i] for i in range(n)]
     target = mixed_invariant(z0)
     count = 0
     for u in unitriangular_elements(range(n), p):
-        classifier = MixedClassifier(mat_mul(s, u, p), p, eigenvalues=eigenvalues)
+        classifier = MixedClassifier(mat_mul(s, u, p), p)
         for tail in all_vectors(m, p):
             if classifier.invariant(tail + (0,) * (n - m)) == target:
                 count += 1

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import nilorbit
-from nilorbit import verify
+from nilorbit import pairs, verify
 from nilorbit.counting import CountSeries, slope_estimates
 from nilorbit.gfmat import mat_mul
 from nilorbit.symplectic import SymplecticSpace, exotic_fiber_count
@@ -85,6 +85,47 @@ def test_exotic_dimensions_are_the_growth_estimates():
                     s, u, v = verify._exotic_case_data(cases[row["case"]], space)
                     counts[p] = exotic_fiber_count(space, s, mat_mul(s, u, p), v)
             assert growth_estimates(counts, primes) == {row["dim_estimate"]}, row
+
+
+def test_each_counted_pair_is_classified_once(monkeypatch):
+    """The slice and exotic reports classify each case once per prime, and
+    a conjugate's fiber count is read against the fiber polynomial of its
+    orbit, not against a second classification."""
+    builds = []
+    init = pairs.MixedClassifier.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(pairs.MixedClassifier, "__init__", counted)
+    for n in (1, 2, 3):
+        builds.clear()
+        verify.slice_report(n, (3, 5, 7))
+        assert len(builds) == 3 * len(verify.slice_cases(n)), n
+    for n in (1, 2):
+        builds.clear()
+        verify.exotic_orbit_report(n)
+        assert len(builds) == 3 * len(verify.exotic_orbit_cases(n)), n
+    builds.clear()
+    verify.fiber_conjugation_failures(3, 0)
+    assert len(builds) == 34
+
+
+def test_a_class_that_depends_on_the_prime_raises(monkeypatch):
+    """diag(1, 4) is central mod 3 and regular mod 5 and 7: its rows would
+    mix counts of two orbits, so the reports name the case instead."""
+    slice_case = {"name": "torus-1-4", "diag": [1, 4], "unip": [], "vtail": [1], "steps": [1, 2]}
+    monkeypatch.setattr(verify, "slice_cases", lambda n: [slice_case])
+    assert verify.slice_report(2, (5, 7))
+    with pytest.raises(RuntimeError, match=r"torus-1-4: the primes \[3, 5\]"):
+        verify.slice_report(2, (3, 5))
+    exotic_case = {"name": "torus-1-4", "torus": [1, 4], "gen": [], "vtail": []}
+    monkeypatch.setattr(verify, "exotic_orbit_cases", lambda n: [exotic_case])
+    with pytest.raises(RuntimeError, match=r"torus-1-4: the primes \[3, 5, 7\]"):
+        verify.exotic_orbit_report(2)
+    monkeypatch.setattr(verify, "EXOTIC_PRIMES", (5, 7))
+    assert verify.exotic_orbit_report(2)
 
 
 COUNTING_MODULES = ("flags", "symplectic", "pairs", "counting", "gfmat", "partitions")
